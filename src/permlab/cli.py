@@ -269,8 +269,14 @@ def cmd_sizebias(args) -> int:
         }
     elif args.check == "var":
         params.update({"outer": args.outer, "inner": args.inner})
-        value = sizebias.estimate_var_conditional(args.n, args.outer, args.inner, seed)
-        results = {"var_cond": value, "var_cond_over_n": value / args.n}
+        _, d = sizebias._differences(args.n, args.outer, args.inner, seed)
+        raw, value = sizebias._var_cond(d, args.n)
+        results = {
+            "var_cond": value,
+            "var_cond_over_n": value / args.n,
+            "var_cond_raw": raw,
+            "clamped": raw < 0.0,
+        }
     elif args.check == "bound":
         params.update({"outer": args.outer, "inner": args.inner})
         report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)
@@ -278,6 +284,8 @@ def cmd_sizebias(args) -> int:
             "mu": report.mu,
             "sigma2": report.sigma2,
             "var_cond": report.var_cond,
+            "var_cond_raw": report.var_cond_raw,
+            "clamped": report.clamped,
             "second_moment": report.second_moment,
             "bound": report.bound,
         }

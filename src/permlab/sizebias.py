@@ -12,9 +12,10 @@ bound of order n^(-1/2) on the normalized W via Stein's method:
         <= (mu/sigma^2) sqrt(2/pi) sqrt(Var E[W^s - W | W])
          + (mu/sigma^3) E[(W^s - W)^2].
 
-Streams: outer replica r draws its scores from (seed, stream r, substream 0)
-and completion c of that replica from substream 1 + c, so runs are
-reproducible for any worker count.
+Streams: outer replica r reads stream r, as in every models batch
+(``models.sample_score_matrix`` of the inverse-unfair model), and completion
+c of that replica reads (stream r, substream 1 + c), so runs are reproducible
+for any worker count.
 """
 from __future__ import annotations
 
@@ -22,16 +23,16 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .models import ScoreVector
+from .models import ModelSpec, ScoreVector, max_of_k_uniforms, sample_score_matrix, sample_scores
 from .rng import make_generator
 from .stats import inversions_batch
 
 __all__ = [
     "InsufficientReplicas",
-    "AliasTable",
     "IndexDistribution",
     "index_distribution",
     "resample_conditional_pair",
@@ -45,52 +46,11 @@ __all__ = [
     "stein_bound",
 ]
 
-_TINY = 2.0 ** -53
-_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_SCORES = ModelSpec.inverse_unfair()
 
 
 class InsufficientReplicas(ValueError):
     """The replicate layout cannot support the requested estimator."""
-
-
-class AliasTable:
-    """Walker/Vose alias sampler: O(K) setup, O(1) per draw."""
-
-    def __init__(self, probs: np.ndarray) -> None:
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0 or np.any(p < 0):
-            raise ValueError("probs must be a non-empty nonnegative vector")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must sum to 1 within 1e-12")
-        k = p.size
-        scaled = p * k
-        self.accept = np.ones(k, dtype=float)
-        self.alias = np.arange(k, dtype=np.int64)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.accept[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in small + large:
-            self.accept[i] = 1.0
-
-    def draw1(self, rng: np.random.Generator) -> int:
-        k = self.accept.size
-        u1, u2 = rng.random(2)
-        cell = min(int(u1 * k), k - 1)
-        return cell if u2 < self.accept[cell] else int(self.alias[cell])
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = self.accept.size
-        u = rng.random((size, 2))
-        cell = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
-        take = u[:, 1] < self.accept[cell]
-        return np.where(take, cell, self.alias[cell])
 
 
 @dataclass(frozen=True)
@@ -98,24 +58,31 @@ class IndexDistribution:
     """The size-bias index law: P(I = (i,j)) proportional to i/(i+j), i < j."""
 
     n: int
-    pairs: np.ndarray = field(repr=False)  # (K, 2) int64, lexicographic
-    probs: np.ndarray = field(repr=False)
-    total_weight: float  # sum of i/(i+j) = E[W]
-    table: AliasTable = field(repr=False)
 
     def draw_pair1(self, rng: np.random.Generator) -> tuple[int, int]:
-        k = self.table.draw1(rng)
-        return int(self.pairs[k, 0]), int(self.pairs[k, 1])
+        """One index pair by rejection, 3 uniforms per try.
+
+        Two uniform indices a, b in 1..n are redrawn while equal; the sorted
+        pair (i, j) is then kept when u (i+j) < 2i.  An unordered pair comes
+        up with probability 2/n^2 per try, so the kept pair has probability
+        proportional to i/(i+j).  A try succeeds with probability about
+        4 E[W]/n^2 -> 2(1 - ln 2) ~ 0.61.
+        """
+        n = self.n
+        while True:
+            u1, u2, u3 = rng.random(3)
+            a, b = int(u1 * n) + 1, int(u2 * n) + 1
+            if a == b:
+                continue
+            i, j = (a, b) if a < b else (b, a)
+            if u3 * (i + j) < 2 * i:
+                return i, j
 
 
 def index_distribution(n: int) -> IndexDistribution:
     if n < 2:
         raise ValueError("need n >= 2 for at least one pair")
-    pairs = np.array([(i, j) for i in range(1, n) for j in range(i + 1, n + 1)], dtype=np.int64)
-    weights = pairs[:, 0] / (pairs[:, 0] + pairs[:, 1])
-    total = math.fsum(weights)
-    probs = weights / total
-    return IndexDistribution(n, pairs, probs, total, AliasTable(probs))
+    return IndexDistribution(n)
 
 
 def resample_conditional_pair(
@@ -123,34 +90,17 @@ def resample_conditional_pair(
 ) -> tuple[float, float]:
     """(Z_i, Z_j) given Z_i > Z_j, by rejection from the unconditional pair.
 
+    Each try draws 2 uniforms through the models score transform.
     Acceptance probability is i/(i+j) per try, so the expected try count is
     (i+j)/i; averaged over the size-bias index law that is O(1).
     """
     if i < 1 or j < 1 or i == j:
         raise ValueError(f"need distinct indices >= 1, got ({i}, {j})")
-    inv_i, inv_j = 1.0 / i, 1.0 / j
     while True:
-        u = rng.random(2)
-        zi = min(max(u[0], _TINY) ** inv_i, _BELOW_ONE)
-        zj = min(max(u[1], _TINY) ** inv_j, _BELOW_ONE)
+        zi = max_of_k_uniforms(i, rng)
+        zj = max_of_k_uniforms(j, rng)
         if zi > zj:
             return zi, zj
-
-
-def _pair_involvement(z: np.ndarray, i: int, j: int, zi: float, zj: float) -> int:
-    """Inversions involving positions i or j if their scores were (zi, zj).
-
-    Positions other than i and j keep their values from ``z``; the slices
-    containing the other member of the pair are corrected with the stored
-    array value, so the same function serves the old and the new scores.
-    """
-    a, b = i - 1, j - 1
-    count = int(zi > zj)  # the (i, j) pair itself, i < j
-    count += int(np.count_nonzero(z[:a] > zi))
-    count += int(np.count_nonzero(z[a + 1 :] < zi)) - int(z[b] < zi)
-    count += int(np.count_nonzero(z[:b] > zj)) - int(z[a] > zj)
-    count += int(np.count_nonzero(z[b + 1 :] < zj))
-    return count
 
 
 @dataclass(frozen=True)
@@ -169,79 +119,55 @@ class CouplingDraw:
     scores_s: ScoreVector
 
 
-def couple(
-    n: int,
-    rng: np.random.Generator,
-    recount: str = "full",
-    _index: IndexDistribution | None = None,
-) -> CouplingDraw:
-    """One coupled draw (W, W^s) from a single generator.
-
-    Draw order: n score uniforms, 2 alias uniforms, then rejection uniforms if
-    the chosen pair needs resampling.  ``recount="full"`` recounts the
-    modified score vector with the O(n log n) kernel; ``"incremental"``
-    adjusts the four affected comparison sums in O(n).  Both agree exactly.
-    """
-    if recount not in ("full", "incremental"):
-        raise ValueError("recount must be 'full' or 'incremental'")
-    idx = _index if _index is not None and _index.n == n else index_distribution(n)
-    u = rng.random(n)
-    u[u == 0.0] = _TINY
-    z = np.minimum(u ** (1.0 / np.arange(1, n + 1)), _BELOW_ONE)
-    w = int(inversions_batch(z[None, :])[0])
-    i, j = idx.draw_pair1(rng)
-    a, b = i - 1, j - 1
-    sv = ScoreVector(z)
-    if z[a] > z[b]:
-        return CouplingDraw(n, sv, w, i, j, w, False, sv)
-    zi, zj = resample_conditional_pair(i, j, rng)
-    zmod = z.copy()
-    zmod[a], zmod[b] = zi, zj
-    if recount == "incremental":
-        w_s = w - _pair_involvement(z, i, j, z[a], z[b]) + _pair_involvement(z, i, j, zi, zj)
-    else:
-        w_s = int(inversions_batch(zmod[None, :])[0])
-    return CouplingDraw(n, sv, w, i, j, w_s, True, ScoreVector(zmod))
-
-
-def _score_rows(n: int, reps: int, seed: int, first_stream: int) -> np.ndarray:
-    out = np.empty((reps, n), dtype=float)
-    exponents = 1.0 / np.arange(1, n + 1)
-    for r in range(reps):
-        gen = make_generator(seed, first_stream + r, substream=0)
-        u = gen.random(n)
-        u[u == 0.0] = _TINY
-        out[r] = np.minimum(u ** exponents, _BELOW_ONE)
-    return out
-
-
 def _complete(
     z: np.ndarray,
     w: np.ndarray,
     idx: IndexDistribution,
-    seed: int,
-    first_stream: int,
-    completion: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One completion column: (i, j, w_s, resampled) per outer row."""
-    reps, n = z.shape
-    i_arr = np.empty(reps, dtype=np.int64)
-    j_arr = np.empty(reps, dtype=np.int64)
+    gens: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One completion of every row of ``z``, row r drawing from the r-th of
+    ``gens``: (i, j, w_s, resampled, z_s).
+
+    Each row draws an index pair and, when the pair is in order, resamples
+    its two scores conditionally; the resampled rows are then recounted.
+    """
+    reps = z.shape[0]
+    pairs = np.empty((reps, 2), dtype=np.int64)
     resampled = np.zeros(reps, dtype=bool)
-    zmod = z.copy()
-    for r in range(reps):
-        gen = make_generator(seed, first_stream + r, substream=1 + completion)
+    z_s = z.copy()
+    for r, gen in enumerate(gens):
         i, j = idx.draw_pair1(gen)
-        i_arr[r], j_arr[r] = i, j
+        pairs[r] = i, j
         if z[r, i - 1] <= z[r, j - 1]:
             resampled[r] = True
-            zi, zj = resample_conditional_pair(i, j, gen)
-            zmod[r, i - 1] = zi
-            zmod[r, j - 1] = zj
+            z_s[r, i - 1], z_s[r, j - 1] = resample_conditional_pair(i, j, gen)
     w_s = w.copy()
     if np.any(resampled):
-        w_s[resampled] = inversions_batch(zmod[resampled])
-    return i_arr, j_arr, w_s, resampled
+        w_s[resampled] = inversions_batch(z_s[resampled])
+    return pairs[:, 0], pairs[:, 1], w_s, resampled, z_s
+
+
+def _completion_streams(seed: int, first_stream: int, reps: int, completion: int):
+    return (
+        make_generator(seed, first_stream + r, substream=1 + completion)
+        for r in range(reps)
+    )
+
+
+def couple(n: int, rng: np.random.Generator) -> CouplingDraw:
+    """One coupled draw (W, W^s) from a single generator: a batch of one.
+
+    Draw order: n score uniforms, then 3 uniforms per index try, then
+    2 uniforms per conditional try if the chosen pair needs resampling.
+    """
+    idx = index_distribution(n)
+    sv = sample_scores(_SCORES, n, rng)
+    z = sv.values[None, :]
+    w = inversions_batch(z)
+    i, j, w_s, resampled, z_s = _complete(z, w, idx, [rng])
+    sv_s = ScoreVector(z_s[0]) if resampled[0] else sv
+    return CouplingDraw(n, sv, int(w[0]), int(i[0]), int(j[0]), int(w_s[0]),
+                        bool(resampled[0]), sv_s)
 
 
 def couple_batch(
@@ -254,9 +180,11 @@ def couple_batch(
     if n < 2 or reps < 1:
         raise ValueError("need n >= 2 and reps >= 1")
     idx = index_distribution(n)
-    z = _score_rows(n, reps, seed, first_stream)
+    z = sample_score_matrix(_SCORES, n, reps, seed, first_stream)
     w = inversions_batch(z)
-    i_arr, j_arr, w_s, resampled = _complete(z, w, idx, seed, first_stream, 0)
+    i_arr, j_arr, w_s, resampled, _ = _complete(
+        z, w, idx, _completion_streams(seed, first_stream, reps, 0)
+    )
     return {"w": w, "w_s": w_s, "i": i_arr, "j": j_arr, "resampled": resampled}
 
 
@@ -302,7 +230,7 @@ def verify_size_bias_identity(
     func, name = _parse_f(f)
     t0 = time.perf_counter()
     draws = couple_batch(n, reps, seed, first_stream=0)
-    w_ind = inversions_batch(_score_rows(n, reps, seed, first_stream=reps))
+    w_ind = inversions_batch(sample_score_matrix(_SCORES, n, reps, seed, first_stream=reps))
     a = w_ind.astype(float) * func(w_ind)
     lhs = float(np.mean(a))
     se_lhs_sq = float(np.var(a, ddof=1)) / reps
@@ -327,49 +255,56 @@ def verify_size_bias_identity(
     )
 
 
-def _conditional_variance_parts(
+def _differences(
     n: int, outer_reps: int, inner_pairs: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, D matrix, resampled counts); D has shape (outer_reps, inner_pairs)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w, D): D[r, c] = W^s - W of completion c of outer draw r."""
     if outer_reps < 2:
         raise InsufficientReplicas("need outer_reps >= 2 (a single outer draw "
                                    "cannot see between-draw variance)")
     if inner_pairs < 2:
         raise InsufficientReplicas("need inner_pairs >= 2 independent completions")
     idx = index_distribution(n)
-    z = _score_rows(n, outer_reps, seed, first_stream=0)
+    z = sample_score_matrix(_SCORES, n, outer_reps, seed)
     w = inversions_batch(z)
     d = np.empty((outer_reps, inner_pairs), dtype=float)
     for c in range(inner_pairs):
-        _, _, w_s, _ = _complete(z, w, idx, seed, 0, c)
+        _, _, w_s, _, _ = _complete(z, w, idx, _completion_streams(seed, 0, outer_reps, c))
         d[:, c] = w_s - w
-    return w, d, z
+    return w, d
+
+
+def _var_cond(d: np.ndarray, n: int) -> tuple[float, float]:
+    """(raw, clamped) paired-replicate estimate of Var(E[D | Z]) from D.
+
+    Per outer score draw, the columns of D are independent completions
+    sharing the same Z; products over distinct completions estimate
+    (E[D|Z])^2 unbiasedly, and subtracting the squared grand mean leaves the
+    variance of the conditional expectation.  A negative raw estimate
+    (undersampling noise) clamps to 0 with a warning.
+    """
+    c = d.shape[1]
+    row_sum = d.sum(axis=1)
+    row_sq = (d ** 2).sum(axis=1)
+    pair_products = (row_sum ** 2 - row_sq) / (c * (c - 1))
+    raw = float(np.mean(pair_products)) - float(np.mean(d)) ** 2
+    if raw < 0.0:
+        warnings.warn(
+            f"conditional-variance estimate {raw:.3g} < 0 at n={n}; clamping to 0 "
+            "(increase outer_reps/inner_pairs)"
+        )
+    return raw, max(raw, 0.0)
 
 
 def estimate_var_conditional(
     n: int, outer_reps: int, inner_pairs: int, seed: int
 ) -> float:
-    """Paired-replicate estimate of Var(E[W^s - W | Z]).
+    """Paired-replicate estimate of Var(E[W^s - W | Z]), clamped at 0.
 
-    Per outer score draw, ``inner_pairs`` independent completions D_c share
-    the same Z; products over distinct completions estimate (E[D|Z])^2
-    unbiasedly, and subtracting the squared grand mean leaves the variance of
-    the conditional expectation.  Negative estimates (undersampling noise)
-    clamp to 0 with a warning.
+    ``inner_pairs`` independent completions per outer score draw; the same
+    draws and estimate as ``stein_bound(...).var_cond``.
     """
-    _, d, _ = _conditional_variance_parts(n, outer_reps, inner_pairs, seed)
-    c = d.shape[1]
-    row_sum = d.sum(axis=1)
-    row_sq = (d ** 2).sum(axis=1)
-    pair_products = (row_sum ** 2 - row_sq) / (c * (c - 1))
-    est = float(np.mean(pair_products)) - float(np.mean(d)) ** 2
-    if est < 0.0:
-        warnings.warn(
-            f"conditional-variance estimate {est:.3g} < 0 at n={n}; clamping to 0 "
-            "(increase outer_reps/inner_pairs)"
-        )
-        return 0.0
-    return est
+    return _var_cond(_differences(n, outer_reps, inner_pairs, seed)[1], n)[1]
 
 
 @dataclass(frozen=True)
@@ -380,7 +315,9 @@ class SteinBoundReport:
     seed: int
     mu: float
     sigma2: float
-    var_cond: float
+    var_cond: float  # clamped at 0; the value the bound uses
+    var_cond_raw: float  # the unclamped estimate
+    clamped: bool  # var_cond_raw < 0
     second_moment: float  # E[(W^s - W)^2]
     bound: float
     wall_time: float = field(compare=False)
@@ -399,19 +336,12 @@ def stein_bound(
     conservative up to MC noise).
     """
     t0 = time.perf_counter()
-    w, d, _ = _conditional_variance_parts(n, outer_reps, inner_pairs, seed)
+    w, d = _differences(n, outer_reps, inner_pairs, seed)
     mu = float(np.mean(w))
     sigma2 = float(np.var(w.astype(float), ddof=1))
     if sigma2 <= 0.0:
         raise InsufficientReplicas("degenerate variance estimate; increase outer_reps")
-    c = d.shape[1]
-    row_sum = d.sum(axis=1)
-    row_sq = (d ** 2).sum(axis=1)
-    pair_products = (row_sum ** 2 - row_sq) / (c * (c - 1))
-    var_cond = float(np.mean(pair_products)) - float(np.mean(d)) ** 2
-    if var_cond < 0.0:
-        warnings.warn(f"conditional-variance estimate {var_cond:.3g} < 0; clamping to 0")
-        var_cond = 0.0
+    var_cond_raw, var_cond = _var_cond(d, n)
     second = float(np.mean(d ** 2))
     bound = (mu / sigma2) * math.sqrt(2.0 / math.pi) * math.sqrt(var_cond) + (
         mu / sigma2 ** 1.5
@@ -424,6 +354,8 @@ def stein_bound(
         mu=mu,
         sigma2=sigma2,
         var_cond=var_cond,
+        var_cond_raw=var_cond_raw,
+        clamped=var_cond_raw < 0.0,
         second_moment=second,
         bound=bound,
         wall_time=time.perf_counter() - t0,

@@ -246,6 +246,7 @@ def test_sizebias_bound_record(capsys):
     )
     rec = record_of(out)
     assert rec["results"]["bound"] > 0
+    bound = rec["results"]
     code, out, _ = run_cli(
         ["sizebias", "--n", "10", "--check", "var", "--outer", "300",
          "--inner", "3", "--seed", "4"],
@@ -253,6 +254,10 @@ def test_sizebias_bound_record(capsys):
     )
     rec = record_of(out)
     assert rec["results"]["var_cond"] >= 0
+    # both records carry the unclamped estimate and whether it was clamped
+    for res in (bound, rec["results"]):
+        assert res["var_cond"] == max(res["var_cond_raw"], 0.0)
+        assert res["clamped"] == (res["var_cond_raw"] < 0.0)
 
 
 def test_sizebias_unknown_check(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from permlab import exact, sizebias
+from permlab.models import ModelSpec, sample_score_matrix, sample_scores
 from permlab.rng import make_generator
 from permlab.stats import inversions_batch
 
@@ -12,64 +13,25 @@ from oracles import inv_oracle
 
 
 # ---------------------------------------------------------------------------
-# alias table and index distribution
-
-def test_alias_table_uniformish():
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
-    table = sizebias.AliasTable(probs)
-    rng = make_generator(0)
-    draws = table.draw(rng, 200_000)
-    freqs = np.bincount(draws, minlength=4) / draws.size
-    assert np.max(np.abs(freqs - probs)) < 0.005
-
-
-def test_alias_table_scalar_matches_support():
-    probs = np.array([0.5, 0.25, 0.25])
-    table = sizebias.AliasTable(probs)
-    rng = make_generator(1)
-    seen = {table.draw1(rng) for _ in range(200)}
-    assert seen == {0, 1, 2}
-
-
-def test_alias_degenerate():
-    table = sizebias.AliasTable(np.array([1.0]))
-    assert table.draw1(make_generator(2)) == 0
-
-
-def test_index_distribution_n3():
-    idx = sizebias.index_distribution(3)
-    # weights i/(i+j): (1,2) -> 1/3, (1,3) -> 1/4, (2,3) -> 2/5; total 59/60
-    assert idx.pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
-    total = Fraction(1, 3) + Fraction(1, 4) + Fraction(2, 5)
-    assert idx.total_weight == pytest.approx(float(total), rel=1e-15)
-    want = [float(Fraction(1, 3) / total), float(Fraction(1, 4) / total),
-            float(Fraction(2, 5) / total)]
-    assert np.allclose(idx.probs, want, rtol=1e-14)
-
-
-def test_index_total_weight_is_mean_inversions():
-    for n in (2, 3, 5, 12):
-        idx = sizebias.index_distribution(n)
-        assert idx.total_weight == pytest.approx(
-            exact.mean_inversions_exact(n), rel=1e-12
-        )
-    with pytest.raises(ValueError):
-        sizebias.index_distribution(1)
-
+# index distribution
 
 def test_index_draw_frequencies():
-    idx = sizebias.index_distribution(4)
-    rng = make_generator(3)
-    counts = {}
     reps = 120_000
-    for _ in range(reps):
-        pair = idx.draw_pair1(rng)
-        counts[pair] = counts.get(pair, 0) + 1
-    # frequency of each pair tracks its probability
-    total = sum(counts.values())
-    for k, (i, j) in enumerate(idx.pairs):
-        got = counts.get((int(i), int(j)), 0) / total
-        assert got == pytest.approx(idx.probs[k], abs=0.01)
+    for n in (2, 3, 4):
+        idx = sizebias.index_distribution(n)
+        rng = make_generator(3)
+        counts = {}
+        for _ in range(reps):
+            pair = idx.draw_pair1(rng)
+            counts[pair] = counts.get(pair, 0) + 1
+        # law i/(i+j) normalised over all pairs i < j
+        law = {(i, j): Fraction(i, i + j) for i in range(1, n) for j in range(i + 1, n + 1)}
+        total = sum(law.values())
+        assert set(counts) == set(law)
+        for pair, weight in law.items():
+            assert counts[pair] / reps == pytest.approx(float(weight / total), abs=0.01)
+    with pytest.raises(ValueError):
+        sizebias.index_distribution(1)
 
 
 # ---------------------------------------------------------------------------
@@ -101,40 +63,30 @@ def test_resample_conditional_marginal():
 # coupling invariants
 
 def test_couple_records_are_consistent():
-    for seed in range(30):
-        d = sizebias.couple(8, make_generator(seed))
-        assert d.w == inv_oracle(_ranks(d.scores.values))
-        assert d.w_s == inv_oracle(_ranks(d.scores_s.values))
-        a, b = d.i - 1, d.j - 1
-        # post-coupling pair is always inverted (score_i > score_j, i < j)
-        assert d.scores_s.values[a] > d.scores_s.values[b]
-        if not d.resampled:
-            assert d.w_s == d.w
-            assert d.scores_s is d.scores
-        else:
-            # only positions i and j may change
-            keep = np.ones(8, dtype=bool)
-            keep[[a, b]] = False
-            assert np.array_equal(
-                d.scores.values[keep], d.scores_s.values[keep]
-            )
-            assert d.w_s >= 1
+    for n, seeds in ((8, range(30)), (10, range(60))):
+        for seed in seeds:
+            d = sizebias.couple(n, make_generator(seed))
+            assert d.w == inv_oracle(_ranks(d.scores.values))
+            assert d.w_s == inv_oracle(_ranks(d.scores_s.values))
+            a, b = d.i - 1, d.j - 1
+            # post-coupling pair is always inverted (score_i > score_j, i < j)
+            assert d.scores_s.values[a] > d.scores_s.values[b]
+            if not d.resampled:
+                assert d.w_s == d.w
+                assert d.scores_s is d.scores
+            else:
+                # only positions i and j may change
+                keep = np.ones(n, dtype=bool)
+                keep[[a, b]] = False
+                assert np.array_equal(
+                    d.scores.values[keep], d.scores_s.values[keep]
+                )
+                assert d.w_s >= 1
 
 
 def _ranks(v):
     order = np.argsort(np.argsort(v, kind="stable"), kind="stable")
     return order + 1
-
-
-def test_couple_full_vs_incremental():
-    for seed in range(60):
-        base = sizebias.couple(10, make_generator(seed), recount="full")
-        fast = sizebias.couple(10, make_generator(seed), recount="incremental")
-        assert base.w == fast.w
-        assert base.w_s == fast.w_s
-        assert (base.i, base.j, base.resampled) == (fast.i, fast.j, fast.resampled)
-    with pytest.raises(ValueError):
-        sizebias.couple(5, make_generator(0), recount="other")
 
 
 def test_couple_bounded_change():
@@ -157,13 +109,39 @@ def test_couple_batch_matches_scalar_draw_law():
     assert set(out) == {"w", "w_s", "i", "j", "resampled"}
     assert out["w"].shape == (200,)
     # resampled iff the chosen pair was originally in order
-    z = sizebias._score_rows(6, 200, 7, first_stream=0)
+    z = sample_score_matrix(ModelSpec.inverse_unfair(), 6, 200, 7, first_stream=0)
     for r in range(200):
         a, b = out["i"][r] - 1, out["j"][r] - 1
         assert out["resampled"][r] == (z[r, a] <= z[r, b])
         if not out["resampled"][r]:
             assert out["w_s"][r] == out["w"][r]
     assert np.array_equal(out["w"], inversions_batch(z))
+
+
+def test_outer_scores_are_models_rows(monkeypatch):
+    # outer score row r is row r of the inverse-unfair score matrix, bit for
+    # bit, on the stepped (n = 7) and the per-row (n = 650) model paths
+    spec = ModelSpec.inverse_unfair()
+    seen = []
+
+    def spy(x):
+        seen.append(np.array(x))
+        return inversions_batch(x)
+
+    monkeypatch.setattr(sizebias, "inversions_batch", spy)
+    for n in (7, 650):
+        seen.clear()
+        sizebias.couple_batch(n, 40, seed=5, first_stream=3)
+        assert np.array_equal(seen[0], sample_score_matrix(spec, n, 40, 5, 3))
+    seen.clear()
+    sizebias.stein_bound(9, 50, 2, seed=6)
+    assert np.array_equal(seen[0], sample_score_matrix(spec, 9, 50, 6))
+    seen.clear()
+    sizebias.verify_size_bias_identity(9, "identity", 60, seed=8)
+    assert np.array_equal(seen[0], sample_score_matrix(spec, 9, 60, 8))
+    assert np.array_equal(seen[-1], sample_score_matrix(spec, 9, 60, 8, first_stream=60))
+    d = sizebias.couple(9, make_generator(11))
+    assert np.array_equal(d.scores.values, sample_scores(spec, 9, make_generator(11)).values)
 
 
 def test_couple_batch_deterministic():
@@ -240,8 +218,17 @@ def test_estimate_var_conditional_nonnegative():
     assert est >= 0.0
 
 
+def test_var_cond_reports_negative_estimate():
+    # the paired products are 0 and the grand mean is 1: the raw estimate is -1
+    with pytest.warns(UserWarning, match="clamping"):
+        raw, clamped = sizebias._var_cond(np.array([[0.0, 2.0], [2.0, 0.0]]), n=2)
+    assert (raw, clamped) == (-1.0, 0.0)
+
+
 def test_stein_bound_report():
     rep = sizebias.stein_bound(30, 1500, 2, seed=25)
+    assert rep.var_cond == max(rep.var_cond_raw, 0.0)
+    assert rep.clamped == (rep.var_cond_raw < 0.0)
     assert rep.mu == pytest.approx(exact.mean_inversions_exact(30), rel=0.05)
     assert rep.sigma2 > 0
     assert rep.second_moment > 0.5  # resampling moves W often and visibly
