@@ -15,6 +15,69 @@ from oracles import inv_oracle
 # ---------------------------------------------------------------------------
 # index distribution
 
+class _Rejected(Exception):
+    pass
+
+
+class _OneTry:
+    """A stand-in generator that serves one try of ``draw_pair1``."""
+
+    def __init__(self, u):
+        self.u = u
+        self.used = False
+
+    def random(self, size):
+        if self.used:
+            raise _Rejected
+        self.used = True
+        return np.array(self.u)
+
+
+def _one_try_law(n, m):
+    """Exact law of one ``draw_pair1`` try, from a grid of uniforms.
+
+    u1 and u2 run over the n cell midpoints, u3 over m midpoints; with m a
+    multiple of every i + j the grid hits the acceptance bound u3 < 2i/(i+j)
+    in exactly the right proportion.  Returns {(i, j): P(try yields (i, j))}.
+    """
+    law = {}
+    for a in range(n):
+        for b in range(n):
+            for k in range(m):
+                rng = _OneTry(((a + 0.5) / n, (b + 0.5) / n, (k + 0.5) / m))
+                try:
+                    pair = sizebias.index_distribution(n).draw_pair1(rng)
+                except _Rejected:
+                    continue
+                law[pair] = law.get(pair, 0) + Fraction(1, n * n * m)
+    return law
+
+
+def test_index_distribution_n3():
+    # weights i/(i+j): (1,2) -> 1/3, (1,3) -> 1/4, (2,3) -> 2/5; total 59/60
+    law = _one_try_law(3, 60)
+    assert sorted(law) == [(1, 2), (1, 3), (2, 3)]
+    accept = sum(law.values())
+    total = Fraction(1, 3) + Fraction(1, 4) + Fraction(2, 5)
+    assert total == Fraction(59, 60)
+    assert law[(1, 2)] / accept == Fraction(1, 3) / total
+    assert law[(1, 3)] / accept == Fraction(1, 4) / total
+    assert law[(2, 3)] / accept == Fraction(2, 5) / total
+
+
+def test_index_total_weight_is_mean_inversions():
+    # the law's normaliser sum i/(i+j) is E[W], and one try of the sampler
+    # succeeds with probability 4 E[W] / n^2
+    for n in (2, 3, 5, 12):
+        total = sum(Fraction(i, i + j) for j in range(2, n + 1) for i in range(1, j))
+        assert float(total) == pytest.approx(exact.mean_inversions_exact(n), rel=1e-12)
+        if n <= 5:
+            m = math.lcm(*range(3, 2 * n))
+            assert sum(_one_try_law(n, m).values()) == 4 * total / (n * n)
+    with pytest.raises(ValueError):
+        sizebias.index_distribution(1)
+
+
 def test_index_draw_frequencies():
     reps = 120_000
     for n in (2, 3, 4):
@@ -63,30 +126,45 @@ def test_resample_conditional_marginal():
 # coupling invariants
 
 def test_couple_records_are_consistent():
-    for n, seeds in ((8, range(30)), (10, range(60))):
-        for seed in seeds:
-            d = sizebias.couple(n, make_generator(seed))
-            assert d.w == inv_oracle(_ranks(d.scores.values))
-            assert d.w_s == inv_oracle(_ranks(d.scores_s.values))
-            a, b = d.i - 1, d.j - 1
-            # post-coupling pair is always inverted (score_i > score_j, i < j)
-            assert d.scores_s.values[a] > d.scores_s.values[b]
-            if not d.resampled:
-                assert d.w_s == d.w
-                assert d.scores_s is d.scores
-            else:
-                # only positions i and j may change
-                keep = np.ones(n, dtype=bool)
-                keep[[a, b]] = False
-                assert np.array_equal(
-                    d.scores.values[keep], d.scores_s.values[keep]
-                )
-                assert d.w_s >= 1
+    for seed in range(30):
+        d = sizebias.couple(8, make_generator(seed))
+        assert d.w == inv_oracle(_ranks(d.scores.values))
+        assert d.w_s == inv_oracle(_ranks(d.scores_s.values))
+        a, b = d.i - 1, d.j - 1
+        # post-coupling pair is always inverted (score_i > score_j, i < j)
+        assert d.scores_s.values[a] > d.scores_s.values[b]
+        if not d.resampled:
+            assert d.w_s == d.w
+            assert d.scores_s is d.scores
+        else:
+            # only positions i and j may change
+            keep = np.ones(8, dtype=bool)
+            keep[[a, b]] = False
+            assert np.array_equal(
+                d.scores.values[keep], d.scores_s.values[keep]
+            )
+            assert d.w_s >= 1
 
 
 def _ranks(v):
     order = np.argsort(np.argsort(v, kind="stable"), kind="stable")
     return order + 1
+
+
+def test_couple_full_vs_incremental():
+    # _complete recounts only the resampled rows and carries w over for the
+    # rest; a full recount of every completed row must agree
+    for seed in range(60):
+        d = sizebias.couple(10, make_generator(seed))
+        assert d.w_s == inv_oracle(_ranks(d.scores_s.values))
+    n, reps = 10, 300
+    z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 4)
+    w = inversions_batch(z)
+    gens = [make_generator(4, r, substream=1) for r in range(reps)]
+    _, _, w_s, resampled, z_s = sizebias._complete(z, w, sizebias.index_distribution(n), gens)
+    assert 0 < resampled.sum() < reps
+    assert w_s.tolist() == [inv_oracle(_ranks(row)) for row in z_s]
+    assert np.array_equal(w_s[~resampled], w[~resampled])
 
 
 def test_couple_bounded_change():
