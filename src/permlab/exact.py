@@ -261,8 +261,9 @@ def statistic_law(
     law = enumerate_law(n, model, exact=exact)
     acc: dict[int, object] = {}
     zero = Fraction(0) if exact else 0.0
-    for outcome, p in zip(law.outcomes, law.probs):
-        v = int(_stats.evaluate(kind, outcome))
+    rows = np.array([as_entries(o) for o in law.outcomes], dtype=np.int64)
+    values = _stats.evaluate_batch(kind, rows, assume_ranks=True).tolist()
+    for v, p in zip(values, law.probs):
         acc[v] = acc.get(v, zero) + p
     support = tuple(sorted(acc))
     return ExactDistribution(support, tuple(acc[v] for v in support), ("int",))

@@ -2,14 +2,16 @@
 
 Player i draws k_i uniforms on (0,1) and keeps the maximum, giving a score
 vector Z.  Ranking the scores (1 = smallest) yields the rank sequence; the
-inverse of that permutation is the finishing order.  Draw counts per model:
+inverse of that permutation is the finishing order.  Every model is a vector
+of draw counts, sampled by the same code.  Draw counts per model:
 
 * ``inverse-unfair`` / ``unfair``: k_i = i (the rank sequence is the
   inverse-unfair permutation, its inverse is the unfair permutation),
 * ``phi``: k_i = phi(i) for a user map phi (phi = 1 recovers uniform,
   phi = identity recovers inverse-unfair),
 * ``markov``: k_1, k_2, ... is a Markov walk over draw counts started at 1,
-* ``uniform``: a plain unbiased shuffle (no scores involved).
+* ``uniform``: k_i = 1 (best-of-1 scores are iid uniforms, so their ranks
+  are a uniform permutation).
 
 Sampling is bit-reproducible: replica r of any batch draws from stream r of
 the root seed (see permlab.rng).
@@ -144,18 +146,24 @@ class MarkovChainSpec:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", t)
 
-    def walk(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw counts k_1..k_n along the chain; consumes n-1 uniforms."""
+    def walk(self, n: int, rng) -> np.ndarray:
+        """Draw counts k_1..k_n along the chain, one walk per stream of rng.
+
+        Each stream consumes n-1 uniforms.  A Generator gives shape (n,); a
+        block of streams (``rng.random(k)`` of shape (rows, k)) gives
+        (rows, n), the walks running together column by column.
+        """
         cum = np.cumsum(self.transitions, axis=1)
-        k = len(self.states)
-        idx = self.states.index(1)
-        out = np.empty(n, dtype=np.int64)
-        out[0] = 1
-        if n > 1:
-            u = rng.random(n - 1)
-            for t in range(1, n):
-                idx = min(int(np.searchsorted(cum[idx], u[t - 1], side="right")), k - 1)
-                out[t] = self.states[idx]
+        states = np.asarray(self.states, dtype=np.int64)
+        u = rng.random(n - 1)
+        idx = np.full(u.shape[:-1], self.states.index(1))
+        out = np.empty(u.shape[:-1] + (n,), dtype=np.int64)
+        out[..., 0] = 1
+        for t in range(n - 1):
+            # searchsorted(cum[idx], u, side="right") on every row at once
+            hits = np.count_nonzero(cum[idx] <= u[..., t, None], axis=-1)
+            idx = np.minimum(hits, len(states) - 1)
+            out[..., t + 1] = states[idx]
         return out
 
 
@@ -194,10 +202,6 @@ class ModelSpec:
     @classmethod
     def markov_draw(cls, chain: MarkovChainSpec) -> "ModelSpec":
         return cls(ModelKind.MARKOV, chain=chain)
-
-    @property
-    def score_based(self) -> bool:
-        return self.kind is not ModelKind.UNIFORM
 
 
 class ScoreVector:
@@ -241,23 +245,14 @@ def max_of_k_uniforms(k: int, rng: np.random.Generator) -> float:
     return min(u ** (1.0 / k), _BELOW_ONE)
 
 
-def _fixed_counts(spec: ModelSpec, n: int) -> np.ndarray | None:
-    """Draw counts that are the same for every replica, or None (markov)."""
+def _fixed_counts(spec: ModelSpec, n: int) -> np.ndarray:
+    """Draw counts of the models whose counts are the same for every replica."""
     kind = spec.kind
-    if kind in (ModelKind.UNFAIR, ModelKind.INVERSE_UNFAIR):
-        return np.arange(1, n + 1, dtype=np.int64)
+    if kind is ModelKind.UNIFORM:
+        return np.ones(n, dtype=np.int64)
     if kind is ModelKind.PHI:
         return np.asarray([spec.phi(i) for i in range(1, n + 1)], dtype=np.int64)
-    return None
-
-
-def _draw_counts(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind is ModelKind.MARKOV:
-        return spec.chain.walk(n, rng)  # consumes rng before the score draws
-    counts = _fixed_counts(spec, n)
-    if counts is None:
-        raise ValueError(f"model {spec.kind.value!r} has no score representation")
-    return counts
+    return np.arange(1, n + 1, dtype=np.int64)
 
 
 def _max_of_uniforms(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -267,16 +262,21 @@ def _max_of_uniforms(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def _scores_from_counts(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return _max_of_uniforms(rng.random(counts.size), counts)
+def _scores(spec: ModelSpec, n: int, rng, out: np.ndarray | None = None) -> np.ndarray:
+    """Scores of every stream of rng: shape (n,) for a Generator, (rows, n)
+    for a block of streams.  The markov walk's uniforms come first."""
+    if spec.kind is ModelKind.MARKOV:
+        counts = spec.chain.walk(n, rng)
+    else:
+        counts = _fixed_counts(spec, n)
+    return _max_of_uniforms(rng.random(n, out=out), counts)
 
 
 def sample_scores(spec: ModelSpec, n: int, rng: np.random.Generator) -> ScoreVector:
-    """One score vector; for the markov model the walk draws come first."""
+    """One score vector: the batch sampler's row for the stream of rng."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    counts = _draw_counts(spec, n, rng)
-    return ScoreVector(_scores_from_counts(counts, rng))
+    return ScoreVector(_scores(spec, n, rng))
 
 
 def ranks(scores: "ScoreVector | Sequence[float]", on_ties: str = "raise") -> Permutation:
@@ -297,42 +297,40 @@ def ranks(scores: "ScoreVector | Sequence[float]", on_ties: str = "raise") -> Pe
 
 def sample_inverse_unfair(n: int, rng: np.random.Generator) -> Permutation:
     """One inverse-unfair permutation: the rank sequence of best-of-i scores."""
-    spec = ModelSpec.inverse_unfair()
-    return ranks(sample_scores(spec, n, rng), on_ties="stable")
+    return sample_permutation(ModelSpec.inverse_unfair(), n, rng)
 
 
 def sample_unfair(n: int, rng: np.random.Generator) -> Permutation:
     """One unfair permutation: the inverse of an inverse-unfair draw."""
-    return sample_inverse_unfair(n, rng).inverse()
+    return sample_permutation(ModelSpec.unfair(), n, rng)
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
-    """One uniform permutation via an unbiased shuffle."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Permutation(tuple(int(x) + 1 for x in rng.permutation(n)))
+    """One uniform permutation: the ranks of n iid uniforms."""
+    return sample_permutation(ModelSpec.uniform(), n, rng)
 
 
 def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Permutation:
     """One permutation from any model."""
-    kind = spec.kind
-    if kind is ModelKind.UNIFORM:
-        return sample_uniform(n, rng)
     rho = ranks(sample_scores(spec, n, rng), on_ties="stable")
-    return rho.inverse() if kind is ModelKind.UNFAIR else rho
+    return rho.inverse() if spec.kind is ModelKind.UNFAIR else rho
 
 
 # ---------------------------------------------------------------------------
 # batch sampling with per-replica streams
 #
 # Row r of a batch is drawn from stream first_stream + r.  Rows are filled in
-# blocks of at most _BLOCK_ROWS.  For the fixed-count models (inverse-unfair,
-# unfair, phi) a block of narrow rows is drawn all streams at once:
-# make_generator on the block's stream indices gives one rng.StreamBlock,
-# whose rows hold the bits of one generator per row at a fraction of the
-# cost.  Stepping streams together costs about 40 ns per
-# element plus about 40 us per column; a generator per row costs about 27 us
-# plus about 10 ns per element.  Measured ratios of stepped to per-row time
+# blocks of at most _BLOCK_ROWS, each from one source of uniforms with one row
+# per stream: make_generator on the block's stream indices gives an
+# rng.StreamBlock, which draws all streams at once, or _RowGenerators holds
+# one generator per stream behind the same random(k, out=) shape.  Both give
+# the same bits, so the markov walk and the score transform run over the
+# whole block either way.  A row draws n uniforms, or 2n - 1 for markov (the
+# walk's n - 1 come first); this is the draw width below.
+#
+# Stepping streams together costs about 40 ns per element plus about 40 us
+# per column; a generator per row costs about 27 us plus about 10 ns per
+# element.  Measured ratios of stepped to per-row time
 # for the score rows (2-core x86_64, numpy 2.4; best of five each):
 #
 #     rows \ n     5     50    150    300    500    600    700    800
@@ -346,45 +344,48 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 # at n = 600, 0.98 (0.92-1.10) and 0.87 (0.83-0.88) at n = 800, and 1.01
 # (0.98-1.04) at n = 1000; at 1000 rows and n = 400, 0.85 (0.82-0.87) and
 # 0.87 (0.72-0.89).  Full blocks break even between n = 800 and 1000, so a
-# block is stepped when n <= _STEPPED_MAX_WIDTH, which leaves a margin for
-# host noise, and it has at least _STEPPED_ROWS_PER_COLUMN * n rows (short
-# tail blocks stay per row).
-# uniform and markov rows always use one generator per row.
+# block is stepped when its draw width is at most _STEPPED_MAX_WIDTH, which
+# leaves a margin for host noise, and it has at least
+# _STEPPED_ROWS_PER_COLUMN rows per column drawn (short tail blocks stay per
+# row).
 
 _BLOCK_ROWS = 4096  # temporaries of one block stay near 1 MB per column pass
 _STEPPED_MAX_WIDTH = 600
 _STEPPED_ROWS_PER_COLUMN = 3
 
 
+class _RowGenerators:
+    """One generator per stream, drawn from like an rng.StreamBlock: row r of
+    ``random(k)`` continues the generator of streams[r]."""
+
+    def __init__(self, seed: int, streams: range) -> None:
+        self._gens = [make_generator(seed, s) for s in streams]
+
+    def random(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((len(self._gens), k))
+        for gen, row in zip(self._gens, out):
+            gen.random(k, out=row)
+        return out
+
+
 def _fill_rows(
-    mat: np.ndarray,
-    spec: ModelSpec,
-    seed: int,
-    first_stream: int,
-    lo: int,
-    hi: int,
-    as_scores: bool,
+    mat: np.ndarray, spec: ModelSpec, seed: int, first_stream: int, lo: int, hi: int
 ) -> None:
     n = mat.shape[1]
-    fixed_counts = _fixed_counts(spec, n) if as_scores else None
+    width = 2 * n - 1 if spec.kind is ModelKind.MARKOV else n
     for a in range(lo, hi, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, hi)
         if (
-            fixed_counts is not None
-            and n <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
+            width <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
             and first_stream + b <= 2 ** 64
         ):
-            streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-            block = make_generator(seed, streams)
-            _max_of_uniforms(block.random(n, out=mat[a:b]), fixed_counts)
-            continue
-        for r in range(a, b):
-            gen = make_generator(seed, first_stream + r)
-            if not as_scores:
-                mat[r] = gen.permutation(n) + 1
-                continue
-            counts = fixed_counts if fixed_counts is not None else spec.chain.walk(n, gen)
-            mat[r] = _scores_from_counts(counts, gen)
+            rng = make_generator(
+                seed, np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+            )
+        else:
+            rng = _RowGenerators(seed, range(first_stream + a, first_stream + b))
+        _scores(spec, n, rng, out=mat[a:b])
 
 
 def _run_chunks(fill, reps: int, workers: int) -> None:
@@ -415,15 +416,11 @@ def sample_score_matrix(
 
     The result is identical for any worker count.
     """
-    if not spec.score_based:
-        raise ValueError("the uniform model has no score representation")
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     mat = np.empty((reps, n), dtype=float)
     _run_chunks(
-        lambda lo, hi: _fill_rows(mat, spec, seed, first_stream, lo, hi, True),
-        reps,
-        workers,
+        lambda lo, hi: _fill_rows(mat, spec, seed, first_stream, lo, hi), reps, workers
     )
     return mat
 
@@ -437,16 +434,6 @@ def sample_permutation_matrix(
     workers: int = 1,
 ) -> np.ndarray:
     """(reps, n) one-line permutation matrix; row r uses stream first_stream+r."""
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
-    if spec.kind is ModelKind.UNIFORM:
-        mat = np.empty((reps, n), dtype=np.int64)
-        _run_chunks(
-            lambda lo, hi: _fill_rows(mat, spec, seed, first_stream, lo, hi, False),
-            reps,
-            workers,
-        )
-        return mat
     scores = sample_score_matrix(spec, n, reps, seed, first_stream, workers)
     rho = ranks_matrix(scores)
     return invert_rows(rho) if spec.kind is ModelKind.UNFAIR else rho

@@ -72,7 +72,7 @@ def _comparison_matrix(
 ):
     """A (reps, n) matrix whose row comparisons realize the model's
     permutation, plus the assume_ranks flag for the statistics kernels."""
-    if spec.kind is ModelKind.UNIFORM or spec.kind is ModelKind.UNFAIR:
+    if spec.kind is ModelKind.UNFAIR:
         return (
             sample_permutation_matrix(spec, n, reps, seed, first_stream, workers),
             True,

@@ -1,9 +1,11 @@
 """Permutation statistics: inversions, m-descents, local maxima, alternating
 and rising structure, increasing-subsequence counts.
 
-Every statistic comes in two forms: a single-permutation function and a
-``*_batch`` form operating on a (reps, n) matrix, one permutation (or score
-vector) per row.  All statistics here are comparison-based, so the batch forms
+Every statistic has one kernel, a ``*_batch`` form operating on a (reps, n)
+matrix, one permutation (or score vector) per row; the single-permutation
+function runs it on one row.  ``incsub`` is the exception: its exact
+Python-integer Fenwick count serves one permutation, and the batch form
+loops over rows.  All statistics here are comparison-based, so the batch forms
 accept either integer rank rows or raw score rows; row comparisons are what
 matters.  The batch inversion counter is an O(n log n) level-wise merge count;
 its brute-force O(n^2) oracle lives in the test suite.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .perm import Permutation, as_entries
+from .perm import as_entries
 
 __all__ = [
     "StatisticKind",
@@ -91,22 +93,20 @@ def parse_statistic(text: str) -> StatisticKind:
 
 
 # ---------------------------------------------------------------------------
-# single-permutation statistics
+# single-permutation statistics: each is its batch kernel on one row
 
-def _entries_array(p) -> np.ndarray:
-    return np.asarray(as_entries(p), dtype=np.int64)
+def _row(p) -> np.ndarray:
+    return np.asarray(as_entries(p), dtype=np.int64)[None, :]
 
 
 def inversions(p) -> int:
     """Number of pairs i < j with p(i) > p(j).  O(n log n)."""
-    e = _entries_array(p)
-    return int(inversions_batch(e[None, :], assume_ranks=True)[0])
+    return int(inversions_batch(_row(p), assume_ranks=True)[0])
 
 
 def anti_inversions(p) -> int:
     """Number of pairs i < j with p(i) < p(j); complements inversions."""
-    n = len(as_entries(p))
-    return n * (n - 1) // 2 - inversions(p)
+    return int(anti_inversions_batch(_row(p), assume_ranks=True)[0])
 
 
 def m_descents(p, m: int) -> int:
@@ -114,32 +114,17 @@ def m_descents(p, m: int) -> int:
 
     m = 1 gives classical descents; m >= n - 1 gives inversions.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    e = _entries_array(p)
-    n = e.size
-    if m >= n - 1:
-        return inversions(p)
-    return sum(int(np.count_nonzero(e[:-k] > e[k:])) for k in range(1, m + 1))
+    return int(m_descents_batch(_row(p), m, assume_ranks=True)[0])
 
 
 def m_ascents(p, m: int) -> int:
     """Number of pairs (i, j) with 1 <= j - i <= m and p(i) < p(j)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    e = _entries_array(p)
-    n = e.size
-    k_max = min(m, n - 1)
-    return sum(int(np.count_nonzero(e[:-k] < e[k:])) for k in range(1, k_max + 1))
+    return int(m_ascents_batch(_row(p), m)[0])
 
 
 def local_maxima(p) -> int:
     """Number of interior positions 1 < i < n with p(i-1) < p(i) > p(i+1)."""
-    e = _entries_array(p)
-    if e.size < 3:
-        return 0
-    mid = e[1:-1]
-    return int(np.count_nonzero((mid > e[:-2]) & (mid > e[2:])))
+    return int(local_maxima_batch(_row(p))[0])
 
 
 def longest_alternating(p, ascent_first: bool = False) -> int:
@@ -151,14 +136,7 @@ def longest_alternating(p, ascent_first: bool = False) -> int:
     counts as alternating, so the identity permutation scores 1 (descent-first)
     or 2 (ascent-first, n >= 2).
     """
-    e = _entries_array(p)
-    n = e.size
-    if n == 1:
-        return 1
-    desc = e[:-1] > e[1:]
-    blocks = 1 + int(np.count_nonzero(desc[1:] != desc[:-1]))
-    first_matches = (not desc[0]) if ascent_first else bool(desc[0])
-    return blocks + (1 if first_matches else 0)
+    return int(longest_alternating_batch(_row(p), ascent_first)[0])
 
 
 def rising_sequences(p, m: int) -> int:
@@ -167,16 +145,7 @@ def rising_sequences(p, m: int) -> int:
     Counts i <= n - m + 1 with p(i) < p(i+1) < ... < p(i+m-1); every position
     is a window for m = 1.
     """
-    e = _entries_array(p)
-    n = e.size
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} out of range 1..{n}")
-    if m == 1:
-        return n
-    asc = e[:-1] < e[1:]
-    if m == 2:
-        return int(np.count_nonzero(asc))
-    return int(np.count_nonzero(sliding_window_view(asc, m - 1).all(axis=-1)))
+    return int(rising_sequences_batch(_row(p), m)[0])
 
 
 class _Fenwick:
@@ -221,25 +190,14 @@ def increasing_subsequences(p, m: int) -> int:
 
 
 def evaluate(kind: StatisticKind, p) -> int:
-    """Evaluate a statistic selector on one permutation."""
-    tag = kind.tag
-    if tag == "inv":
-        return inversions(p)
-    if tag == "ainv":
-        return anti_inversions(p)
-    if tag == "desc":
-        return m_descents(p, kind.m)
-    if tag == "asc":
-        return m_ascents(p, kind.m)
-    if tag == "locmax":
-        return local_maxima(p)
-    if tag == "las":
-        return longest_alternating(p)
-    if tag == "rising":
-        return rising_sequences(p, kind.m)
-    if tag == "incsub":
+    """Evaluate a statistic selector on one permutation.
+
+    ``incsub`` keeps its exact Python-integer count; every other statistic is
+    its batch kernel on one row.
+    """
+    if kind.tag == "incsub":
         return increasing_subsequences(p, kind.m)
-    raise ValueError(f"unknown statistic tag {tag!r}")
+    return int(evaluate_batch(kind, _row(p), assume_ranks=True)[0])
 
 
 # ---------------------------------------------------------------------------

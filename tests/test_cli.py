@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permlab
 from permlab import cli
 
 
@@ -266,9 +269,12 @@ def test_sizebias_unknown_check(capsys):
 
 
 def test_entry_point_subprocess():
+    # the child imports the permlab this test imported, installed or not
+    src = str(Path(permlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "permlab.cli", "tv", "--n", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     rec = json.loads(out.stdout)

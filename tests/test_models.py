@@ -33,8 +33,6 @@ def test_model_spec_requirements():
         ModelSpec(ModelKind.PHI)
     with pytest.raises(ValueError):
         ModelSpec(ModelKind.MARKOV)
-    assert ModelSpec.uniform().score_based is False
-    assert ModelSpec.inverse_unfair().score_based is True
 
 
 def test_phi_spec():
@@ -77,6 +75,49 @@ def test_markov_walk_starts_at_one_and_follows_supports():
     chain = MarkovChainSpec((1, 3), np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = chain.walk(6, make_generator(0))
     assert out.tolist() == [1, 3, 1, 3, 1, 3]
+
+
+class _FixedUniforms:
+    """Serves the columns of a fixed (n,) or (rows, n) array of uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.pos = 0
+
+    def random(self, k):
+        self.pos += k
+        return self.u[..., self.pos - k:self.pos].copy()
+
+
+def _walk_reference(chain, u_row):
+    cum = np.cumsum(chain.transitions, axis=1)
+    idx = chain.states.index(1)
+    out = [1]
+    for u in u_row:
+        idx = min(int(np.searchsorted(cum[idx], u, side="right")), len(chain.states) - 1)
+        out.append(chain.states[idx])
+    return out
+
+
+def test_markov_walk_matches_searchsorted_reference():
+    # cumulative rows: [0.25, 1, 1], [0.5, 0.5, 1], [0, 0.5, 1 - 1e-13]
+    t = np.array([[0.25, 0.75, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5 - 1e-13]])
+    chain = MarkovChainSpec((1, 2, 4), t)
+    # u on a boundary (0.25 from 1, 0.5 from 2), u = 0 from 4 (skips the
+    # zero-probability move to 1), u above a row sum short of 1 (clamped)
+    edge = [0.25, 0.5, 0.0, 0.5, 0.5, 1.0 - 1e-14, 0.9, 0.1]
+    assert _walk_reference(chain, edge) == [1, 2, 4, 2, 4, 4, 4, 4, 2]
+    rows = np.vstack([edge, make_generator(3).random((40, len(edge)))])
+    want = [_walk_reference(chain, row) for row in rows]
+    assert chain.walk(len(edge) + 1, _FixedUniforms(rows)).tolist() == want
+    for r, row in enumerate(rows):
+        assert chain.walk(len(edge) + 1, _FixedUniforms(row)).tolist() == want[r]
+    # a block of streams walks as one generator per stream does
+    block = chain.walk(30, make_generator(9, np.arange(5, 25)))
+    for r in range(20):
+        gen = make_generator(9, 5 + r)
+        assert block[r].tolist() == chain.walk(30, gen).tolist()
+        assert block[r].tolist() == _walk_reference(chain, make_generator(9, 5 + r).random(29))
 
 
 def test_phi_config(tmp_path):
@@ -169,8 +210,9 @@ def test_sample_scores_shapes_and_range():
     assert np.all((v.values > 0.0) & (v.values < 1.0))
     with pytest.raises(ValueError):
         models.sample_scores(ModelSpec.inverse_unfair(), 0, rng)
-    with pytest.raises(ValueError):
-        models.sample_scores(ModelSpec.uniform(), 5, rng)
+    # uniform scores are best-of-1: the stream's own uniforms
+    u = models.sample_scores(ModelSpec.uniform(), 5, make_generator(8))
+    assert np.array_equal(u.values, make_generator(8).random(5))
 
 
 def test_later_players_score_higher_on_average():
@@ -205,12 +247,22 @@ def test_sample_permutation_dispatch():
 # ---------------------------------------------------------------------------
 # batch sampling determinism
 
+_ALL_MODELS = (
+    ModelSpec.uniform(),
+    ModelSpec.unfair(),
+    ModelSpec.inverse_unfair(),
+    ModelSpec.phi_draw(PhiSpec.from_table({1: 3}, default="identity")),
+    ModelSpec.markov_draw(MarkovChainSpec((1, 2), np.array([[0.3, 0.7], [0.6, 0.4]]))),
+)
+
+
 def test_matrix_row_is_stream_replica():
-    spec = ModelSpec.inverse_unfair()
-    mat = models.sample_permutation_matrix(spec, 9, 5, seed=42)
-    for r in range(5):
-        single = models.sample_inverse_unfair(9, make_generator(42, stream=r))
-        assert tuple(int(v) for v in mat[r]) == single.entries
+    for spec in _ALL_MODELS:
+        for reps in (5, 200):  # per-row and stepped rows
+            mat = models.sample_permutation_matrix(spec, 9, reps, seed=42)
+            for r in range(reps):
+                single = models.sample_permutation(spec, 9, make_generator(42, stream=r))
+                assert tuple(int(v) for v in mat[r]) == single.entries
 
 
 def test_worker_count_invariance():
@@ -241,12 +293,9 @@ def test_score_rows_match_per_row_streams_on_both_paths(monkeypatch):
 
     monkeypatch.setattr(models, "make_generator", spy)
     wide = models._STEPPED_MAX_WIDTH + 1
-    for spec in (
-        ModelSpec.inverse_unfair(),
-        ModelSpec.unfair(),
-        ModelSpec.phi_draw(PhiSpec.from_table({1: 3}, default="identity")),
-    ):
-        for n, reps, stepped in ((8, 120, True), (wide, 3, False)):
+    for spec in _ALL_MODELS:
+        # markov rows draw 2n - 1 uniforms: 15 at n = 8, so 45 rows per block
+        for n, reps, stepped in ((8, 150, True), (wide, 3, False)):
             want = np.array([
                 models.sample_scores(spec, n, make_generator(5, 7 + r)).values
                 for r in range(reps)
@@ -336,7 +385,7 @@ def test_sample_matrix_validation():
     with pytest.raises(ValueError):
         models.sample_permutation_matrix(ModelSpec.uniform(), 3, 0, seed=1)
     with pytest.raises(ValueError):
-        models.sample_score_matrix(ModelSpec.uniform(), 3, 3, seed=1)
+        models.sample_score_matrix(ModelSpec.uniform(), 0, 3, seed=1)
 
 
 def test_uniform_matrix_is_unbiased():
