@@ -88,6 +88,7 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     seed = _resolve_seed(args)
     spec = _model_spec(args)
+    montecarlo._check_budget(args.n, args.reps, montecarlo.DEFAULT_MAX_BUDGET)
     mat = sample_permutation_matrix(spec, args.n, args.reps, seed, workers=args.threads)
     params = {
         "model": spec.kind.value,
@@ -257,6 +258,9 @@ def cmd_sizebias(args) -> int:
     t0 = time.perf_counter()
     seed = _resolve_seed(args)
     params = {"n": args.n, "seed": seed, "check": args.check}
+    # var/bound hold each outer score row and its inner completions
+    rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else args.reps
+    montecarlo._check_budget(args.n, rows, montecarlo.DEFAULT_MAX_BUDGET)
     if args.check in ("identity", "square") or args.check.startswith("indicator:"):
         report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, seed)
         params["reps"] = args.reps
@@ -395,8 +399,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -376,14 +376,24 @@ def asymptotic_var_m_descents(n: int, m: int) -> float:
 
 
 def mean_inversions_exact(n: int) -> float:
-    """E[Inv(rho_n)] = sum over pairs i < j of i/(i+j), compensated."""
+    """E[Inv(rho_n)] = sum over pairs i < j of i/(i+j), in O(n).
+
+    Pairs with i + j = s share a denominator; their numerators lo..hi, with
+    lo = max(1, s - n) and hi = (s - 1) // 2, sum to an integer c_s.  The
+    integer parts of c_s / s, their rounded fractions q and the residuals of
+    q add up, compensated, to the exact mean rounded to a float.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = []
-    for j in range(2, n + 1):
-        i = np.arange(1, j, dtype=float)
-        parts.append(float(np.sum(i / (i + j))))
-    return math.fsum(parts)
+    s = np.arange(3, 2 * n, dtype=np.int64)
+    lo = np.maximum(1, s - n)
+    hi = (s - 1) // 2
+    k, r = np.divmod((lo + hi) * (hi - lo + 1) // 2, s)
+    q = r / s
+    t = q * 134217729.0  # 2**27 + 1: split q into two 26-bit halves
+    q_hi = t - (t - q)
+    e = (r - q_hi * s) - (q - q_hi) * s  # r - q s, exact while s < 2**26
+    return math.fsum(q.tolist() + [float(k.sum()), float(np.sum(e / s))])
 
 
 @dataclass(frozen=True)

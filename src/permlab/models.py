@@ -441,7 +441,9 @@ def sample_permutation_matrix(
 
 def invert_rows(perms: np.ndarray) -> np.ndarray:
     """Row-wise permutation inverses of a one-line matrix."""
-    return np.argsort(perms, axis=1, kind="stable") + 1
+    out = np.empty(perms.shape, dtype=np.int64)
+    out[np.arange(len(perms))[:, None], perms - 1] = np.arange(1, perms.shape[1] + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ function runs it on one row.  ``incsub`` is the exception: its exact
 Python-integer Fenwick count serves one permutation, and the batch form
 loops over rows.  All statistics here are comparison-based, so the batch forms
 accept either integer rank rows or raw score rows; row comparisons are what
-matters.  The batch inversion counter is an O(n log n) level-wise merge count;
+matters.  The batch inversion counter is an O(n log n) padded merge sort;
 its brute-force O(n^2) oracle lives in the test suite.
 """
 from __future__ import annotations
@@ -42,8 +42,9 @@ __all__ = [
     "evaluate_batch",
 ]
 
-# Row chunking keeps transient memory of the batch merge count bounded
-# (roughly 5 arrays of this many elements live at once).
+# Row chunking keeps transient memory of the batch merge count bounded: the
+# padded key matrix and one temporary (the argsort of score rows, then each
+# level's low bits) live at once, each under twice this many elements.
 _CHUNK_ELEMENTS = 8_000_000
 
 
@@ -217,10 +218,9 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
 def inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix, O(n log n) per row.
 
-    Level-wise merge count: at each block width the cross pairs between the
-    two halves of every block are counted with one segmented argsort, and each
-    inverted pair is counted exactly once, at the level where its positions
-    first share a block.
+    Bottom-up merge sort of each row, padded to a power of two: at each block
+    width every inverted pair is counted exactly once, at the level where its
+    positions first share a block.
     """
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
@@ -234,31 +234,29 @@ def inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
 
 def _inversions_chunk(x: np.ndarray, assume_ranks: bool) -> np.ndarray:
     reps, n = x.shape
-    total = np.zeros(reps, dtype=np.int64)
     if n < 2:
-        return total
-    r = x.astype(np.int64, copy=False) if assume_ranks else ranks_matrix(x)
-    base = (r - 0.5) / n  # strictly increasing in rank, exact gaps >= 1/(2n)
-    col = np.arange(n)
+        return np.zeros(reps, dtype=np.int64)
+    # Values 0..n-1 with the row's inversions: ranks less one, or the stable
+    # argsort of scores (the inverse of their ranks, ties in column order).
+    # The rising pad n..size-1 adds none.
+    size = 1 << (n - 1).bit_length()
+    keys = np.empty((reps, size), dtype=np.int64)
+    keys[:, :n] = x - 1 if assume_ranks else np.argsort(x, axis=1, kind="stable")
+    keys[:, n:] = np.arange(n, size)
+    keys <<= 1  # low bit: 1 on the right half of the current block
+    count = np.zeros(reps, dtype=np.int64)
     w = 1
-    while w < n:
-        span = 2 * w
-        bid = col // span
-        in_right = (col % span) >= w
-        starts = bid * span
-        left_size = np.minimum(w, n - starts)  # L-half size of each block
-        key = base + bid[None, :]
-        order = np.argsort(key, axis=1)
-        from_left = ~in_right[order]  # (reps, n): sorted slot holds an L element
-        cum_left = np.cumsum(from_left, axis=1)
-        baseline = np.zeros_like(cum_left)
-        has_prev = starts > 0
-        baseline[:, has_prev] = cum_left[:, starts[has_prev] - 1]
-        # for each R element: (# L elements in its block) - (# L elements smaller)
-        contrib = left_size[None, :] - (cum_left - baseline)
-        total += np.sum(np.where(from_left, 0, contrib), axis=1)
-        w = span
-    return total
+    while w < size:
+        blocks = keys.reshape(-1, 2 * w)
+        keys &= ~1
+        blocks[:, w:] |= 1
+        blocks.sort(axis=1)  # merges the two sorted halves of every block
+        # a right element at slot p after q right elements is below w - p + q
+        # of the block's w left elements; sum over q < w, then over blocks
+        pairs = (size // (2 * w)) * (w * w + w * (w - 1) // 2)
+        count += pairs - (keys & 1) @ (np.arange(size) % (2 * w))
+        w *= 2
+    return count
 
 
 def anti_inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import permlab
@@ -302,3 +304,50 @@ def test_enum_limit_env_respected(capsys, monkeypatch):
     code, out, _ = run_cli(["tv", "--n", "5"], capsys)
     rec = record_of(out)
     assert rec["results"]["tv_exact"] is None  # 5 > cap, exact TV skipped
+
+
+def test_moments_inv_large_n_matches_digamma_form(capsys):
+    from scipy.special import digamma
+
+    n = 1_000_000
+    code, out, _ = run_cli(["moments", "--stat", "inv", "--n", str(n)], capsys)
+    assert code == 0
+    j = np.arange(1, n + 1, dtype=float)
+    want = math.fsum((j - 1) - j * (digamma(2 * j) - digamma(j + 1)))
+    assert record_of(out)["results"]["mean"] == pytest.approx(want, rel=1e-12)
+
+
+def test_sample_budget_rejected_before_allocation(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled past the budget check")
+
+    monkeypatch.setattr(cli, "sample_permutation_matrix", no_sampling)
+    code, out, err = run_cli(["sample", "--n", "100000", "--reps", "100000"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("check, rows", [
+    ("identity", ["--reps", "300000"]),  # n * reps = 6e8
+    ("var", ["--outer", "100000"]),  # n * outer = 2e8, times 1 + inner = 6e8
+    ("bound", ["--outer", "100000"]),
+])
+def test_sizebias_budget_rejected_before_allocation(capsys, monkeypatch, check, rows):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled past the budget check")
+
+    for name in ("verify_size_bias_identity", "_differences", "stein_bound"):
+        monkeypatch.setattr(cli.sizebias, name, no_sampling)
+    code, _, err = run_cli(["sizebias", "--n", "2000", "--check", check, *rows], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_tv", out_of_memory)
+    code, out, err = run_cli(["tv", "--n", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"

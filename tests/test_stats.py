@@ -260,3 +260,39 @@ def test_evaluate_batch_incsub_matches_loop():
     r = stats.ranks_matrix(x)
     want = [stats.increasing_subsequences(tuple(int(v) for v in row), 4) for row in r]
     assert got.tolist() == want
+
+
+_MERGE_GRID = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
+
+
+@pytest.mark.parametrize("n", _MERGE_GRID)
+def test_inversions_batch_matches_oracle_on_padded_widths(n):
+    # widths at, below and above powers of two exercise the pad
+    rng = np.random.default_rng(n)
+    scores = rng.random((6, n))
+    ranks = stats.ranks_matrix(scores)
+    ties = np.floor(rng.random((6, n)) * 4)  # few distinct values: many ties
+    want = [inv_oracle(row) for row in scores]
+    assert stats.inversions_batch(scores).tolist() == want
+    assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+    assert stats.inversions_batch(ties).tolist() == [inv_oracle(row) for row in ties]
+
+
+def test_inversions_batch_matches_oracle_at_n_2000():
+    rng = np.random.default_rng(2000)
+    scores = rng.random((2, 2000))
+    want = [inv_oracle(row.tolist()) for row in scores]
+    assert stats.inversions_batch(scores).tolist() == want
+    ranks = stats.ranks_matrix(scores)
+    assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+
+
+def test_mean_inversions_exact_is_the_rounded_fraction_sum():
+    from fractions import Fraction
+
+    from permlab import exact
+
+    total = Fraction(0)
+    for n in range(1, 41):
+        total += sum(Fraction(i, i + n) for i in range(1, n))
+        assert exact.mean_inversions_exact(n) == float(total)
