@@ -111,11 +111,8 @@ def cmd_sample(args) -> int:
 
 def cmd_pmf(args) -> int:
     t0 = time.perf_counter()
-    kind = ModelKind(args.model)
-    if kind not in (ModelKind.UNIFORM, ModelKind.UNFAIR, ModelKind.INVERSE_UNFAIR):
-        raise SystemExit(f"pmf supports uniform/unfair/inverse-unfair, not {kind.value}")
-    law = exact.enumerate_law(args.n, kind, exact=True)
-    params = {"model": kind.value, "n": args.n}
+    law = exact.enumerate_law(args.n, args.model, exact=True)
+    params = {"model": args.model, "n": args.n}
     out = csv.writer(sys.stdout)
     out.writerow(["permutation", "prob_5dp", "prob_full"])
     total = Fraction(0)
@@ -389,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="outer score draws for var/bound")
     sp.add_argument("--inner", type=int, default=2,
                     help="completions per outer draw for var/bound")
-    _add_seed_threads(sp)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="root seed; generated and reported when omitted")
     sp.set_defaults(func=cmd_sizebias)
 
     return ap

@@ -1,7 +1,10 @@
-"""Exact laws and closed-form moments for the best-of-i ranking models.
+"""Exact laws and closed-form moments for the best-of-k ranking models.
 
-Write rho for the rank sequence (inverse-unfair law) and gamma = rho^{-1} for
-the finishing order (unfair law).  The building blocks:
+Write rho for the rank sequence and gamma = rho^{-1} for the finishing order
+(weakest player first).  If player i keeps the best of k_i uniforms, gamma has
+the Plackett-Luce law P(gamma = a) = prod_l k_{a_l} / (k_{a_1} + ... + k_{a_l}).
+Every exact law is one kernel for that product over the model's draw counts
+(``models._fixed_counts``).  With k_i = i it gives the building blocks
 
 * P(rho(i) < rho(j)) = j / (i + j),
 * P(rho(i1) < ... < rho(ik)) = prod_l  i_l / (i_1 + ... + i_l),
@@ -9,8 +12,8 @@ the finishing order (unfair law).  The building blocks:
 
 from which identity/reversal probabilities, full enumeration on small n,
 total-variation distances and the descent/inversion moment formulas follow.
-Probabilities use double precision (log-space products past n = 30); pass
-``exact=True`` for Fraction arithmetic.
+Probabilities are double-precision products; pass ``exact=True`` for Fraction
+arithmetic.
 """
 from __future__ import annotations
 
@@ -19,12 +22,13 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perm import Permutation, all_permutations, as_entries, inverse_entries
-from .models import ModelKind
+from .perm import Permutation, all_permutations, as_entries, validate
+from .models import ModelKind, ModelSpec, _fixed_counts, invert_rows
 from . import stats as _stats
 
 __all__ = [
@@ -56,7 +60,6 @@ __all__ = [
 
 _DEFAULT_ENUM_LIMIT = 8
 _HARD_ENUM_LIMIT = 10
-_LOG_SPACE_CUTOFF = 30
 
 
 class EnumerationLimit(ValueError):
@@ -79,6 +82,38 @@ def enumeration_limit() -> int:
 # ---------------------------------------------------------------------------
 # closed-form probabilities
 
+def _plackett_luce(orders: np.ndarray, counts: Sequence[int], exact: bool) -> list:
+    """prod_l k_l / (k_1 + ... + k_l) for each row of ``orders``.
+
+    Each row lists the players 1..m (m = len(counts)) once each in finishing
+    order, weakest first; k_l is the draw count of its l-th player.  Every
+    factor is at most 1, so the float product only shrinks as it goes.  The
+    exact route sums Python integers, which do not wrap like int64 does.
+    """
+    if not exact:
+        w = np.asarray(counts, dtype=float)[orders - 1]
+        return np.prod(w / np.cumsum(w, axis=1), axis=1).tolist()
+    k = [int(c) for c in counts]
+    num = math.prod(k)  # the same for every row: each holds every player
+    dens = [math.prod(accumulate(map(k.__getitem__, row))) for row in (orders - 1).tolist()]
+    by_den = {den: Fraction(num, den) for den in set(dens)}
+    return [by_den[den] for den in dens]
+
+
+def _fixed_count_spec(model: "ModelKind | str | ModelSpec") -> ModelSpec:
+    spec = model if isinstance(model, ModelSpec) else ModelSpec(ModelKind(model))
+    if spec.kind is ModelKind.MARKOV:
+        raise ValueError("no exact law for the markov model")
+    return spec
+
+
+def _law(spec: ModelSpec, perms: np.ndarray, exact: bool) -> list:
+    """Probabilities of the one-line rows of ``perms``: an unfair row is a
+    finishing order, any other row a rank sequence, the inverse of one."""
+    orders = perms if spec.kind is ModelKind.UNFAIR else invert_rows(perms)
+    return _plackett_luce(orders, _fixed_counts(spec, perms.shape[1]), exact)
+
+
 def prob_pair_less(i: int, j: int, exact: bool = False):
     """P(rho(i) < rho(j)) = j / (i + j) for distinct player indices."""
     if i < 1 or j < 1 or i == j:
@@ -91,74 +126,36 @@ def prob_pair_less(i: int, j: int, exact: bool = False):
 def prob_ordered_tuple(indices: Sequence[int], exact: bool = False):
     """P(rho(i1) < rho(i2) < ... < rho(ik)) for distinct player indices.
 
-    Equals prod_l i_l / (i_1 + ... + i_l); computed in log-space past
-    30 indices so deep products degrade to 0.0 gracefully instead of
-    underflowing mid-way.
+    Equals prod_l i_l / (i_1 + ... + i_l): the kernel with the indices
+    themselves as the draw counts of k players in the order 1..k.
     """
     idx = [int(i) for i in indices]
     if len(idx) == 0:
         raise ValueError("need at least one index")
     if any(i < 1 for i in idx) or len(set(idx)) != len(idx):
         raise ValueError(f"indices must be distinct and >= 1: {idx}")
-    if exact:
-        p = Fraction(1)
-        s = 0
-        for i in idx:
-            s += i
-            p *= Fraction(i, s)
-        return p
-    if len(idx) <= _LOG_SPACE_CUTOFF:
-        p = 1.0
-        s = 0
-        for i in idx:
-            s += i
-            p *= i / s
-        return p
-    partial = np.cumsum(np.asarray(idx, dtype=float))
-    return math.exp(math.fsum(np.log(np.asarray(idx, dtype=float)) - np.log(partial)))
+    return _plackett_luce(np.arange(1, len(idx) + 1)[None, :], idx, exact)[0]
 
 
 def pmf_inverse_unfair(p, exact: bool = False):
     """P(rho_n = p): probability that the rank sequence equals ``p``."""
-    entries = as_entries(p)
-    return prob_ordered_tuple(inverse_entries(entries), exact=exact)
+    return pmf(p, ModelKind.INVERSE_UNFAIR, exact=exact)
 
 
 def pmf_unfair(p, exact: bool = False):
     """P(gamma_n = p) = n! / prod_i (p(1) + ... + p(i))."""
-    entries = as_entries(p)
-    n = len(entries)
-    if sorted(entries) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {entries}")
-    if exact:
-        prod = Fraction(1)
-        s = 0
-        for a in entries:
-            s += a
-            prod *= s
-        return Fraction(math.factorial(n)) / prod
-    if n <= _LOG_SPACE_CUTOFF:
-        prod = 1.0
-        s = 0
-        for a in entries:
-            s += a
-            prod *= s
-        return math.factorial(n) / prod
-    partial = np.cumsum(np.asarray(entries, dtype=float))
-    return math.exp(math.lgamma(n + 1) - math.fsum(np.log(partial)))
+    return pmf(p, ModelKind.UNFAIR, exact=exact)
 
 
-def pmf(p, model: "ModelKind | str", exact: bool = False):
-    """PMF of one permutation under uniform, unfair or inverse-unfair."""
-    kind = ModelKind(model)
-    n = len(as_entries(p))
-    if kind is ModelKind.UNIFORM:
-        return Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n)
-    if kind is ModelKind.UNFAIR:
-        return pmf_unfair(p, exact=exact)
-    if kind is ModelKind.INVERSE_UNFAIR:
-        return pmf_inverse_unfair(p, exact=exact)
-    raise ValueError(f"no exact pmf for model {kind.value!r}")
+def pmf(p, model: "ModelKind | str | ModelSpec", exact: bool = False):
+    """PMF of one permutation under uniform, unfair, inverse-unfair or a phi
+    ModelSpec (markov has no exact law here).
+
+    >>> pmf((1, 2, 3, 4), "inverse-unfair", exact=True)
+    Fraction(2, 15)
+    """
+    spec = _fixed_count_spec(model)
+    return _law(spec, np.array([validate(p)], dtype=np.int64), exact)[0]
 
 
 def prob_identity(n: int, exact: bool = False):
@@ -233,6 +230,8 @@ class ExactDistribution:
 
 
 def _check_enum(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     limit = enumeration_limit()
     if n > limit:
         raise EnumerationLimit(f"n={n} exceeds the enumeration cap {limit}")
@@ -240,22 +239,20 @@ def _check_enum(n: int) -> None:
         warnings.warn(f"enumerating S_{n} holds {math.factorial(n)} outcomes in memory")
 
 
-def enumerate_law(n: int, model: "ModelKind | str", exact: bool = False) -> ExactDistribution:
+def enumerate_law(
+    n: int, model: "ModelKind | str | ModelSpec", exact: bool = False
+) -> ExactDistribution:
     """The full law over S_n in lexicographic order (n capped, see
     enumeration_limit)."""
-    kind = ModelKind(model)
     _check_enum(n)
+    spec = _fixed_count_spec(model)
     outcomes = tuple(all_permutations(n))
-    if kind is ModelKind.UNIFORM:
-        p = Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n)
-        probs = tuple(p for _ in outcomes)
-    else:
-        probs = tuple(pmf(o, kind, exact=exact) for o in outcomes)
-    return ExactDistribution(outcomes, probs, ("perm", n))
+    probs = _law(spec, np.array(outcomes, dtype=np.int64), exact)
+    return ExactDistribution(outcomes, tuple(probs), ("perm", n))
 
 
 def statistic_law(
-    n: int, model: "ModelKind | str", kind: _stats.StatisticKind, exact: bool = False
+    n: int, model: "ModelKind | str | ModelSpec", kind: _stats.StatisticKind, exact: bool = False
 ) -> ExactDistribution:
     """Exact pushforward law of a statistic under a model, by enumeration."""
     law = enumerate_law(n, model, exact=exact)
@@ -284,7 +281,7 @@ def tv_distance(d1: ExactDistribution, d2: ExactDistribution):
     return math.fsum(gaps) / 2.0
 
 
-def tv_model_vs_uniform(n: int, model: "ModelKind | str", exact: bool = False):
+def tv_model_vs_uniform(n: int, model: "ModelKind | str | ModelSpec", exact: bool = False):
     """Exact TV(model law, uniform) on S_n by enumeration."""
     return tv_distance(
         enumerate_law(n, model, exact=exact), enumerate_law(n, ModelKind.UNIFORM, exact=exact)
@@ -307,7 +304,9 @@ def tv_event_lower_bound(n: int) -> tuple[float, float, float]:
     return p_rho, p_pi, p_rho - p_pi
 
 
-def argmax_argmin_pmf(n: int, model: "ModelKind | str") -> tuple[Permutation, Permutation]:
+def argmax_argmin_pmf(
+    n: int, model: "ModelKind | str | ModelSpec"
+) -> tuple[Permutation, Permutation]:
     """Most and least likely permutations under a model (exact enumeration)."""
     law = enumerate_law(n, model, exact=True)
     best = max(range(len(law.outcomes)), key=lambda k: law.probs[k])

@@ -146,6 +146,30 @@ def finish_pmf_oracle(entries) -> Fraction:
     return Fraction(num, den)
 
 
+def plackett_luce_oracle(counts) -> dict[tuple[int, ...], Fraction]:
+    """Law of the rank sequence when player i keeps the best of counts[i-1]
+    uniforms, as exact Fractions.
+
+    Built from the top down: the best remaining player is drawn with
+    probability proportional to its draw count, and gets the highest rank
+    still free.
+    """
+    counts = [int(k) for k in counts]
+    n = len(counts)
+    law: dict[tuple[int, ...], Fraction] = {}
+    for order in itertools.permutations(range(n)):  # best player first
+        p = Fraction(1)
+        left = sum(counts)
+        for player in order:
+            p *= Fraction(counts[player], left)
+            left -= counts[player]
+        rho = [0] * n
+        for place, player in enumerate(order):
+            rho[player] = n - place
+        law[tuple(rho)] = p
+    return law
+
+
 def moment_oracle(n: int, stat, power: int = 1) -> Fraction:
     """E[stat(rank sequence)^power] over S_n by exhaustive enumeration."""
     total = Fraction(0)

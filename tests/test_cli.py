@@ -55,6 +55,14 @@ def test_pmf_rejects_markov(capsys):
         cli.main(["pmf", "--model", "markov", "--n", "3"])
 
 
+@pytest.mark.parametrize("model", ["uniform", "unfair", "inverse-unfair"])
+def test_pmf_and_tv_reject_n_below_one(capsys, model):
+    for argv in (["pmf", "--model", model, "--n", "0"], ["tv", "--n", "0"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: n must be >= 1, got 0\n"
+
+
 def test_tv_record(capsys):
     code, out, err = run_cli(["tv", "--n", "3"], capsys)
     assert code == 0 and err == ""
@@ -268,6 +276,11 @@ def test_sizebias_bound_record(capsys):
 def test_sizebias_unknown_check(capsys):
     with pytest.raises(SystemExit):
         cli.main(["sizebias", "--n", "5", "--check", "nonsense"])
+
+
+def test_sizebias_has_no_threads_option():
+    with pytest.raises(SystemExit):
+        cli.main(["sizebias", "--n", "5", "--threads", "2"])
 
 
 def test_entry_point_subprocess():

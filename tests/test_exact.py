@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from permlab import exact, stats
-from permlab.models import ModelKind
+from permlab import exact, models, stats
+from permlab.models import ModelKind, ModelSpec, PhiSpec, phi_from_config
 from permlab.perm import Permutation, all_permutations, inverse_entries
 
-from oracles import finish_pmf_oracle, moment_oracle, rank_pmf_oracle
+from oracles import finish_pmf_oracle, moment_oracle, plackett_luce_oracle, rank_pmf_oracle
+
+# The phi table of the README's config example: phi = (10, 2, 2, 4, 5, ...)
+README_PHI = phi_from_config({"table": {"1": 10, "3": 2}, "default": "identity"})
 
 # Frozen 5-decimal truncations of the S_4 pmf tables, lexicographic order.
 RANK_TABLE_S4 = [
@@ -73,7 +76,7 @@ def test_prob_ordered_tuple_sums_to_one():
 
 
 def test_prob_ordered_tuple_log_route_matches_exact():
-    idx = list(range(1, 41))  # past the log-space cutoff
+    idx = list(range(1, 41))  # 40 factors in one float product
     got = exact.prob_ordered_tuple(idx)
     want = float(exact.prob_ordered_tuple(idx, exact=True))
     assert got == pytest.approx(want, rel=1e-12)
@@ -104,8 +107,10 @@ def test_pmf_float_route():
     assert exact.pmf_inverse_unfair(p) == pytest.approx(4 / 35, rel=1e-14)
     assert exact.pmf(p, "uniform") == pytest.approx(1 / 24)
     assert exact.pmf(p, ModelKind.UNFAIR, exact=True) == finish_pmf_oracle((1, 2, 4, 3))
-    with pytest.raises(ValueError):
-        exact.pmf(p, "markov")
+    chain = models.MarkovChainSpec((1,), [[1.0]])
+    for model in ("markov", ModelSpec.markov_draw(chain), "phi"):  # bare phi has no map
+        with pytest.raises(ValueError):
+            exact.pmf(p, model)
 
 
 def test_frozen_tables_s4():
@@ -158,6 +163,40 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("PERMLAB_ENUM_LIMIT", "zzz")
     with pytest.warns(UserWarning):
         assert exact.enumeration_limit() == 8
+
+
+def test_phi_laws_match_the_named_models():
+    for n in range(1, 7):
+        identity = exact.enumerate_law(n, ModelSpec.phi_draw(PhiSpec.identity()), exact=True)
+        one = exact.enumerate_law(n, ModelSpec.phi_draw(PhiSpec.one()), exact=True)
+        assert identity == exact.enumerate_law(n, ModelKind.INVERSE_UNFAIR, exact=True)
+        assert one == exact.enumerate_law(n, ModelKind.UNIFORM, exact=True)
+
+
+def test_phi_law_matches_plackett_luce_oracle():
+    spec = ModelSpec.phi_draw(README_PHI)
+    for n in range(1, 6):
+        want = plackett_luce_oracle([README_PHI(i) for i in range(1, n + 1)])
+        law = exact.enumerate_law(n, spec, exact=True)
+        assert dict(zip(law.outcomes, law.probs)) == want
+        assert [exact.pmf(o, spec, exact=True) for o in law.outcomes] == list(law.probs)
+        floats = exact.enumerate_law(n, spec)
+        assert floats.probs == pytest.approx([float(p) for p in law.probs], rel=1e-14)
+
+
+def test_huge_constant_phi_is_uniform():
+    # prefix sums of 2**62 overflow int64; Python integers keep them exact
+    spec = ModelSpec.phi_draw(PhiSpec.from_table({}, default=2 ** 62))
+    law = exact.enumerate_law(6, spec, exact=True)
+    assert set(law.probs) == {Fraction(1, 720)}
+    assert exact.enumerate_law(6, spec).probs == pytest.approx([1 / 720] * 720, rel=1e-14)
+
+
+def test_enumerate_law_rejects_n_below_one():
+    for model in (*ModelKind, ModelSpec.phi_draw(README_PHI)):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                exact.enumerate_law(n, model)
 
 
 def test_enumerate_law_uniform():

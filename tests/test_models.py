@@ -407,3 +407,19 @@ def test_rank_law_matches_enumeration_tv():
     tv = 0.5 * sum(abs(emp.get(o, 0.0) - p) for o, p in zip(law.outcomes, law.probs))
     # multinomial noise floor is about 0.003 at this budget
     assert tv < 0.006
+
+
+def test_phi_law_matches_enumeration_tv():
+    # empirical law of the README phi table (phi = 10, 2, 2, 4) on S_4
+    # against its exact law
+    n = 4
+    spec = ModelSpec.phi_draw(
+        models.phi_from_config({"table": {"1": 10, "3": 2}, "default": "identity"})
+    )
+    mat = models.sample_permutation_matrix(spec, n, 400_000, seed=56, workers=2)
+    law = exact.enumerate_law(n, spec)
+    perms, counts = np.unique(mat, axis=0, return_counts=True)
+    emp = {tuple(int(v) for v in p): c / mat.shape[0] for p, c in zip(perms, counts)}
+    tv = 0.5 * sum(abs(emp.get(o, 0.0) - p) for o, p in zip(law.outcomes, law.probs))
+    # multinomial noise floor is about 0.003 at this budget
+    assert tv < 0.006

@@ -1,6 +1,10 @@
+import doctest
+
 import numpy as np
 import pytest
 
+import permlab.exact
+import permlab.perm
 from permlab.perm import (
     NotABijection,
     Permutation,
@@ -97,3 +101,9 @@ def test_all_permutations_lex_order():
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
     ]
     assert len(set(all_permutations(5))) == 120
+
+
+def test_docstring_examples():
+    for module in (permlab.perm, permlab.exact):
+        result = doctest.testmod(module)
+        assert result.attempted > 0 and result.failed == 0, module.__name__
