@@ -1,9 +1,11 @@
 """Random permutation models built from best-of-k uniform scores.
 
-Player i draws k_i uniforms on (0,1) and keeps the maximum, giving a score
-vector Z.  Ranking the scores (1 = smallest) yields the rank sequence; the
-inverse of that permutation is the finishing order.  Every model is a vector
-of draw counts, sampled by the same code.  Draw counts per model:
+Player i draws k_i uniforms on (0,1) and keeps the maximum, U_i^(1/k_i) for
+one uniform U_i; the samplers hold its log, the log-score S_i = ln(U_i)/k_i,
+which keeps the order where huge k_i would round U_i^(1/k_i) to 1.  Ranking
+the scores (1 = smallest) yields the rank sequence; its inverse is the
+finishing order.  Every model is a vector of draw counts, sampled by the
+same code.  Draw counts per model:
 
 * ``inverse-unfair`` / ``unfair``: k_i = i (the rank sequence is the
   inverse-unfair permutation, its inverse is the unfair permutation),
@@ -13,8 +15,9 @@ of draw counts, sampled by the same code.  Draw counts per model:
 * ``uniform``: k_i = 1 (best-of-1 scores are iid uniforms, so their ranks
   are a uniform permutation).
 
-Sampling is bit-reproducible: replica r of any batch draws from stream r of
-the root seed (see permlab.rng).
+Draw counts are held as int64, so each lies in 1..2^63 - 1.  Sampling is
+bit-reproducible: replica r of any batch draws from stream r of the root
+seed (see permlab.rng).
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ __all__ = [
     "MarkovChainSpec",
     "ScoreVector",
     "TieDetected",
-    "max_of_k_uniforms",
     "sample_scores",
     "ranks",
     "sample_inverse_unfair",
@@ -52,8 +54,7 @@ __all__ = [
     "load_config",
 ]
 
-_TINY = 2.0 ** -53
-_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_COUNT_LIMIT = 2 ** 63  # draw counts are int64
 
 
 class TieDetected(ValueError):
@@ -77,8 +78,8 @@ class PhiSpec:
 
     def __call__(self, i: int) -> int:
         k = self.func(i)
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"phi({i}) = {k!r} is not a positive integer")
+        if not isinstance(k, (int, np.integer)) or not 1 <= k < _COUNT_LIMIT:
+            raise ValueError(f"phi({i}) = {k!r} is not an integer in 1..2^63 - 1")
         return int(k)
 
     @classmethod
@@ -131,8 +132,8 @@ class MarkovChainSpec:
         states = tuple(int(s) for s in self.states)
         if len(states) == 0 or len(set(states)) != len(states):
             raise ValueError("states must be distinct and non-empty")
-        if any(s < 1 for s in states):
-            raise ValueError("states must be positive draw counts")
+        if any(not 1 <= s < _COUNT_LIMIT for s in states):
+            raise ValueError("states must be draw counts in 1..2^63 - 1")
         if 1 not in states:
             raise ValueError("the start state 1 must be present")
         t = np.asarray(self.transitions, dtype=float)
@@ -205,7 +206,7 @@ class ModelSpec:
 
 
 class ScoreVector:
-    """An n-vector of scores, each strictly inside (0, 1)."""
+    """An n-vector of log-scores ln(U)/k, each negative (-inf allowed)."""
 
     __slots__ = ("values",)
 
@@ -213,8 +214,8 @@ class ScoreVector:
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("scores must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0) or np.any(v >= 1.0):
-            raise ValueError("scores must lie strictly inside (0, 1)")
+        if not np.all(v < 0.0):  # NaN fails the comparison too
+            raise ValueError("log-scores must be negative (-inf allowed)")
         v.flags.writeable = False
         self.values = v
 
@@ -228,23 +229,6 @@ class ScoreVector:
         return f"ScoreVector({self.values!r})"
 
 
-def max_of_k_uniforms(k: int, rng: np.random.Generator) -> float:
-    """Best of k uniform draws in one shot via U^(1/k).
-
-    The result is clamped into the open interval (0, 1) to guard the endpoint
-    roundings.  Huge k loses resolution: U^(1/k) lies within about
-    -ln(U)/k of 1, a few ulps of 1.0 once k nears 1e15, so such scores tie
-    and the samplers break the ties by index.  With constant phi = 10^15 at
-    n = 6, P(identity) measured 0.0037 instead of 1/720, and 1.0 at 10^17.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"draw count must be a positive integer, got {k!r}")
-    u = rng.random()
-    if u == 0.0:
-        u = _TINY
-    return min(u ** (1.0 / k), _BELOW_ONE)
-
-
 def _fixed_counts(spec: ModelSpec, n: int) -> np.ndarray:
     """Draw counts of the models whose counts are the same for every replica."""
     kind = spec.kind
@@ -255,25 +239,39 @@ def _fixed_counts(spec: ModelSpec, n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.int64)
 
 
-def _max_of_uniforms(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Scores u ** (1/k) from uniforms u (rows or one row), in place on u."""
-    u[u == 0.0] = _TINY
-    np.power(u, 1.0 / counts, out=u)
-    return np.minimum(u, _BELOW_ONE, out=u)
+def _log_scores(u: np.ndarray, counts) -> np.ndarray:
+    """Log-scores ln(u)/k from uniforms u (rows or one row), in place on u.
+
+    u = 0.0 (probability 2^-53 per draw) gives -inf; every other score is
+    finite and negative, however large k.
+    """
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    u /= counts
+    return u
 
 
 def _scores(spec: ModelSpec, n: int, rng, out: np.ndarray | None = None) -> np.ndarray:
-    """Scores of every stream of rng: shape (n,) for a Generator, (rows, n)
-    for a block of streams.  The markov walk's uniforms come first."""
+    """Log-scores of every stream of rng: shape (n,) for a Generator,
+    (rows, n) for a block.  The markov walk's uniforms come first."""
     if spec.kind is ModelKind.MARKOV:
         counts = spec.chain.walk(n, rng)
     else:
         counts = _fixed_counts(spec, n)
-    return _max_of_uniforms(rng.random(n, out=out), counts)
+    return _log_scores(rng.random(n, out=out), counts)
 
 
 def sample_scores(spec: ModelSpec, n: int, rng: np.random.Generator) -> ScoreVector:
-    """One score vector: the batch sampler's row for the stream of rng."""
+    """One log-score vector: the batch sampler's row for the stream of rng.
+
+    Huge draw counts keep distinct scores:
+
+    >>> from permlab.rng import make_generator
+    >>> spec = ModelSpec.phi_draw(PhiSpec.from_table({}, default=10 ** 17))
+    >>> s = sample_scores(spec, 3, make_generator(1))
+    >>> len(set(s.values)), bool(s.values.max() < 0.0)
+    (3, True)
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     return ScoreVector(_scores(spec, n, rng))
@@ -324,9 +322,9 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 # per stream: make_generator on the block's stream indices gives an
 # rng.StreamBlock, which draws all streams at once, or _RowGenerators holds
 # one generator per stream behind the same random(k, out=) shape.  Both give
-# the same bits, so the markov walk and the score transform run over the
-# whole block either way.  A row draws n uniforms, or 2n - 1 for markov (the
-# walk's n - 1 come first); this is the draw width below.
+# the same bits, so the markov walk and the log-score transform ln(u)/k run
+# over the whole block either way.  A row draws n uniforms, or 2n - 1 for
+# markov (the walk's n - 1 come first); this is the draw width below.
 #
 # Stepping streams together costs about 40 ns per element plus about 40 us
 # per column; a generator per row costs about 27 us plus about 10 ns per
@@ -389,7 +387,6 @@ def _fill_rows(
 
 
 def _run_chunks(fill, reps: int, workers: int) -> None:
-    workers = max(1, int(workers))
     if workers == 1 or reps < 2:
         fill(0, reps)
         return
@@ -412,12 +409,14 @@ def sample_score_matrix(
     first_stream: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
-    """(reps, n) score matrix; row r comes from stream first_stream + r.
+    """(reps, n) log-score matrix; row r comes from stream first_stream + r.
 
     The result is identical for any worker count.
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     mat = np.empty((reps, n), dtype=float)
     _run_chunks(
         lambda lo, hi: _fill_rows(mat, spec, seed, first_stream, lo, hi), reps, workers

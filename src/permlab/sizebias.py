@@ -1,10 +1,11 @@
 """Size-biased coupling for the inversion count of the rank sequence.
 
-W = sum over pairs i < j of 1(Z_i > Z_j) counts inversions of the best-of-i
-score model.  A size-biased version W^s picks a pair (i, j) with probability
-proportional to P(Z_i > Z_j) = i/(i+j), forces that pair into inverted order
-(keeping the scores when they already are, else redrawing the two scores from
-their conditional law by rejection), and recounts.  The coupling satisfies
+W = sum over pairs i < j of 1(S_i > S_j) counts inversions of the best-of-i
+log-score model (``models``: S_i = ln(U_i)/i).  A size-biased version W^s
+picks a pair (i, j) with probability proportional to P(S_i > S_j) = i/(i+j),
+forces that pair into inverted order (keeping the scores when they already
+are, else redrawing the two scores from their conditional law in closed
+form), and recounts.  The coupling satisfies
 E[W f(W)] = E[W] E[f(W^s)] and |W^s - W| <= 2n, which feeds a Wasserstein
 bound of order n^(-1/2) on the normalized W via Stein's method:
 
@@ -27,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .models import ModelSpec, ScoreVector, max_of_k_uniforms, sample_score_matrix, sample_scores
+from .models import ModelSpec, ScoreVector, _log_scores, sample_score_matrix, sample_scores
 from .rng import make_generator
 from .stats import inversions_batch
 
@@ -88,26 +89,26 @@ def index_distribution(n: int) -> IndexDistribution:
 def resample_conditional_pair(
     i: int, j: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """(Z_i, Z_j) given Z_i > Z_j, by rejection from the unconditional pair.
+    """Log-scores (S_i, S_j) given S_i > S_j, from 2 uniforms.
 
-    Each try draws 2 uniforms through the models score transform.
-    Acceptance probability is i/(i+j) per try, so the expected try count is
-    (i+j)/i; averaged over the size-bias index law that is O(1).
+    With X = -S, X_i ~ Exp(i) and X_j ~ Exp(j); given X_i < X_j, X_i is
+    Exp(i + j) and X_j - X_i is Exp(j), independent of it.  So the models
+    log-score transform with draw counts (i + j, j) gives S_i and the gap
+    S_j - S_i.  Where the sum rounds back to S_i, S_j is the next float
+    below; only S_i = -inf (probability 2^-53) leaves the two equal.
     """
     if i < 1 or j < 1 or i == j:
         raise ValueError(f"need distinct indices >= 1, got ({i}, {j})")
-    while True:
-        zi = max_of_k_uniforms(i, rng)
-        zj = max_of_k_uniforms(j, rng)
-        if zi > zj:
-            return zi, zj
+    s_i, gap = _log_scores(rng.random(2), (i + j, j)).tolist()
+    return s_i, min(s_i + gap, math.nextafter(s_i, -math.inf))
 
 
 @dataclass(frozen=True)
 class CouplingDraw:
-    """One coupled draw: ``scores`` is the original vector (w = its inversion
-    count), ``scores_s`` the post-coupling vector (w_s = its inversion count;
-    the two coincide when the chosen pair was already inverted)."""
+    """One coupled draw: ``scores`` is the original log-score vector (w = its
+    inversion count), ``scores_s`` the post-coupling vector (w_s = its
+    inversion count; the two coincide when the chosen pair was already
+    inverted)."""
 
     n: int
     scores: ScoreVector
@@ -158,7 +159,7 @@ def couple(n: int, rng: np.random.Generator) -> CouplingDraw:
     """One coupled draw (W, W^s) from a single generator: a batch of one.
 
     Draw order: n score uniforms, then 3 uniforms per index try, then
-    2 uniforms per conditional try if the chosen pair needs resampling.
+    2 uniforms if the chosen pair needs resampling.
     """
     idx = index_distribution(n)
     sv = sample_scores(_SCORES, n, rng)
@@ -275,11 +276,11 @@ def _differences(
 
 
 def _var_cond(d: np.ndarray, n: int) -> tuple[float, float]:
-    """(raw, clamped) paired-replicate estimate of Var(E[D | Z]) from D.
+    """(raw, clamped) paired-replicate estimate of Var(E[D | S]) from D.
 
     Per outer score draw, the columns of D are independent completions
-    sharing the same Z; products over distinct completions estimate
-    (E[D|Z])^2 unbiasedly, and subtracting the squared grand mean leaves the
+    sharing the same S; products over distinct completions estimate
+    (E[D|S])^2 unbiasedly, and subtracting the squared grand mean leaves the
     variance of the conditional expectation.  A negative raw estimate
     (undersampling noise) clamps to 0 with a warning.
     """
@@ -299,7 +300,7 @@ def _var_cond(d: np.ndarray, n: int) -> tuple[float, float]:
 def estimate_var_conditional(
     n: int, outer_reps: int, inner_pairs: int, seed: int
 ) -> float:
-    """Paired-replicate estimate of Var(E[W^s - W | Z]), clamped at 0.
+    """Paired-replicate estimate of Var(E[W^s - W | S]), clamped at 0.
 
     ``inner_pairs`` independent completions per outer score draw; the same
     draws and estimate as ``stein_bound(...).var_cond``.
@@ -328,11 +329,11 @@ def stein_bound(
 ) -> SteinBoundReport:
     """MC assembly of the Wasserstein bound for the normalized inversion count.
 
-    bound = (mu/sigma^2) sqrt(2/pi) sqrt(Var E[W^s - W | Z])
+    bound = (mu/sigma^2) sqrt(2/pi) sqrt(Var E[W^s - W | S])
           + (mu/sigma^3) E[(W^s - W)^2],
 
     every ingredient estimated from the coupled draws (the conditional
-    variance given Z upper-bounds the one given W, so the bound is
+    variance given S upper-bounds the one given W, so the bound is
     conservative up to MC noise).
     """
     t0 = time.perf_counter()

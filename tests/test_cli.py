@@ -194,6 +194,31 @@ def test_sample_markov_config(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("model, key, cfg", [
+    ("phi", "--phi-table", {"phi": {"table": {"1": 10 ** 23}}}),
+    ("markov", "--chain",
+     {"chain": {"states": [1, 2 ** 63], "transitions": [[0.5, 0.5], [0.5, 0.5]]}}),
+])
+def test_sample_huge_draw_count_is_a_one_line_error(tmp_path, capsys, model, key, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(
+        ["sample", "--model", model, key, str(path), "--n", "3", "--seed", "1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "2^63" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, threads):
+    for args in (["sample", "--n", "3"],
+                 ["clt", "--stat", "inv", "--n", "10", "--reps", "20"]):
+        code, out, err = run_cli(args + ["--seed", "1", "--threads", threads], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: workers must be >= 1, got {threads}\n"
+
+
 def test_sample_markov_needs_config(capsys):
     with pytest.raises(SystemExit):
         cli.main(["sample", "--model", "markov", "--n", "4", "--reps", "1"])

@@ -71,6 +71,18 @@ def test_markov_chain_validation():
         MarkovChainSpec((1, 2), np.ones((2, 3)))
 
 
+def test_draw_counts_fit_int64():
+    # counts are held as int64: 2^63 - 1 is the largest legal one
+    assert PhiSpec(lambda i: 2 ** 63 - 1, "max")(1) == 2 ** 63 - 1
+    with pytest.raises(ValueError):
+        PhiSpec(lambda i: 2 ** 63, "over")(1)
+    with pytest.raises(ValueError):
+        PhiSpec.from_table({1: 10 ** 23})(1)
+    MarkovChainSpec((1, 2 ** 63 - 1), np.eye(2))
+    with pytest.raises(ValueError):
+        MarkovChainSpec((1, 2 ** 63), np.eye(2))
+
+
 def test_markov_walk_starts_at_one_and_follows_supports():
     chain = MarkovChainSpec((1, 3), np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = chain.walk(6, make_generator(0))
@@ -164,33 +176,40 @@ def test_chain_config(tmp_path):
 # scores and ranks
 
 def test_score_vector_validation():
-    v = ScoreVector([0.2, 0.9])
-    assert len(v) == 2
+    # log-scores ln(U)/k: negative, -inf (from U = 0) allowed
+    v = ScoreVector([-0.2, -1e-300, float("-inf")])
+    assert len(v) == 3
     assert not v.values.flags.writeable
     with pytest.raises(ValueError):
-        ScoreVector([[0.1], [0.2]])
+        ScoreVector([[-0.1], [-0.2]])
     with pytest.raises(ValueError):
         ScoreVector([])
     with pytest.raises(ValueError):
-        ScoreVector([0.0, 0.5])
+        ScoreVector([0.0, -0.5])
     with pytest.raises(ValueError):
-        ScoreVector([0.5, 1.0])
+        ScoreVector([-0.5, 0.5])
     with pytest.raises(ValueError):
-        ScoreVector([0.5, float("nan")])
+        ScoreVector([-0.5, float("inf")])
+    with pytest.raises(ValueError):
+        ScoreVector([-0.5, float("nan")])
 
 
 def test_max_of_k_uniforms():
+    # a constant phi = k gives every player the best of k uniforms, exp(S)
     rng = make_generator(1)
-    vals = [models.max_of_k_uniforms(5, rng) for _ in range(2000)]
-    assert all(0.0 < v < 1.0 for v in vals)
+    five = ModelSpec.phi_draw(PhiSpec(lambda i: 5, "five"))
+    vals = models.sample_scores(five, 2000, rng).values
+    assert np.all(vals < 0.0)
     # E[max of 5] = 5/6
-    assert np.mean(vals) == pytest.approx(5 / 6, abs=0.02)
-    big = models.max_of_k_uniforms(10 ** 9, make_generator(2))
-    assert 0.0 < big < 1.0
-    with pytest.raises(ValueError):
-        models.max_of_k_uniforms(0, rng)
-    with pytest.raises(ValueError):
-        models.max_of_k_uniforms(2.5, rng)
+    assert np.mean(np.exp(vals)) == pytest.approx(5 / 6, abs=0.02)
+    huge = ModelSpec.phi_draw(PhiSpec(lambda i: 10 ** 9, "huge"))
+    big = models.sample_scores(huge, 50, make_generator(2)).values
+    assert np.all(np.isfinite(big) & (big < 0.0))
+    assert np.unique(big).size == 50
+    for bad in (0, 2.5):
+        spec = ModelSpec.phi_draw(PhiSpec(lambda i, k=bad: k, "bad"))
+        with pytest.raises(ValueError):
+            models.sample_scores(spec, 3, rng)
 
 
 def test_ranks_tie_policy():
@@ -207,12 +226,12 @@ def test_sample_scores_shapes_and_range():
     rng = make_generator(3)
     v = models.sample_scores(ModelSpec.inverse_unfair(), 50, rng)
     assert len(v) == 50
-    assert np.all((v.values > 0.0) & (v.values < 1.0))
+    assert np.all(np.isfinite(v.values) & (v.values < 0.0))
     with pytest.raises(ValueError):
         models.sample_scores(ModelSpec.inverse_unfair(), 0, rng)
-    # uniform scores are best-of-1: the stream's own uniforms
+    # uniform scores are best-of-1: the logs of the stream's own uniforms
     u = models.sample_scores(ModelSpec.uniform(), 5, make_generator(8))
-    assert np.array_equal(u.values, make_generator(8).random(5))
+    assert np.array_equal(u.values, np.log(make_generator(8).random(5)))
 
 
 def test_later_players_score_higher_on_average():
@@ -279,6 +298,12 @@ def test_worker_count_invariance():
         c = models.sample_permutation_matrix(spec, 12, 31, seed=5, workers=8)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+def test_worker_count_below_one_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            models.sample_score_matrix(ModelSpec.uniform(), 4, 10, seed=1, workers=workers)
 
 
 def test_score_rows_match_per_row_streams_on_both_paths(monkeypatch):
@@ -395,31 +420,41 @@ def test_uniform_matrix_is_unbiased():
     assert np.max(np.abs(counts / mat.shape[0] - 1 / 6)) < 0.01
 
 
-def test_rank_law_matches_enumeration_tv():
-    # empirical inverse-unfair frequencies on S_4 against the exact law
-    n = 4
-    mat = models.sample_permutation_matrix(
-        ModelSpec.inverse_unfair(), n, 400_000, seed=55, workers=2
-    )
-    law = exact.enumerate_law(n, ModelKind.INVERSE_UNFAIR)
+def _tv_to_exact_law(spec, n, reps, seed):
+    """TV distance between the sampled law on S_n and the exact law."""
+    mat = models.sample_permutation_matrix(spec, n, reps, seed=seed, workers=2)
+    law = exact.enumerate_law(n, spec)
     perms, counts = np.unique(mat, axis=0, return_counts=True)
     emp = {tuple(int(v) for v in p): c / mat.shape[0] for p, c in zip(perms, counts)}
-    tv = 0.5 * sum(abs(emp.get(o, 0.0) - p) for o, p in zip(law.outcomes, law.probs))
-    # multinomial noise floor is about 0.003 at this budget
-    assert tv < 0.006
+    return 0.5 * sum(abs(emp.get(o, 0.0) - p) for o, p in zip(law.outcomes, law.probs))
+
+
+# At 400,000 rows on S_4 the multinomial noise floor of the TV is about 0.003.
+
+def test_rank_law_matches_enumeration_tv():
+    # empirical inverse-unfair frequencies on S_4 against the exact law
+    assert _tv_to_exact_law(ModelSpec.inverse_unfair(), 4, 400_000, seed=55) < 0.006
 
 
 def test_phi_law_matches_enumeration_tv():
     # empirical law of the README phi table (phi = 10, 2, 2, 4) on S_4
     # against its exact law
-    n = 4
     spec = ModelSpec.phi_draw(
         models.phi_from_config({"table": {"1": 10, "3": 2}, "default": "identity"})
     )
-    mat = models.sample_permutation_matrix(spec, n, 400_000, seed=56, workers=2)
-    law = exact.enumerate_law(n, spec)
-    perms, counts = np.unique(mat, axis=0, return_counts=True)
-    emp = {tuple(int(v) for v in p): c / mat.shape[0] for p, c in zip(perms, counts)}
-    tv = 0.5 * sum(abs(emp.get(o, 0.0) - p) for o, p in zip(law.outcomes, law.probs))
-    # multinomial noise floor is about 0.003 at this budget
-    assert tv < 0.006
+    assert _tv_to_exact_law(spec, 4, 400_000, seed=56) < 0.006
+
+
+def test_huge_constant_phi_law_matches_enumeration_tv():
+    # constant phi = 10^17 is the uniform law; U^(1/k) would round every
+    # score to 1.0 and tie, log-scores ln(U)/k stay distinct
+    spec = ModelSpec.phi_draw(PhiSpec.from_table({}, default=10 ** 17))
+    assert _tv_to_exact_law(spec, 4, 400_000, seed=57) < 0.006
+
+
+def test_huge_scaled_phi_law_matches_enumeration_tv():
+    # phi = 10^17 * (1, 3, 1, 2): the law of counts (1, 3, 1, 2)
+    spec = ModelSpec.phi_draw(
+        PhiSpec.from_table({i + 1: 10 ** 17 * k for i, k in enumerate((1, 3, 1, 2))})
+    )
+    assert _tv_to_exact_law(spec, 4, 400_000, seed=58) < 0.006

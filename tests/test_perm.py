@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import permlab.exact
+import permlab.models
 import permlab.perm
 from permlab.perm import (
     NotABijection,
@@ -104,6 +105,6 @@ def test_all_permutations_lex_order():
 
 
 def test_docstring_examples():
-    for module in (permlab.perm, permlab.exact):
+    for module in (permlab.perm, permlab.exact, permlab.models):
         result = doctest.testmod(module)
         assert result.attempted > 0 and result.failed == 0, module.__name__

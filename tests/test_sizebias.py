@@ -103,23 +103,47 @@ def test_index_draw_frequencies():
 def test_resample_conditional_pair_orders():
     rng = make_generator(4)
     for _ in range(500):
-        zi, zj = sizebias.resample_conditional_pair(2, 5, rng)
-        assert 0.0 < zj < zi < 1.0
+        si, sj = sizebias.resample_conditional_pair(2, 5, rng)
+        assert sj < si < 0.0
     with pytest.raises(ValueError):
         sizebias.resample_conditional_pair(2, 2, rng)
 
 
+class _StubUniforms:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, k):
+        assert k == len(self.u)
+        return np.array(self.u)
+
+
+def test_resample_conditional_pair_strict_after_rounding():
+    # ln(1 - 2^-53)/10 is below half an ulp of S_i = ln(0.01)/11, so the sum
+    # rounds back to S_i; the pair must still come out strictly inverted
+    u = [0.01, 1.0 - 2.0 ** -53]
+    s_i = np.log(0.01) / 11
+    assert s_i + np.log(u[1]) / 10 == s_i
+    si, sj = sizebias.resample_conditional_pair(1, 10, _StubUniforms(u))
+    assert si == s_i
+    assert sj < si
+    assert sj == np.nextafter(si, -np.inf)
+
+
 def test_resample_conditional_marginal():
-    # P(Z_i > Z_j) = i/(i+j); conditioning must reproduce the joint law
-    # restricted to that event: check E[Z_i | Z_i > Z_j] by numeric integral
+    # P(S_i > S_j) = i/(i+j); conditioning must reproduce the joint law
+    # restricted to that event: check E[exp(S_i) | S_i > S_j] by numeric
+    # integral
     i, j = 2, 3
     rng = make_generator(5)
-    zi_vals = [sizebias.resample_conditional_pair(i, j, rng)[0] for _ in range(40_000)]
-    # density of (Z_i, Z_j): i x^(i-1) j y^(j-1); restricted mean of Z_i:
-    # int_0^1 i x^(i-1) x^j x dx / (i/(i+j))  with inner P(Z_j < x) = x^j
+    si_vals = [sizebias.resample_conditional_pair(i, j, rng)[0] for _ in range(40_000)]
+    # density of (Z, Z') = (exp S_i, exp S_j): i x^(i-1) j y^(j-1); restricted
+    # mean of Z: int_0^1 i x^(i-1) x^j x dx / (i/(i+j)) with inner
+    # P(Z' < x) = x^j, which is 5/6 here
     num = i / (i + j + 1)
     den = i / (i + j)
-    assert np.mean(zi_vals) == pytest.approx(num / den, abs=0.005)
+    assert num / den == pytest.approx(5 / 6)
+    assert np.mean(np.exp(si_vals)) == pytest.approx(num / den, abs=0.005)
 
 
 # ---------------------------------------------------------------------------
