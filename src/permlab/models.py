@@ -57,6 +57,17 @@ __all__ = [
 _COUNT_LIMIT = 2 ** 63  # draw counts are int64
 
 
+def _integer(x, what: str) -> int:
+    """int(x) for an integer or a string of one; ValueError where int()
+    would truncate (2.5) or fail (inf, None)."""
+    try:
+        if isinstance(x, str) or int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {x!r} is not an integer")
+
+
 class TieDetected(ValueError):
     """Two scores in a user-supplied vector compare exactly equal."""
 
@@ -97,7 +108,7 @@ class PhiSpec:
         ``default`` may be a positive integer constant, ``"one"`` or
         ``"identity"``.
         """
-        clean = {int(i): int(k) for i, k in table.items()}
+        clean = {_integer(i, "phi index"): _integer(k, "phi count") for i, k in table.items()}
         for i, k in clean.items():
             if i < 1 or k < 1:
                 raise ValueError(f"bad phi table entry ({i}, {k})")
@@ -109,7 +120,7 @@ class PhiSpec:
             else:
                 raise ValueError(f"unknown phi default rule {default!r}")
         else:
-            d = int(default)
+            d = _integer(default, "phi default")
             if d < 1:
                 raise ValueError("phi default must be a positive integer")
             fallback = lambda i: d
@@ -129,7 +140,7 @@ class MarkovChainSpec:
     transitions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        states = tuple(int(s) for s in self.states)
+        states = tuple(_integer(s, "markov state") for s in self.states)
         if len(states) == 0 or len(set(states)) != len(states):
             raise ValueError("states must be distinct and non-empty")
         if any(not 1 <= s < _COUNT_LIMIT for s in states):
@@ -472,12 +483,7 @@ def phi_from_config(obj: "str | dict") -> PhiSpec:
         raise ValueError(f"unknown phi rule {obj!r}")
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("phi config must be 'one', 'identity' or {table, default}")
-    raw = obj["table"]
-    if isinstance(raw, dict):
-        table = {int(i): int(k) for i, k in raw.items()}
-    else:
-        table = {int(i): int(k) for i, k in raw}
-    return PhiSpec.from_table(table, obj.get("default", "identity"))
+    return PhiSpec.from_table(dict(obj["table"]), obj.get("default", "identity"))
 
 
 def chain_from_config(obj: dict) -> MarkovChainSpec:
@@ -489,7 +495,7 @@ def chain_from_config(obj: dict) -> MarkovChainSpec:
     if not isinstance(obj, dict):
         raise ValueError("chain config must be a JSON object")
     try:
-        states = [int(s) for s in obj["states"]]
+        states = list(obj["states"])
         raw = obj["transitions"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("chain config needs 'states' and 'transitions'") from exc

@@ -15,7 +15,9 @@ bound of order n^(-1/2) on the normalized W via Stein's method:
 
 Streams: outer replica r reads stream r, as in every models batch
 (``models.sample_score_matrix`` of the inverse-unfair model), and completion
-c of that replica reads (stream r, substream 1 + c), so runs are reproducible
+c of that replica reads 4 uniforms from (stream r, substream 1 + c), all
+rows of the completion as stepped ``rng.StreamBlock``s: 2 for the index
+pair, then 2 for the conditional pair, used or not.  Runs are reproducible
 for any worker count.
 """
 from __future__ import annotations
@@ -24,11 +26,11 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .models import ModelSpec, ScoreVector, _log_scores, sample_score_matrix, sample_scores
+from .models import _BLOCK_ROWS, ModelSpec, ScoreVector, _log_scores
+from .models import sample_score_matrix, sample_scores
 from .rng import make_generator
 from .stats import inversions_batch
 
@@ -56,28 +58,36 @@ class InsufficientReplicas(ValueError):
 
 @dataclass(frozen=True)
 class IndexDistribution:
-    """The size-bias index law: P(I = (i,j)) proportional to i/(i+j), i < j."""
+    """The size-bias index law: P(I = (i,j)) proportional to i/(i+j), i < j.
+
+    The pairs with i + j = s have i = lo..hi, lo = max(1, s - n) and
+    hi = (s - 1) // 2, summing to c_s; ``cum`` holds the running weights c_s/s
+    over s = 3..2n-1 and ends at E[W].  Without rejection, u1 picks s from
+    ``cum`` and u2 the smallest i with i(i + 1) > (lo - 1) lo + 2 u2 c_s.
+    """
 
     n: int
+    cum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        s = np.arange(3, 2 * self.n, dtype=np.int64)
+        lo, hi = np.maximum(1, s - self.n), (s - 1) // 2
+        object.__setattr__(self, "cum", np.cumsum((lo + hi) * (hi - lo + 1) / (2 * s)))
+
+    def draw_pairs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs (i, j) from uniforms u[..., 0] and u[..., 1]."""
+        k = np.searchsorted(self.cum, u[..., 0] * self.cum[-1], side="right")
+        s = np.minimum(k, self.cum.size - 1) + 3
+        lo, hi = np.maximum(1, s - self.n), (s - 1) // 2
+        q = (lo - 1) * lo + u[..., 1] * ((lo + hi) * (hi - lo + 1))
+        i = np.floor(np.sqrt(q + 0.25) + 0.5).astype(np.int64)  # root of i(i + 1) = q
+        i = np.clip(i - ((i - 1) * i > q) + (i * (i + 1) <= q), lo, hi)
+        return i, s - i
 
     def draw_pair1(self, rng: np.random.Generator) -> tuple[int, int]:
-        """One index pair by rejection, 3 uniforms per try.
-
-        Two uniform indices a, b in 1..n are redrawn while equal; the sorted
-        pair (i, j) is then kept when u (i+j) < 2i.  An unordered pair comes
-        up with probability 2/n^2 per try, so the kept pair has probability
-        proportional to i/(i+j).  A try succeeds with probability about
-        4 E[W]/n^2 -> 2(1 - ln 2) ~ 0.61.
-        """
-        n = self.n
-        while True:
-            u1, u2, u3 = rng.random(3)
-            a, b = int(u1 * n) + 1, int(u2 * n) + 1
-            if a == b:
-                continue
-            i, j = (a, b) if a < b else (b, a)
-            if u3 * (i + j) < 2 * i:
-                return i, j
+        """One index pair from 2 uniforms of rng: a batch of one."""
+        i, j = self.draw_pairs(rng.random(2))
+        return int(i), int(j)
 
 
 def index_distribution(n: int) -> IndexDistribution:
@@ -99,8 +109,15 @@ def resample_conditional_pair(
     """
     if i < 1 or j < 1 or i == j:
         raise ValueError(f"need distinct indices >= 1, got ({i}, {j})")
-    s_i, gap = _log_scores(rng.random(2), (i + j, j)).tolist()
-    return s_i, min(s_i + gap, math.nextafter(s_i, -math.inf))
+    return tuple(_inverted_pair(rng.random(2), i, j).tolist())
+
+
+def _inverted_pair(u: np.ndarray, i, j) -> np.ndarray:
+    """``resample_conditional_pair`` on arrays: (S_i, S_j) in the last axis
+    of the uniforms u, in place on u."""
+    s = _log_scores(u, np.stack((i + j, j), axis=-1))
+    np.minimum(s[..., 0] + s[..., 1], np.nextafter(s[..., 0], -np.inf), out=s[..., 1])
+    return s
 
 
 @dataclass(frozen=True)
@@ -120,53 +137,68 @@ class CouplingDraw:
     scores_s: ScoreVector
 
 
-def _complete(
-    z: np.ndarray,
-    w: np.ndarray,
-    idx: IndexDistribution,
-    gens: Iterable[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One completion of every row of ``z``, row r drawing from the r-th of
-    ``gens``: (i, j, w_s, resampled, z_s).
+_RECOUNT_ELEMENTS = 1 << 20  # score elements compared per recount pass
 
-    Each row draws an index pair and, when the pair is in order, resamples
-    its two scores conditionally; the resampled rows are then recounted.
-    """
-    reps = z.shape[0]
-    pairs = np.empty((reps, 2), dtype=np.int64)
-    resampled = np.zeros(reps, dtype=bool)
-    z_s = z.copy()
-    for r, gen in enumerate(gens):
-        i, j = idx.draw_pair1(gen)
-        pairs[r] = i, j
-        if z[r, i - 1] <= z[r, j - 1]:
-            resampled[r] = True
-            z_s[r, i - 1], z_s[r, j - 1] = resample_conditional_pair(i, j, gen)
+
+def _complete(z: np.ndarray, w: np.ndarray, idx: IndexDistribution, u: np.ndarray):
+    """One completion of every row of ``z`` from its 4 uniforms ``u[r]``:
+    (i, j, w_s, resampled, pair_s), ``pair_s`` the new scores at (i, j).
+
+    Where the pair drawn from u1, u2 is in order, u3 and u4 redraw its scores
+    and only the resampled rows are read past the pair, for the recount."""
+    i, j = idx.draw_pairs(u)
+    pair = np.take_along_axis(z, np.stack((i, j), axis=1) - 1, axis=1)
+    resampled = pair[:, 0] <= pair[:, 1]
+    pair_s = np.where(resampled[:, None], _inverted_pair(u[:, 2:].copy(), i, j), pair)
     w_s = w.copy()
-    if np.any(resampled):
-        w_s[resampled] = inversions_batch(z_s[resampled])
-    return pairs[:, 0], pairs[:, 1], w_s, resampled, z_s
+    hit = np.flatnonzero(resampled)
+    step = max(1, _RECOUNT_ELEMENTS // z.shape[1])
+    for lo in range(0, hit.size, step):
+        r = hit[lo:lo + step]
+        w_s[r] += _pair_change(z[r], i[r] - 1, j[r] - 1, pair[r], pair_s[r])
+    return i, j, w_s, resampled, pair_s
 
 
-def _completion_streams(seed: int, first_stream: int, reps: int, completion: int):
-    return (
-        make_generator(seed, first_stream + r, substream=1 + completion)
-        for r in range(reps)
-    )
+def _pair_change(z, a, b, old, new) -> np.ndarray:
+    """Change in the inversion count of each row of ``z`` when its scores at
+    columns a < b go from ``old`` to ``new``, in O(n): both positions against
+    the rest of their row, and the pair (a, b) once."""
+    col = np.arange(z.shape[1])
+    others = (col != a[:, None]) & (col != b[:, None])
+    change = (new[:, 0] > new[:, 1]).astype(np.int64) - (old[:, 0] > old[:, 1])
+    for k, pos in enumerate((a, b)):
+        before = col < pos[:, None]
+        for v, sign in ((new[:, k, None], 1), (old[:, k, None], -1)):
+            inverted = np.where(before, z > v, z < v) & others
+            change += sign * np.count_nonzero(inverted, axis=1)
+    return change
+
+
+def _completion_uniforms(seed: int, first_stream: int, reps: int, c: int) -> np.ndarray:
+    """(reps, 4) uniforms of completion c: row r from (stream first_stream + r,
+    substream 1 + c), in stepped blocks of at most ``_BLOCK_ROWS`` streams."""
+    u = np.empty((reps, 4))
+    for a in range(0, reps, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, reps)
+        streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+        make_generator(seed, streams, substream=1 + c).random(4, out=u[a:b])
+    return u
 
 
 def couple(n: int, rng: np.random.Generator) -> CouplingDraw:
     """One coupled draw (W, W^s) from a single generator: a batch of one.
 
-    Draw order: n score uniforms, then 3 uniforms per index try, then
-    2 uniforms if the chosen pair needs resampling.
+    Draw order: n score uniforms, then 4 completion uniforms (2 for the
+    index pair, 2 for the conditional pair, drawn even when unused).
     """
     idx = index_distribution(n)
     sv = sample_scores(_SCORES, n, rng)
     z = sv.values[None, :]
     w = inversions_batch(z)
-    i, j, w_s, resampled, z_s = _complete(z, w, idx, [rng])
-    sv_s = ScoreVector(z_s[0]) if resampled[0] else sv
+    i, j, w_s, resampled, pair_s = _complete(z, w, idx, rng.random((1, 4)))
+    z_s = sv.values.copy()
+    z_s[[i[0] - 1, j[0] - 1]] = pair_s[0]
+    sv_s = ScoreVector(z_s) if resampled[0] else sv
     return CouplingDraw(n, sv, int(w[0]), int(i[0]), int(j[0]), int(w_s[0]),
                         bool(resampled[0]), sv_s)
 
@@ -184,7 +216,7 @@ def couple_batch(
     z = sample_score_matrix(_SCORES, n, reps, seed, first_stream)
     w = inversions_batch(z)
     i_arr, j_arr, w_s, resampled, _ = _complete(
-        z, w, idx, _completion_streams(seed, first_stream, reps, 0)
+        z, w, idx, _completion_uniforms(seed, first_stream, reps, 0)
     )
     return {"w": w, "w_s": w_s, "i": i_arr, "j": j_arr, "resampled": resampled}
 
@@ -270,7 +302,7 @@ def _differences(
     w = inversions_batch(z)
     d = np.empty((outer_reps, inner_pairs), dtype=float)
     for c in range(inner_pairs):
-        _, _, w_s, _, _ = _complete(z, w, idx, _completion_streams(seed, 0, outer_reps, c))
+        _, _, w_s, _, _ = _complete(z, w, idx, _completion_uniforms(seed, 0, outer_reps, c))
         d[:, c] = w_s - w
     return w, d
 

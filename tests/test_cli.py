@@ -210,6 +210,22 @@ def test_sample_huge_draw_count_is_a_one_line_error(tmp_path, capsys, model, key
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("model, key, cfg", [
+    ("phi", "--phi-table", {"phi": {"table": {"1": 2.5}}}),
+    ("markov", "--chain",
+     {"chain": {"states": [1, 2.5], "transitions": [[0.5, 0.5], [0.5, 0.5]]}}),
+])
+def test_sample_non_integer_draw_count_is_a_one_line_error(tmp_path, capsys, model, key, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(
+        ["sample", "--model", model, key, str(path), "--n", "3", "--seed", "1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "2.5 is not an integer" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(capsys, threads):
     for args in (["sample", "--n", "3"],

@@ -149,6 +149,32 @@ def test_phi_config(tmp_path):
     assert models.phi_from_config(obj["phi"])(1) == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"table": {"1": 2.5}},
+    {"table": [[1, 2.5]]},
+    {"table": [[1.5, 2]]},
+    {"table": {"1": 2}, "default": 2.5},
+    {"table": {"1": float("inf")}},
+])
+def test_phi_config_rejects_non_integer_counts(cfg):
+    # int() would truncate 2.5 to 2 and sample a different model
+    with pytest.raises(ValueError, match="is not an integer"):
+        models.phi_from_config(cfg)
+
+
+def test_draw_counts_accept_integral_values():
+    phi = models.phi_from_config({"table": {"1": 2.0, "2": "5"}, "default": 3.0})
+    assert (phi(1), phi(2), phi(3)) == (2, 5, 3)
+    chain = models.chain_from_config({"states": [1, 2.0], "transitions": [[0.5, 0.5]] * 2})
+    assert chain.states == (1, 2)
+
+
+@pytest.mark.parametrize("states", [[1, 2.5], [1.5, 1], [1, float("nan")], [1, "a"]])
+def test_chain_config_rejects_non_integer_states(states):
+    with pytest.raises(ValueError, match="is not an integer"):
+        models.chain_from_config({"states": states, "transitions": [[0.5, 0.5]] * 2})
+
+
 def test_chain_config(tmp_path):
     obj = {"states": [1, 2], "transitions": [[0.5, 0.5], [0.1, 0.9]]}
     chain = models.chain_from_config(obj)

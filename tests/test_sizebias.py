@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,86 +16,93 @@ from oracles import inv_oracle
 # ---------------------------------------------------------------------------
 # index distribution
 
-class _Rejected(Exception):
-    pass
+def _index_weights(n):
+    """{s: c_s / s}: the weight i/(i+j) of the pairs i < j <= n with i + j = s."""
+    weights = {}
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            weights[i + j] = weights.get(i + j, 0) + Fraction(i, i + j)
+    return weights
 
 
-class _OneTry:
-    """A stand-in generator that serves one try of ``draw_pair1``."""
+def _grid_law(n):
+    """Exact law of ``draw_pairs`` from a grid of midpoint uniforms.
 
-    def __init__(self, u):
-        self.u = u
-        self.used = False
-
-    def random(self, size):
-        if self.used:
-            raise _Rejected
-        self.used = True
-        return np.array(self.u)
-
-
-def _one_try_law(n, m):
-    """Exact law of one ``draw_pair1`` try, from a grid of uniforms.
-
-    u1 and u2 run over the n cell midpoints, u3 over m midpoints; with m a
-    multiple of every i + j the grid hits the acceptance bound u3 < 2i/(i+j)
-    in exactly the right proportion.  Returns {(i, j): P(try yields (i, j))}.
+    u1 runs over m1 cell midpoints and u2 over m2.  m1 is a multiple of the
+    denominator of every running weight of s over the total, and m2 of every
+    c_s, so the grid meets both inversions' boundaries in exactly the right
+    proportion.  Returns {(i, j): P(draw gives (i, j))}.
     """
-    law = {}
-    for a in range(n):
-        for b in range(n):
-            for k in range(m):
-                rng = _OneTry(((a + 0.5) / n, (b + 0.5) / n, (k + 0.5) / m))
-                try:
-                    pair = sizebias.index_distribution(n).draw_pair1(rng)
-                except _Rejected:
-                    continue
-                law[pair] = law.get(pair, 0) + Fraction(1, n * n * m)
-    return law
+    weights = _index_weights(n)
+    total = sum(weights.values())
+    running = itertools.accumulate(weights[s] for s in sorted(weights))
+    m1 = math.lcm(*((c / total).denominator for c in running))
+    m2 = math.lcm(*(int(c * s) for s, c in weights.items()))
+    u = np.stack(np.meshgrid((np.arange(m1) + 0.5) / m1, (np.arange(m2) + 0.5) / m2,
+                             indexing="ij"), axis=-1).reshape(-1, 2)
+    i, j = sizebias.index_distribution(n).draw_pairs(u)
+    pairs, counts = np.unique(np.stack((i, j), axis=1), axis=0, return_counts=True)
+    return {(int(a), int(b)): Fraction(int(c), m1 * m2) for (a, b), c in zip(pairs, counts)}
+
+
+def _pair_law(n):
+    law = {(i, j): Fraction(i, i + j) for j in range(2, n + 1) for i in range(1, j)}
+    total = sum(law.values())
+    return {pair: weight / total for pair, weight in law.items()}
 
 
 def test_index_distribution_n3():
     # weights i/(i+j): (1,2) -> 1/3, (1,3) -> 1/4, (2,3) -> 2/5; total 59/60
-    law = _one_try_law(3, 60)
-    assert sorted(law) == [(1, 2), (1, 3), (2, 3)]
-    accept = sum(law.values())
+    law = _grid_law(3)
     total = Fraction(1, 3) + Fraction(1, 4) + Fraction(2, 5)
     assert total == Fraction(59, 60)
-    assert law[(1, 2)] / accept == Fraction(1, 3) / total
-    assert law[(1, 3)] / accept == Fraction(1, 4) / total
-    assert law[(2, 3)] / accept == Fraction(2, 5) / total
+    assert law == {(1, 2): Fraction(1, 3) / total, (1, 3): Fraction(1, 4) / total,
+                   (2, 3): Fraction(2, 5) / total}
+    assert sizebias.index_distribution(3).cum[-1] == pytest.approx(59 / 60, rel=1e-15)
 
 
 def test_index_total_weight_is_mean_inversions():
-    # the law's normaliser sum i/(i+j) is E[W], and one try of the sampler
-    # succeeds with probability 4 E[W] / n^2
-    for n in (2, 3, 5, 12):
-        total = sum(Fraction(i, i + j) for j in range(2, n + 1) for i in range(1, j))
-        assert float(total) == pytest.approx(exact.mean_inversions_exact(n), rel=1e-12)
+    # the table's total, sum over s of c_s / s, is E[W]; the sampler's exact
+    # law is i/(i+j) normalised by it
+    for n in (2, 3, 5, 12, 1000):
+        idx = sizebias.index_distribution(n)
+        assert idx.cum.shape == (2 * n - 3,)
+        assert idx.cum[-1] == pytest.approx(exact.mean_inversions_exact(n), rel=1e-12)
+        if n <= 12:
+            total = sum(_index_weights(n).values())
+            assert float(total) == pytest.approx(exact.mean_inversions_exact(n), rel=1e-12)
         if n <= 5:
-            m = math.lcm(*range(3, 2 * n))
-            assert sum(_one_try_law(n, m).values()) == 4 * total / (n * n)
+            assert _grid_law(n) == _pair_law(n)
     with pytest.raises(ValueError):
         sizebias.index_distribution(1)
 
 
 def test_index_draw_frequencies():
+    # the completion streams of couple_batch draw pairs at rates i/(i+j)
     reps = 120_000
     for n in (2, 3, 4):
+        out = sizebias.couple_batch(n, reps, seed=3)
+        pairs, counts = np.unique(np.stack((out["i"], out["j"]), axis=1), axis=0,
+                                  return_counts=True)
+        freq = {(int(a), int(b)): c / reps for (a, b), c in zip(pairs, counts)}
+        law = _pair_law(n)
+        assert set(freq) == set(law)
+        for pair, p in law.items():
+            assert freq[pair] == pytest.approx(float(p), abs=0.01)
+    # one pair from a generator is the batch's pair for the same 2 uniforms
+    idx = sizebias.index_distribution(9)
+    u = make_generator(4).random((50, 2))
+    i, j = idx.draw_pairs(u)
+    rng = make_generator(4)
+    assert [idx.draw_pair1(rng) for _ in range(50)] == list(zip(i.tolist(), j.tolist()))
+
+
+def test_index_draw_edges():
+    # u = 0 gives the first pair (1, 2); u just below 1 gives the last, (n-1, n)
+    for n in (2, 3, 50, 10_000):
         idx = sizebias.index_distribution(n)
-        rng = make_generator(3)
-        counts = {}
-        for _ in range(reps):
-            pair = idx.draw_pair1(rng)
-            counts[pair] = counts.get(pair, 0) + 1
-        # law i/(i+j) normalised over all pairs i < j
-        law = {(i, j): Fraction(i, i + j) for i in range(1, n) for j in range(i + 1, n + 1)}
-        total = sum(law.values())
-        assert set(counts) == set(law)
-        for pair, weight in law.items():
-            assert counts[pair] / reps == pytest.approx(float(weight / total), abs=0.01)
-    with pytest.raises(ValueError):
-        sizebias.index_distribution(1)
+        i, j = idx.draw_pairs(np.array([[0.0, 0.0], [1 - 2 ** -53, 1 - 2 ** -53]]))
+        assert i.tolist() == [1, n - 1] and j.tolist() == [2, n]
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +183,14 @@ def _ranks(v):
     return order + 1
 
 
+def _completed_rows(z, i, j, pair_s):
+    z_s = z.copy()
+    rows = np.arange(len(z))
+    z_s[rows, i - 1] = pair_s[:, 0]
+    z_s[rows, j - 1] = pair_s[:, 1]
+    return z_s
+
+
 def test_couple_full_vs_incremental():
     # _complete recounts only the resampled rows and carries w over for the
     # rest; a full recount of every completed row must agree
@@ -184,11 +200,61 @@ def test_couple_full_vs_incremental():
     n, reps = 10, 300
     z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 4)
     w = inversions_batch(z)
-    gens = [make_generator(4, r, substream=1) for r in range(reps)]
-    _, _, w_s, resampled, z_s = sizebias._complete(z, w, sizebias.index_distribution(n), gens)
+    u = sizebias._completion_uniforms(4, 0, reps, 0)
+    i, j, w_s, resampled, pair_s = sizebias._complete(z, w, sizebias.index_distribution(n), u)
     assert 0 < resampled.sum() < reps
+    z_s = _completed_rows(z, i, j, pair_s)
     assert w_s.tolist() == [inv_oracle(_ranks(row)) for row in z_s]
     assert np.array_equal(w_s[~resampled], w[~resampled])
+    assert np.array_equal(pair_s[~resampled, 0], z[~resampled, i[~resampled] - 1])
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_recount_matches_full_count(n, monkeypatch):
+    # the O(n) recount equals a full count of every completed row, also with
+    # tied scores (rounded rows), -inf entries and recount passes of few rows
+    monkeypatch.setattr(sizebias, "_RECOUNT_ELEMENTS", 7 * n)
+    reps = 400 if n == 1000 else 3000
+    z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 31)
+    z[::3] = np.round(z[::3], 1)
+    z[::5, : max(1, n // 4)] = -np.inf
+    z[1::5, -1] = -np.inf
+    w = inversions_batch(z)
+    u = sizebias._completion_uniforms(31, 0, reps, 2)
+    u[::11, 2] = 0.0  # S_i = -inf: the resampled pair stays tied
+    i, j, w_s, resampled, pair_s = sizebias._complete(z, w, sizebias.index_distribution(n), u)
+    assert resampled.any()
+    assert np.array_equal(w_s, inversions_batch(_completed_rows(z, i, j, pair_s)))
+
+
+def test_completion_streams_cross_blocks():
+    # a 4097-row completion spans two stream blocks; row r holds the bits of
+    # the generator (seed, first_stream + r, substream 1 + c)
+    from permlab.models import _BLOCK_ROWS
+
+    reps, first, seed, c = _BLOCK_ROWS + 1, 5, 42, 1
+    u = sizebias._completion_uniforms(seed, first, reps, c)
+    want = np.stack([make_generator(seed, first + r, substream=1 + c).random(4)
+                     for r in range(reps)])
+    assert np.array_equal(u, want)
+    out = sizebias.couple_batch(6, reps, seed, first_stream=first)
+    i, j = sizebias.index_distribution(6).draw_pairs(
+        np.stack([make_generator(seed, first + r, substream=1).random(4)
+                  for r in range(reps)]))
+    assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
+
+
+def test_couple_draw_order():
+    # n score uniforms, then 4: u1, u2 for the pair, u3, u4 for its scores
+    n = 9
+    for seed in range(14, 40):
+        d = sizebias.couple(n, make_generator(seed))
+        u = make_generator(seed).random(n + 4)[n:]
+        i, j = sizebias.index_distribution(n).draw_pairs(u)
+        assert (d.i, d.j) == (int(i), int(j))
+        if d.resampled:
+            want = sizebias._inverted_pair(u[2:].copy(), d.i, d.j)
+            assert d.scores_s.values[[d.i - 1, d.j - 1]].tolist() == want.tolist()
 
 
 def test_couple_bounded_change():
