@@ -60,7 +60,7 @@ def main() -> None:
     header = " ".join(f"r={r}" for r in range(1, N + 1))
     print(f"{'model':>14}  {header}")
     for name, spec in specs.items():
-        mat = sample_permutation_matrix(spec, N, REPS, SEED, workers=2)
+        mat = sample_permutation_matrix(spec, N, REPS, SEED)
         freq = " ".join(f"{f:.3f}" for f in rank1_freq(mat))
         print(f"{name:>14}  {freq}")
     print("\nboosting phi(1) pushes player 1 toward high ranks;")

@@ -303,7 +303,8 @@ def _add_seed_threads(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="root seed; generated and reported when omitted")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker count (results are identical for any value)")
+                    help="worker count, checked to be >= 1; sampling runs on one "
+                         "thread, so results are identical for any value")
 
 
 def _add_model(sp, default: str = "inverse-unfair") -> None:

@@ -282,10 +282,17 @@ def tv_distance(d1: ExactDistribution, d2: ExactDistribution):
 
 
 def tv_model_vs_uniform(n: int, model: "ModelKind | str | ModelSpec", exact: bool = False):
-    """Exact TV(model law, uniform) on S_n by enumeration."""
-    return tv_distance(
-        enumerate_law(n, model, exact=exact), enumerate_law(n, ModelKind.UNIFORM, exact=exact)
-    )
+    """Exact TV(model law, uniform) on S_n by enumeration of the model law.
+
+    The uniform law gives every permutation 1/n!, taken from the kernel as
+    the pmf of one permutation: the float every row of the uniform law holds.
+    """
+    law = enumerate_law(n, model, exact=exact)
+    uniform = pmf(range(1, n + 1), ModelKind.UNIFORM, exact=exact)
+    gaps = (abs(p - uniform) for p in law.probs)
+    if exact:
+        return sum(gaps, Fraction(0)) / 2
+    return math.fsum(gaps) / 2.0
 
 
 def tv_event_lower_bound(n: int) -> tuple[float, float, float]:

@@ -22,7 +22,6 @@ seed (see permlab.rng).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -328,14 +327,16 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 # ---------------------------------------------------------------------------
 # batch sampling with per-replica streams
 #
-# Row r of a batch is drawn from stream first_stream + r.  Rows are filled in
-# blocks of at most _BLOCK_ROWS, each from one source of uniforms with one row
-# per stream: make_generator on the block's stream indices gives an
-# rng.StreamBlock, which draws all streams at once, or _RowGenerators holds
-# one generator per stream behind the same random(k, out=) shape.  Both give
-# the same bits, so the markov walk and the log-score transform ln(u)/k run
-# over the whole block either way.  A row draws n uniforms, or 2n - 1 for
-# markov (the walk's n - 1 come first); this is the draw width below.
+# Row r of a batch is drawn from stream first_stream + r, on the calling
+# thread.  _stream_blocks hands out the rows in blocks of at most
+# _BLOCK_ROWS, each with one source of uniforms holding one row per stream:
+# make_generator on the block's stream indices gives an rng.StreamBlock, which
+# draws all streams at once, or _RowGenerators holds one generator per stream
+# behind the same random(k, out=) shape.  Both give the same bits, so the
+# markov walk and the log-score transform ln(u)/k run over the whole block
+# either way, and the size-bias completions read their blocks from the same
+# rule.  A score row draws n uniforms, or 2n - 1 for markov (the walk's n - 1
+# come first); this is the draw width below.
 #
 # Stepping streams together costs about 40 ns per element plus about 40 us
 # per column; a generator per row costs about 27 us plus about 10 ns per
@@ -354,9 +355,9 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 # (0.98-1.04) at n = 1000; at 1000 rows and n = 400, 0.85 (0.82-0.87) and
 # 0.87 (0.72-0.89).  Full blocks break even between n = 800 and 1000, so a
 # block is stepped when its draw width is at most _STEPPED_MAX_WIDTH, which
-# leaves a margin for host noise, and it has at least
-# _STEPPED_ROWS_PER_COLUMN rows per column drawn (short tail blocks stay per
-# row).
+# leaves a margin for host noise, it has at least _STEPPED_ROWS_PER_COLUMN
+# rows per column drawn (short tail blocks stay per row), and its streams
+# lie below 2^64, the most a StreamBlock holds.
 
 _BLOCK_ROWS = 4096  # temporaries of one block stay near 1 MB per column pass
 _STEPPED_MAX_WIDTH = 600
@@ -367,8 +368,8 @@ class _RowGenerators:
     """One generator per stream, drawn from like an rng.StreamBlock: row r of
     ``random(k)`` continues the generator of streams[r]."""
 
-    def __init__(self, seed: int, streams: range) -> None:
-        self._gens = [make_generator(seed, s) for s in streams]
+    def __init__(self, seed: int, streams: range, substream: int | None = None) -> None:
+        self._gens = [make_generator(seed, s, substream) for s in streams]
 
     def random(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -378,38 +379,23 @@ class _RowGenerators:
         return out
 
 
-def _fill_rows(
-    mat: np.ndarray, spec: ModelSpec, seed: int, first_stream: int, lo: int, hi: int
-) -> None:
-    n = mat.shape[1]
-    width = 2 * n - 1 if spec.kind is ModelKind.MARKOV else n
-    for a in range(lo, hi, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, hi)
+def _stream_blocks(
+    seed: int, first_stream: int, rows: int, width: int, substream: int | None = None
+):
+    """(a, b, rng) for rows a..b-1 of a batch of ``rows`` that each draw
+    ``width`` uniforms: rng has one row per stream first_stream + a..b-1
+    (under ``substream``), stepped or one generator per row by the rule
+    above."""
+    for a in range(0, rows, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, rows)
         if (
             width <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
             and first_stream + b <= 2 ** 64
         ):
-            rng = make_generator(
-                seed, np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-            )
+            streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+            yield a, b, make_generator(seed, streams, substream)
         else:
-            rng = _RowGenerators(seed, range(first_stream + a, first_stream + b))
-        _scores(spec, n, rng, out=mat[a:b])
-
-
-def _run_chunks(fill, reps: int, workers: int) -> None:
-    if workers == 1 or reps < 2:
-        fill(0, reps)
-        return
-    bounds = np.linspace(0, reps, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fill, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for f in futures:
-            f.result()
+            yield a, b, _RowGenerators(seed, range(first_stream + a, first_stream + b), substream)
 
 
 def sample_score_matrix(
@@ -422,16 +408,17 @@ def sample_score_matrix(
 ) -> np.ndarray:
     """(reps, n) log-score matrix; row r comes from stream first_stream + r.
 
-    The result is identical for any worker count.
+    Rows are drawn on the calling thread; ``workers`` is checked but selects
+    nothing, so the result is the same for any value.
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     mat = np.empty((reps, n), dtype=float)
-    _run_chunks(
-        lambda lo, hi: _fill_rows(mat, spec, seed, first_stream, lo, hi), reps, workers
-    )
+    width = 2 * n - 1 if spec.kind is ModelKind.MARKOV else n
+    for a, b, rng in _stream_blocks(seed, first_stream, reps, width):
+        _scores(spec, n, rng, out=mat[a:b])
     return mat
 
 

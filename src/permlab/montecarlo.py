@@ -2,8 +2,11 @@
 
 Replica r of every run draws from stream r of the root seed (disjoint blocks
 when a run needs two models), and reductions are numpy pairwise sums over the
-replica-indexed value array, so any worker count produces bit-identical
-results.  Empirical normality is measured against the standard normal with a
+replica-indexed value array.  Replicas are sampled and evaluated on the
+calling thread, in row chunks of at most ``stats._CHUNK_ELEMENTS`` scores, so
+a run holds one chunk of scores plus one value per replica; ``workers`` is
+checked but selects nothing, and results are the same for any value.
+Empirical normality is measured against the standard normal with a
 Kolmogorov-Smirnov distance and an order-statistic Wasserstein-1 distance;
 both carry an MC noise floor of order reps^(-1/2) that the acceptance tests
 document.
@@ -18,7 +21,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import exact
+from . import exact, stats
 from .models import ModelKind, ModelSpec, sample_permutation_matrix, sample_score_matrix
 from .stats import StatisticKind, evaluate_batch
 
@@ -67,17 +70,22 @@ def _check_budget(n: int, reps: int, max_budget: int) -> None:
         raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {max_budget}")
 
 
-def _comparison_matrix(
-    spec: ModelSpec, n: int, reps: int, seed: int, first_stream: int, workers: int
-):
-    """A (reps, n) matrix whose row comparisons realize the model's
-    permutation, plus the assume_ranks flag for the statistics kernels."""
-    if spec.kind is ModelKind.UNFAIR:
-        return (
-            sample_permutation_matrix(spec, n, reps, seed, first_stream, workers),
-            True,
-        )
-    return sample_score_matrix(spec, n, reps, seed, first_stream, workers), False
+def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
+            first_stream: int, workers: int) -> np.ndarray:
+    """Statistic values (float) of replicas from streams first_stream + r,
+    sampled and evaluated at most ``stats._CHUNK_ELEMENTS`` scores at a time.
+
+    Unfair rows are one-line permutations; every other model's score rows
+    are compared as they are, their comparisons being the rank sequence's.
+    """
+    ranks = spec.kind is ModelKind.UNFAIR
+    sample = sample_permutation_matrix if ranks else sample_score_matrix
+    values = np.empty(reps)
+    step = max(1, stats._CHUNK_ELEMENTS // n)
+    for lo in range(0, reps, step):
+        mat = sample(spec, n, min(step, reps - lo), seed, first_stream + lo, workers)
+        values[lo:lo + len(mat)] = evaluate_batch(kind, mat, assume_ranks=ranks)
+    return values
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,7 @@ def estimate(
     """Sample mean and variance of a statistic over independent replicas."""
     _check_budget(n, reps, max_budget)
     t0 = time.perf_counter()
-    mat, as_ranks = _comparison_matrix(spec, n, reps, seed, 0, workers)
-    values = evaluate_batch(kind, mat, assume_ranks=as_ranks).astype(float)
+    values = _values(kind, spec, n, reps, seed, 0, workers)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1)) if reps > 1 else 0.0
     return EstimateReport(
@@ -192,9 +199,7 @@ def standardized_sample(
     if scale == 0.0:
         raise UnknownClosedForm(f"degenerate scale for {kind} at n={n}")
     t0 = time.perf_counter()
-    mat, as_ranks = _comparison_matrix(spec, n, reps, seed, 0, workers)
-    raw = evaluate_batch(kind, mat, assume_ranks=as_ranks).astype(float)
-    values = (raw - center) / scale
+    values = (_values(kind, spec, n, reps, seed, 0, workers) - center) / scale
     values.flags.writeable = False
     return StandardizedSample(
         kind=kind,
@@ -266,10 +271,8 @@ def moment_ratio_mc(
         raise ValueError("k must be >= 1")
     _check_budget(n, 2 * reps, max_budget)
     t0 = time.perf_counter()
-    rho_mat, rho_ranks = _comparison_matrix(ModelSpec.inverse_unfair(), n, reps, seed, 0, workers)
-    uni_mat, uni_ranks = _comparison_matrix(ModelSpec.uniform(), n, reps, seed, reps, workers)
-    a = evaluate_batch(kind, rho_mat, assume_ranks=rho_ranks).astype(float) ** k
-    b = evaluate_batch(kind, uni_mat, assume_ranks=uni_ranks).astype(float) ** k
+    a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers) ** k
+    b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers) ** k
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
     if mean_b == 0.0:
         raise ValueError("uniform moment is zero; ratio undefined")

@@ -3,9 +3,10 @@
 All randomness flows through numpy's PCG64 keyed by
 ``SeedSequence(seed, spawn_key=(stream,))`` or ``(stream, substream)``.
 Given (seed, stream[, substream]) the byte stream is fixed, so every run is
-bit-reproducible on any platform and for any worker count: replica r of a
-Monte Carlo run always draws from stream r, regardless of which worker
-executes it.
+bit-reproducible on any platform: replica r of a Monte Carlo run always draws
+from stream r, however its rows are split into blocks and chunks.  Sampling
+runs on the calling thread; a ``workers`` argument is accepted but selects
+nothing.
 
 Many streams are drawn together.  Building one ``Generator`` costs
 20-27 us, which dominates when each replica needs only a few draws.

@@ -16,9 +16,9 @@ bound of order n^(-1/2) on the normalized W via Stein's method:
 Streams: outer replica r reads stream r, as in every models batch
 (``models.sample_score_matrix`` of the inverse-unfair model), and completion
 c of that replica reads 4 uniforms from (stream r, substream 1 + c), all
-rows of the completion as stepped ``rng.StreamBlock``s: 2 for the index
-pair, then 2 for the conditional pair, used or not.  Runs are reproducible
-for any worker count.
+rows of the completion in the stream blocks of ``models``: 2 for the index
+pair, then 2 for the conditional pair, used or not.  Everything runs on the
+calling thread.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import _BLOCK_ROWS, ModelSpec, ScoreVector, _log_scores
+from .models import ModelSpec, ScoreVector, _log_scores, _stream_blocks
 from .models import sample_score_matrix, sample_scores
-from .rng import make_generator
 from .stats import inversions_batch
 
 __all__ = [
@@ -176,12 +175,10 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
 
 def _completion_uniforms(seed: int, first_stream: int, reps: int, c: int) -> np.ndarray:
     """(reps, 4) uniforms of completion c: row r from (stream first_stream + r,
-    substream 1 + c), in stepped blocks of at most ``_BLOCK_ROWS`` streams."""
+    substream 1 + c), in the stream blocks of every models batch."""
     u = np.empty((reps, 4))
-    for a in range(0, reps, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, reps)
-        streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-        make_generator(seed, streams, substream=1 + c).random(4, out=u[a:b])
+    for a, b, rng in _stream_blocks(seed, first_stream, reps, 4, substream=1 + c):
+        rng.random(4, out=u[a:b])
     return u
 
 

@@ -270,6 +270,15 @@ def test_tv_bound_large_n():
         exact.tv_event_lower_bound(2)
 
 
+@pytest.mark.parametrize("exact_law", [True, False])
+def test_tv_model_vs_uniform_matches_tv_distance(exact_law):
+    for n in range(1, 7):
+        uniform = exact.enumerate_law(n, "uniform", exact=exact_law)
+        for model in ("uniform", "unfair", "inverse-unfair", ModelSpec.phi_draw(README_PHI)):
+            want = exact.tv_distance(exact.enumerate_law(n, model, exact=exact_law), uniform)
+            assert exact.tv_model_vs_uniform(n, model, exact=exact_law) == want
+
+
 def test_tv_same_law_under_inverse():
     # TV(finishing order, uniform) = TV(rank sequence, uniform): inversion
     # is a bijection on S_n fixing the uniform law

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from permlab import exact, montecarlo
-from permlab.models import ModelSpec
-from permlab.stats import parse_statistic
+from permlab import exact, montecarlo, stats
+from permlab.models import ModelSpec, sample_permutation_matrix, sample_score_matrix
+from permlab.stats import evaluate_batch, parse_statistic
 
 
 def test_estimate_matches_exact_mean():
@@ -205,3 +206,40 @@ def test_phi_model_through_standardized_sample():
         kind, ModelSpec.inverse_unfair(), 80, 1500, seed=31
     )
     assert np.array_equal(s.values, t.values)
+
+
+def test_values_stream_in_row_chunks(monkeypatch):
+    # chunks of 40 rows (stepped blocks) end in a 10-row tail (per-row
+    # generators); the values equal the statistic of the full matrices
+    n, reps, seed = 12, 130, 4
+    monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 40 * n)
+    rank, unfair = ModelSpec.inverse_unfair(), ModelSpec.unfair()
+    desc, inv = parse_statistic("desc:2"), parse_statistic("inv")
+    scores = sample_score_matrix(rank, n, reps, seed)
+    uniform = sample_score_matrix(ModelSpec.uniform(), n, reps, seed, first_stream=reps)
+    perms = sample_permutation_matrix(unfair, n, reps, seed)
+
+    s = montecarlo.standardized_sample(desc, rank, n, reps, seed)
+    want = (evaluate_batch(desc, scores).astype(float) - s.center) / s.scale
+    assert np.array_equal(s.values, want)
+    e = montecarlo.estimate(inv, unfair, n, reps, seed)
+    v = evaluate_batch(inv, perms, assume_ranks=True).astype(float)
+    assert (e.mean, e.variance) == (float(np.mean(v)), float(np.var(v, ddof=1)))
+    r = montecarlo.moment_ratio_mc(desc, n, reps, seed, k=2)
+    a = evaluate_batch(desc, scores).astype(float) ** 2
+    b = evaluate_batch(desc, uniform).astype(float) ** 2
+    assert (r.model_moment, r.uniform_moment) == (float(np.mean(a)), float(np.mean(b)))
+
+
+def test_standardized_sample_memory_does_not_grow_with_reps(monkeypatch):
+    # one chunk of 100,000 scores is live at a time; 4x the replicas adds
+    # only their values (240 KB), not 24 MB of scores
+    monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 100_000)
+    kind, spec = parse_statistic("desc:1"), ModelSpec.inverse_unfair()
+    peaks = []
+    for reps in (10_000, 40_000):
+        tracemalloc.start()
+        montecarlo.standardized_sample(kind, spec, 100, reps, seed=5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2 ** 20, peaks

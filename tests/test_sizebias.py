@@ -229,19 +229,21 @@ def test_recount_matches_full_count(n, monkeypatch):
 
 def test_completion_streams_cross_blocks():
     # a 4097-row completion spans two stream blocks; row r holds the bits of
-    # the generator (seed, first_stream + r, substream 1 + c)
+    # the generator (seed, first_stream + r, substream 1 + c), also where the
+    # streams pass 2^64
     from permlab.models import _BLOCK_ROWS
 
-    reps, first, seed, c = _BLOCK_ROWS + 1, 5, 42, 1
-    u = sizebias._completion_uniforms(seed, first, reps, c)
-    want = np.stack([make_generator(seed, first + r, substream=1 + c).random(4)
-                     for r in range(reps)])
-    assert np.array_equal(u, want)
-    out = sizebias.couple_batch(6, reps, seed, first_stream=first)
-    i, j = sizebias.index_distribution(6).draw_pairs(
-        np.stack([make_generator(seed, first + r, substream=1).random(4)
-                  for r in range(reps)]))
-    assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
+    reps, seed, c = _BLOCK_ROWS + 1, 42, 1
+    for first in (5, 2 ** 64 - 2):
+        u = sizebias._completion_uniforms(seed, first, reps, c)
+        want = np.stack([make_generator(seed, first + r, substream=1 + c).random(4)
+                         for r in range(reps)])
+        assert np.array_equal(u, want)
+        out = sizebias.couple_batch(6, reps, seed, first_stream=first)
+        i, j = sizebias.index_distribution(6).draw_pairs(
+            np.stack([make_generator(seed, first + r, substream=1).random(4)
+                      for r in range(reps)]))
+        assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
 
 
 def test_couple_draw_order():
