@@ -128,12 +128,9 @@ def cmd_pmf(args) -> int:
 def cmd_tv(args) -> int:
     t0 = time.perf_counter()
     results: dict = {"n": args.n}
-    limit = exact.enumeration_limit()
-    if args.n <= limit:
-        results["tv_exact"] = float(
-            exact.tv_model_vs_uniform(args.n, ModelKind.INVERSE_UNFAIR)
-        )
-    else:
+    try:
+        results["tv_exact"] = float(exact.tv_model_vs_uniform(args.n, ModelKind.INVERSE_UNFAIR))
+    except exact.EnumerationLimit:
         results["tv_exact"] = None
     if args.n >= 3:
         p_rho, p_pi, diff = exact.tv_event_lower_bound(args.n)
@@ -163,29 +160,11 @@ def cmd_stats(args) -> int:
 def cmd_moments(args) -> int:
     t0 = time.perf_counter()
     kind = parse_statistic(args.stat)
-    n = args.n
-    results: dict
-    if kind.tag == "desc":
-        results = {"mean": exact.mean_m_descents(n, kind.m)}
-        if kind.m == 1:
-            results["mean_asymptotic"] = exact.asymptotic_mean_descents(n)
-            results["variance"] = exact.var_descents(n)
-            results["variance_mode"] = "exact"
-            results["variance_asymptotic"] = exact.asymptotic_var_m_descents(n, 1)
-        else:
-            results["variance"] = exact.asymptotic_var_m_descents(n, kind.m)
-            results["variance_mode"] = "asymptotic"
-    elif kind.tag == "inv":
-        consts = exact.inversion_constants()
-        results = {
-            "mean": exact.mean_inversions_exact(n),
-            "mean_coeff": consts.mean_coeff,
-            "var_coeff": consts.var_coeff,
-            "variance_asymptotic": consts.var_coeff * n ** 3,
-        }
-    else:
-        raise SystemExit(f"no closed-form moments for statistic {kind}")
-    rec = _record("moments", {"stat": str(kind), "n": n}, results, t0)
+    try:
+        results = exact.closed_form_moments(kind, args.n)
+    except exact.UnknownClosedForm as exc:
+        raise SystemExit(str(exc)) from None
+    rec = _record("moments", {"stat": str(kind), "n": args.n}, results, t0)
     _emit_record(rec, to_stderr=False)
     return 0
 

@@ -10,10 +10,14 @@ Every exact law is one kernel for that product over the model's draw counts
 * P(rho(i1) < ... < rho(ik)) = prod_l  i_l / (i_1 + ... + i_l),
 * P(gamma = a) = n! / prod_i (a_1 + ... + a_i),
 
-from which identity/reversal probabilities, full enumeration on small n,
-total-variation distances and the descent/inversion moment formulas follow.
-Probabilities are double-precision products; pass ``exact=True`` for Fraction
-arithmetic.
+from which identity/reversal probabilities, full enumeration on small n and
+total-variation distances follow.  Probabilities are double-precision
+products, or Fractions with ``exact=True``, and laws sum by one rule
+(``_total``).  Inversions and m-descents count the pairs i < j with
+rho(i) > rho(j) among all pairs or those with j - i <= m; ``_pair_sums``
+groups a pair set by s = i + j, so each mean is one O(n) sum, and it is the
+size-bias index table too.  ``closed_form_moments`` picks every statistic's
+moment formulas.
 """
 from __future__ import annotations
 
@@ -56,6 +60,8 @@ __all__ = [
     "mean_inversions_exact",
     "inversion_constants",
     "moment_ratio_descents",
+    "UnknownClosedForm",
+    "closed_form_moments",
 ]
 
 _DEFAULT_ENUM_LIMIT = 8
@@ -64,6 +70,10 @@ _HARD_ENUM_LIMIT = 10
 
 class EnumerationLimit(ValueError):
     """Requested n exceeds the exhaustive-enumeration cap."""
+
+
+class UnknownClosedForm(ValueError):
+    """No closed-form moment for the requested statistic (or centering)."""
 
 
 def enumeration_limit() -> int:
@@ -177,6 +187,11 @@ def prob_reversal(n: int, exact: bool = False):
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
+def _total(values: Iterable, exact: bool):
+    """Sum of a law's terms: exact for Fractions, compensated for floats."""
+    return sum(values, Fraction(0)) if exact else math.fsum(values)
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """A finite law: parallel outcome/probability tuples plus a domain tag.
@@ -194,9 +209,7 @@ class ExactDistribution:
             raise ValueError("outcomes and probs must align")
 
     def total(self):
-        if self.is_exact:
-            return sum(self.probs, Fraction(0))
-        return math.fsum(self.probs)
+        return _total(self.probs, self.is_exact)
 
     @property
     def is_exact(self) -> bool:
@@ -210,19 +223,13 @@ class ExactDistribution:
 
     def mean(self):
         self._need_numeric()
-        if self.is_exact:
-            return sum((Fraction(x) * p for x, p in zip(self.outcomes, self.probs)), Fraction(0))
-        return math.fsum(x * p for x, p in zip(self.outcomes, self.probs))
+        return _total((x * p for x, p in zip(self.outcomes, self.probs)), self.is_exact)
 
     def variance(self):
         self._need_numeric()
         mu = self.mean()
-        if self.is_exact:
-            return sum(
-                ((Fraction(x) - mu) ** 2 * p for x, p in zip(self.outcomes, self.probs)),
-                Fraction(0),
-            )
-        return math.fsum((x - mu) ** 2 * p for x, p in zip(self.outcomes, self.probs))
+        gaps = ((x - mu) ** 2 * p for x, p in zip(self.outcomes, self.probs))
+        return _total(gaps, self.is_exact)
 
     def _need_numeric(self) -> None:
         if self.domain[0] != "int":
@@ -275,10 +282,7 @@ def tv_distance(d1: ExactDistribution, d2: ExactDistribution):
     q1 = dict(zip(d1.outcomes, d1.probs))
     q2 = dict(zip(d2.outcomes, d2.probs))
     keys = set(q1) | set(q2)
-    gaps = (abs(q1.get(k, zero) - q2.get(k, zero)) for k in keys)
-    if exact:
-        return sum(gaps, Fraction(0)) / 2
-    return math.fsum(gaps) / 2.0
+    return _total((abs(q1.get(k, zero) - q2.get(k, zero)) for k in keys), exact) / 2
 
 
 def tv_model_vs_uniform(n: int, model: "ModelKind | str | ModelSpec", exact: bool = False):
@@ -289,10 +293,7 @@ def tv_model_vs_uniform(n: int, model: "ModelKind | str | ModelSpec", exact: boo
     """
     law = enumerate_law(n, model, exact=exact)
     uniform = pmf(range(1, n + 1), ModelKind.UNIFORM, exact=exact)
-    gaps = (abs(p - uniform) for p in law.probs)
-    if exact:
-        return sum(gaps, Fraction(0)) / 2
-    return math.fsum(gaps) / 2.0
+    return _total((abs(p - uniform) for p in law.probs), exact) / 2
 
 
 def tv_event_lower_bound(n: int) -> tuple[float, float, float]:
@@ -324,19 +325,35 @@ def argmax_argmin_pmf(
 # ---------------------------------------------------------------------------
 # closed-form moments
 
-def mean_m_descents(n: int, m: int) -> float:
-    """E[# m-descents of rho_n] = sum over gaps k <= m of sum_i i/(2i+k).
+def _pair_sums(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """(s, lo, hi, c): the pairs i < j <= n with j - i <= m, grouped by s = i + j.
 
-    Equals nm/2 - m(m+1)/4 - sum_k sum_i k/(2(2i+k)) for m < n; compensated
-    summation throughout.
+    For s = 3..2n-1 they are i = lo..hi, lo = max(1, s - n, ceil((s - m)/2)),
+    hi = (s - 1) // 2, and c_s = lo + ... + hi (0 where lo = hi + 1).  m is
+    clamped to n first: no pair is further apart, and int64 holds n.
+    """
+    s = np.arange(3, 2 * n, dtype=np.int64)
+    lo = np.maximum(np.maximum(1, s - n), (s - min(m, n) + 1) // 2)
+    hi = (s - 1) // 2
+    return s, lo, hi, (lo + hi) * (hi - lo + 1) // 2
+
+
+def mean_m_descents(n: int, m: int) -> float:
+    """E[# m-descents of rho_n] = sum over pairs i < j, j - i <= m, of i/(i+j).
+
+    One O(n) sum over ``_pair_sums``: the integer parts of c_s / s, their
+    rounded fractions q and the residuals of q add up, compensated, to the
+    exact mean rounded to a float.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    parts = []
-    for k in range(1, min(m, n - 1) + 1):
-        i = np.arange(1, n - k + 1, dtype=float)
-        parts.append(math.fsum(i / (2 * i + k)))
-    return math.fsum(parts)
+    s, _, _, c = _pair_sums(n, m)
+    k, r = np.divmod(c, s)
+    q = r / s
+    t = q * 134217729.0  # 2**27 + 1: split q into two 26-bit halves
+    q_hi = t - (t - q)
+    e = (r - q_hi * s) - (q - q_hi) * s  # r - q s, exact while s < 2**26
+    return math.fsum(q.tolist() + [float(k.sum()), float(np.sum(e / s))])
 
 
 def cov_adjacent_descents(i: int):
@@ -355,13 +372,9 @@ def var_descents(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
     i = np.arange(1, n, dtype=float)  # 1..n-1
     bern = math.fsum(i * (i + 1) / (2 * i + 1) ** 2)
-    if n == 2:
-        return bern
-    j = np.arange(1, n - 1, dtype=float)  # 1..n-2
+    j = np.arange(1, n - 1, dtype=float)  # 1..n-2, empty for n <= 2
     cross = math.fsum(j * (j + 2) / ((2 * j + 3) * (2 * j + 1)))
     return bern - (2.0 / 3.0) * cross
 
@@ -382,24 +395,11 @@ def asymptotic_var_m_descents(n: int, m: int) -> float:
 
 
 def mean_inversions_exact(n: int) -> float:
-    """E[Inv(rho_n)] = sum over pairs i < j of i/(i+j), in O(n).
-
-    Pairs with i + j = s share a denominator; their numerators lo..hi, with
-    lo = max(1, s - n) and hi = (s - 1) // 2, sum to an integer c_s.  The
-    integer parts of c_s / s, their rounded fractions q and the residuals of
-    q add up, compensated, to the exact mean rounded to a float.
-    """
+    """E[Inv(rho_n)] = sum over pairs i < j of i/(i+j), in O(n): the
+    m-descent mean with every pair in the window."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = np.arange(3, 2 * n, dtype=np.int64)
-    lo = np.maximum(1, s - n)
-    hi = (s - 1) // 2
-    k, r = np.divmod((lo + hi) * (hi - lo + 1) // 2, s)
-    q = r / s
-    t = q * 134217729.0  # 2**27 + 1: split q into two 26-bit halves
-    q_hi = t - (t - q)
-    e = (r - q_hi * s) - (q - q_hi) * s  # r - q s, exact while s < 2**26
-    return math.fsum(q.tolist() + [float(k.sum()), float(np.sum(e / s))])
+    return mean_m_descents(n, n)
 
 
 @dataclass(frozen=True)
@@ -432,3 +432,23 @@ def moment_ratio_descents(n: int) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     return mean_m_descents(n, 1) / ((n - 1) / 2.0)
+
+
+def closed_form_moments(kind: _stats.StatisticKind, n: int) -> dict:
+    """Moments of ``inv`` or ``desc:m`` under the rank sequence: the exact
+    ``mean``, a ``variance`` of ``variance_mode`` exact (desc:1) or asymptotic,
+    and ``mean_asymptotic`` where a leading form is pinned."""
+    if kind.tag == "desc" and kind.m == 1:
+        return {"mean": mean_m_descents(n, 1), "mean_asymptotic": asymptotic_mean_descents(n),
+                "variance": var_descents(n), "variance_mode": "exact",
+                "variance_asymptotic": asymptotic_var_m_descents(n, 1)}
+    if kind.tag == "desc":
+        return {"mean": mean_m_descents(n, kind.m),
+                "variance": asymptotic_var_m_descents(n, kind.m), "variance_mode": "asymptotic"}
+    if kind.tag == "inv":
+        c = inversion_constants()
+        return {"mean": mean_inversions_exact(n), "mean_asymptotic": c.mean_coeff * n ** 2,
+                "variance": c.var_coeff * n ** 3, "variance_mode": "asymptotic",
+                "variance_asymptotic": c.var_coeff * n ** 3,
+                "mean_coeff": c.mean_coeff, "var_coeff": c.var_coeff}
+    raise UnknownClosedForm(f"no closed-form moments for statistic {kind}")

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import exact, stats
+from .exact import UnknownClosedForm
 from .models import ModelKind, ModelSpec, sample_permutation_matrix, sample_score_matrix
 from .stats import StatisticKind, evaluate_batch
 
@@ -44,10 +45,6 @@ DEFAULT_MAX_BUDGET = 500_000_000
 
 class BudgetExceeded(ValueError):
     """n * reps exceeds the configured sampling budget."""
-
-
-class UnknownClosedForm(ValueError):
-    """No centering/scale formula for the requested (statistic, mode)."""
 
 
 class Centering(str, Enum):
@@ -130,23 +127,13 @@ def estimate(
 
 
 def _center_and_scale(kind: StatisticKind, n: int, centering: Centering) -> tuple[float, float]:
-    if kind.tag == "inv":
-        scale = math.sqrt(exact.inversion_constants().var_coeff * n ** 3)
-        if centering in (Centering.EXACT_MEAN, Centering.CLOSED_FORM):
-            return exact.mean_inversions_exact(n), scale
-        return exact.inversion_constants().mean_coeff * n ** 2, scale
-    if kind.tag == "desc":
-        m = kind.m
-        if m == 1:
-            scale = math.sqrt(exact.var_descents(n))
-        else:
-            scale = math.sqrt(exact.asymptotic_var_m_descents(n, m))
-        if centering in (Centering.EXACT_MEAN, Centering.CLOSED_FORM):
-            return exact.mean_m_descents(n, m), scale
-        if m == 1:
-            return exact.asymptotic_mean_descents(n), scale
-        raise UnknownClosedForm(f"no asymptotic mean pinned for desc:{m}")
-    raise UnknownClosedForm(f"no closed form for statistic {kind} with mode {centering.value}")
+    """Center ``mean`` (``mean_asymptotic`` under ASYMPTOTIC) and scale
+    sqrt(``variance``) from ``exact.closed_form_moments``."""
+    moments = exact.closed_form_moments(kind, n)
+    key = "mean_asymptotic" if centering is Centering.ASYMPTOTIC else "mean"
+    if key not in moments:
+        raise UnknownClosedForm(f"no asymptotic mean pinned for {kind}")
+    return moments[key], math.sqrt(moments["variance"])
 
 
 @dataclass(frozen=True)

@@ -114,10 +114,7 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         """The inverse permutation: inverse()(p(i)) == i."""
-        inv = [0] * self.n
-        for pos, val in enumerate(self.entries, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return Permutation(inverse_entries(self.entries))
 
     def array(self) -> np.ndarray:
         """Entries as a 1-d int64 numpy array (a fresh copy)."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exact import _pair_sums
 from .models import ModelSpec, ScoreVector, _log_scores, _stream_blocks
 from .models import sample_score_matrix, sample_scores
 from .stats import inversions_batch
@@ -59,26 +60,26 @@ class InsufficientReplicas(ValueError):
 class IndexDistribution:
     """The size-bias index law: P(I = (i,j)) proportional to i/(i+j), i < j.
 
-    The pairs with i + j = s have i = lo..hi, lo = max(1, s - n) and
-    hi = (s - 1) // 2, summing to c_s; ``cum`` holds the running weights c_s/s
-    over s = 3..2n-1 and ends at E[W].  Without rejection, u1 picks s from
+    ``table`` is ``exact._pair_sums(n, n)``: the pairs with i + j = s have
+    i = lo..hi, summing to c_s, for s = 3..2n-1.  ``cum`` holds the running
+    weights c_s/s and ends at E[W].  Without rejection, u1 picks s from
     ``cum`` and u2 the smallest i with i(i + 1) > (lo - 1) lo + 2 u2 c_s.
     """
 
     n: int
+    table: tuple = field(init=False, repr=False, compare=False)
     cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = np.arange(3, 2 * self.n, dtype=np.int64)
-        lo, hi = np.maximum(1, s - self.n), (s - 1) // 2
-        object.__setattr__(self, "cum", np.cumsum((lo + hi) * (hi - lo + 1) / (2 * s)))
+        s, _, _, c = table = _pair_sums(self.n, self.n)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "cum", np.cumsum(c / s))
 
     def draw_pairs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j) from uniforms u[..., 0] and u[..., 1]."""
         k = np.searchsorted(self.cum, u[..., 0] * self.cum[-1], side="right")
-        s = np.minimum(k, self.cum.size - 1) + 3
-        lo, hi = np.maximum(1, s - self.n), (s - 1) // 2
-        q = (lo - 1) * lo + u[..., 1] * ((lo + hi) * (hi - lo + 1))
+        s, lo, hi, c = (a[np.minimum(k, self.cum.size - 1)] for a in self.table)
+        q = (lo - 1) * lo + u[..., 1] * (2 * c)
         i = np.floor(np.sqrt(q + 0.25) + 0.5).astype(np.int64)  # root of i(i + 1) = q
         i = np.clip(i - ((i - 1) * i > q) + (i * (i + 1) <= q), lo, hi)
         return i, s - i

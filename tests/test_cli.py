@@ -135,6 +135,39 @@ def test_moments_unsupported(capsys):
         cli.main(["moments", "--stat", "las", "--n", "10"])
 
 
+@pytest.mark.parametrize("stat", ["inv", "desc:1", "desc:3"])
+def test_moments_record_is_the_clt_center_and_scale(capsys, stat):
+    from permlab import exact, montecarlo
+    from permlab.stats import parse_statistic
+
+    assert permlab.UnknownClosedForm is exact.UnknownClosedForm
+    assert montecarlo.UnknownClosedForm is exact.UnknownClosedForm
+    code, out, _ = run_cli(["moments", "--stat", stat, "--n", "50"], capsys)
+    res = record_of(out)["results"]
+    assert code == 0 and res["variance_mode"] in ("exact", "asymptotic")
+    for centering in montecarlo.Centering:
+        args = (parse_statistic(stat), 50, centering)
+        if centering is montecarlo.Centering.ASYMPTOTIC and "mean_asymptotic" not in res:
+            with pytest.raises(exact.UnknownClosedForm):
+                montecarlo._center_and_scale(*args)
+            continue
+        key = "mean_asymptotic" if centering is montecarlo.Centering.ASYMPTOTIC else "mean"
+        assert montecarlo._center_and_scale(*args) == (res[key], math.sqrt(res["variance"]))
+    assert stat != "desc:3" or "mean_asymptotic" not in res
+
+
+@pytest.mark.parametrize("stat,n,limit_s", [
+    ("desc:10000", 100_000, 1.0),
+    ("desc:999999", 1_000_000, 2.0),
+    ("desc:1000000000000000000000", 10, 1.0),
+])
+def test_moments_desc_time_is_bounded_in_m(capsys, stat, n, limit_s):
+    code, out, _ = run_cli(["moments", "--stat", stat, "--n", str(n)], capsys)
+    rec = record_of(out)
+    assert code == 0
+    assert rec["runtime_seconds"] < limit_s
+
+
 def test_sample_csv_and_seed_reported(capsys):
     code, out, err = run_cli(
         ["sample", "--model", "inverse-unfair", "--n", "5", "--reps", "4",

@@ -311,6 +311,23 @@ def test_mean_m_descents_saturates():
     )
 
 
+def test_mean_m_descents_is_the_rounded_fraction_sum():
+    for n in range(1, 41):
+        gaps = [sum((Fraction(i, 2 * i + k) for i in range(1, n - k + 1)), Fraction(0))
+                for k in range(1, n)]
+        want = Fraction(0)
+        for m in range(1, n + 2):
+            want += gaps[m - 1] if m < n else 0
+            assert exact.mean_m_descents(n, m) == float(want), (n, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100_000])
+def test_mean_m_descents_saturates_to_the_inversion_mean_exactly(n):
+    want = exact.mean_inversions_exact(n)
+    for m in {max(1, n - 1), n, n + 1, 10 ** 21}:
+        assert exact.mean_m_descents(n, m) == want
+
+
 def test_var_descents_known_values():
     assert exact.var_descents(1) == 0.0
     assert exact.var_descents(2) == pytest.approx(2 / 9, rel=1e-15)
