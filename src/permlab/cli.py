@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import exact, montecarlo, sizebias
 from .models import (
+    _BLOCK_ROWS,
     ModelKind,
     ModelSpec,
     chain_from_config,
@@ -103,8 +104,8 @@ def cmd_sample(args) -> int:
         _emit_record(rec, to_stderr=False)
         return 0
     out = csv.writer(sys.stdout)
-    for row in mat:
-        out.writerow([",".join(str(int(v)) for v in row)])
+    for a in range(0, len(mat), _BLOCK_ROWS):  # one block of Python ints at a time
+        out.writerows([",".join(map(str, row))] for row in mat[a:a + _BLOCK_ROWS].tolist())
     _emit_record(_record("sample", params, {"rows": int(mat.shape[0])}, t0), to_stderr=True)
     return 0
 

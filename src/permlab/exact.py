@@ -437,11 +437,14 @@ def moment_ratio_descents(n: int) -> float:
 def closed_form_moments(kind: _stats.StatisticKind, n: int) -> dict:
     """Moments of ``inv`` or ``desc:m`` under the rank sequence: the exact
     ``mean``, a ``variance`` of ``variance_mode`` exact (desc:1) or asymptotic,
-    and ``mean_asymptotic`` where a leading form is pinned."""
+    and ``mean_asymptotic`` where a leading form is pinned.  ``desc:m`` with
+    m >= n - 1 counts every pair, so for m >= 2 it has the ``inv`` moments."""
     if kind.tag == "desc" and kind.m == 1:
         return {"mean": mean_m_descents(n, 1), "mean_asymptotic": asymptotic_mean_descents(n),
                 "variance": var_descents(n), "variance_mode": "exact",
                 "variance_asymptotic": asymptotic_var_m_descents(n, 1)}
+    if kind.tag == "desc" and kind.m >= n - 1:
+        return closed_form_moments(_stats.StatisticKind("inv"), n)
     if kind.tag == "desc":
         return {"mean": mean_m_descents(n, kind.m),
                 "variance": asymptotic_var_m_descents(n, kind.m), "variance_mode": "asymptotic"}

@@ -72,10 +72,11 @@ def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
     """Statistic values (float) of replicas from streams first_stream + r,
     sampled and evaluated at most ``stats._CHUNK_ELEMENTS`` scores at a time.
 
-    Unfair rows are one-line permutations; every other model's score rows
-    are compared as they are, their comparisons being the rank sequence's.
+    Unfair rows are one-line permutations, but ``inv`` and ``ainv`` read score
+    rows (Inv(g) = Inv(g^-1)); every other model's score rows are compared as
+    they are, their comparisons being the rank sequence's.
     """
-    ranks = spec.kind is ModelKind.UNFAIR
+    ranks = spec.kind is ModelKind.UNFAIR and kind.tag not in ("inv", "ainv")
     sample = sample_permutation_matrix if ranks else sample_score_matrix
     values = np.empty(reps)
     step = max(1, stats._CHUNK_ELEMENTS // n)

@@ -130,6 +130,16 @@ def test_moments_inv(capsys):
     assert rec["results"]["var_coeff"] == pytest.approx(0.0181163, abs=1e-6)
 
 
+def test_moments_desc_window_past_n_is_inv(capsys):
+    _, inv, _ = run_cli(["moments", "--stat", "inv", "--n", "10"], capsys)
+    for m in (9, 10, 10 ** 21, 10 ** 110):
+        code, out, _ = run_cli(["moments", "--stat", f"desc:{m}", "--n", "10"], capsys)
+        assert code == 0 and record_of(out)["results"] == record_of(inv)["results"], m
+    # desc:1 keeps its exact variance at n = 2, where 1 >= n - 1 too
+    _, out, _ = run_cli(["moments", "--stat", "desc:1", "--n", "2"], capsys)
+    assert record_of(out)["results"]["variance_mode"] == "exact"
+
+
 def test_moments_unsupported(capsys):
     with pytest.raises(SystemExit):
         cli.main(["moments", "--stat", "las", "--n", "10"])
@@ -181,6 +191,24 @@ def test_sample_csv_and_seed_reported(capsys):
         assert sorted(int(v) for v in row.split(",")) == [1, 2, 3, 4, 5]
     rec = record_of(err)
     assert rec["params"]["seed"] == 99
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sample_csv_bytes(capsys, monkeypatch, n):
+    # blocks of 3 rows cross block edges; one quoted field per row, bare at
+    # n = 1 where the row holds no comma
+    from permlab.models import ModelSpec, sample_permutation_matrix
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    code, out, _ = run_cli(
+        ["sample", "--model", "unfair", "--n", str(n), "--reps", "7", "--seed", "5"], capsys
+    )
+    want = io.StringIO()
+    writer = csv.writer(want)
+    for row in sample_permutation_matrix(ModelSpec.unfair(), n, 7, 5):
+        writer.writerow([",".join(str(int(v)) for v in row)])
+    assert code == 0 and out == want.getvalue()
+    assert n != 1 or out == "1\r\n" * 7
 
 
 def test_sample_generates_seed(capsys):
@@ -313,6 +341,15 @@ def test_ratio_record(capsys):
     res = rec["results"]
     assert res["closed_form_ratio"] == pytest.approx(0.989, abs=0.005)
     assert abs(res["ratio"] - res["closed_form_ratio"]) < 5 * res["se"]
+
+
+def test_ratio_incsub_counts_past_int64(capsys):
+    code, out, _ = run_cli(
+        ["ratio", "--stat", "incsub:20", "--n", "1000", "--reps", "4", "--seed", "1"], capsys
+    )
+    res = record_of(out)["results"]
+    assert code == 0 and res["ratio"] == pytest.approx(709272.7, rel=1e-6)
+    assert res["uniform_moment"] > 2.0 ** 63
 
 
 def test_sizebias_identity_record(capsys):

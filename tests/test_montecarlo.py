@@ -57,6 +57,18 @@ def test_inv_pathwise_equal_between_models():
     assert a.variance == b.variance
 
 
+@pytest.mark.parametrize("stat", ["inv", "ainv"])
+def test_unfair_inversions_read_score_rows(monkeypatch, stat):
+    # Inv(g) = Inv(g^-1): the score rows give the unfair rows' counts, bit
+    # for bit, without sampling the rows
+    kind, spec = parse_statistic(stat), ModelSpec.unfair()
+    n, reps, seed = 33, 300, 8
+    perms = sample_permutation_matrix(spec, n, reps, seed)
+    want = evaluate_batch(kind, perms, assume_ranks=True).astype(float)
+    monkeypatch.setattr(montecarlo, "sample_permutation_matrix", None)
+    assert np.array_equal(montecarlo._values(kind, spec, n, reps, seed, 0, 1), want)
+
+
 def test_budget_guard():
     kind = parse_statistic("inv")
     with pytest.raises(montecarlo.BudgetExceeded):

@@ -238,12 +238,36 @@ def test_ranks_matrix_values_and_ties():
 
 
 def test_inversions_batch_chunking(monkeypatch):
+    # 37 columns pad to 64 keys, so chunks of 7 * 64 keys hold 7 rows
     rng = np.random.default_rng(3)
     x = rng.random((64, 37))
     full = stats.inversions_batch(x)
-    monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 37 * 7)
+    chunk_rows = []
+    merge = stats._inversions_chunk
+
+    def counted(y, assume_ranks):
+        chunk_rows.append(len(y))
+        return merge(y, assume_ranks)
+
+    monkeypatch.setattr(stats, "_inversions_chunk", counted)
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
     chunked = stats.inversions_batch(x)
     assert np.array_equal(full, chunked)
+    assert chunk_rows == [7] * 9 + [1]
+
+
+def test_inversions_batch_repairs_ties_of_the_fast_argsort():
+    # one chunk of untied rows, rows with exact ties, two -inf scores, a
+    # lone -inf and an all-equal row: every count is the oracle's
+    rng = np.random.default_rng(17)
+    x = rng.random((12, 300))
+    x[1:4] = np.floor(x[1:4] * 6)
+    x[5, [3, 40, 41]] = -np.inf
+    x[6, 7] = -np.inf
+    x[8] = 0.5
+    want = [inv_oracle(row.tolist()) for row in x]
+    assert stats.inversions_batch(x).tolist() == want
+    assert want[8] == 0
 
 
 def test_batch_single_row_and_single_column():
@@ -260,6 +284,14 @@ def test_evaluate_batch_incsub_matches_loop():
     r = stats.ranks_matrix(x)
     want = [stats.increasing_subsequences(tuple(int(v) for v in row), 4) for row in r]
     assert got.tolist() == want
+
+
+def test_evaluate_batch_incsub_counts_past_int64():
+    import math
+
+    x = np.array([np.arange(80), np.arange(80)[::-1]])
+    got = stats.evaluate_batch(stats.parse_statistic("incsub:40"), x)
+    assert got.dtype == object and got.tolist() == [math.comb(80, 40), 0]
 
 
 _MERGE_GRID = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
@@ -285,6 +317,27 @@ def test_inversions_batch_matches_oracle_at_n_2000():
     assert stats.inversions_batch(scores).tolist() == want
     ranks = stats.ranks_matrix(scores)
     assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+
+
+def _inv_by_halving(e: np.ndarray) -> int:
+    # each half's inversions plus the pairs across, by binary search in the
+    # sorted left half; short pieces go to the quadratic oracle
+    if len(e) <= 64:
+        return inv_oracle(e.tolist())
+    h = len(e) // 2
+    cross = int(np.sum(h - np.searchsorted(np.sort(e[:h]), e[h:], side="right")))
+    return _inv_by_halving(e[:h]) + _inv_by_halving(e[h:]) + cross
+
+
+def test_inversions_batch_past_2_16_padded_columns():
+    # rows of 2^16 keys are the widest whose position sums the merge takes in
+    # int32, and the identity reaches the largest sums; wider rows use int64
+    n = 1 << 16
+    rows = np.array([np.arange(n), np.arange(n)[::-1]])
+    assert stats.inversions_batch(rows).tolist() == [0, n * (n - 1) // 2]
+    x = np.random.default_rng(7).random((2, 70_000))
+    x[1, ::2] = np.floor(x[1, ::2] * 50)
+    assert stats.inversions_batch(x).tolist() == [_inv_by_halving(row) for row in x]
 
 
 def test_mean_inversions_exact_is_the_rounded_fraction_sum():
