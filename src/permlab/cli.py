@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
+from collections import Counter
 
 from . import exact, montecarlo, sizebias
 from .models import (
@@ -49,10 +49,22 @@ def _record(command: str, params: dict, results: dict, t0: float) -> dict:
     }
 
 
+def _finite(obj):
+    """obj with each non-finite float made None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit_record(rec: dict, to_stderr: bool) -> None:
     stream = sys.stderr if to_stderr else sys.stdout
-    json.dump(rec, stream)
-    stream.write("\n")
+    try:
+        text = json.dumps(rec, allow_nan=False)
+    except ValueError:  # strict JSON has no NaN or Infinity: write them as null
+        text = json.dumps(_finite(rec), allow_nan=False)
+    stream.write(text + "\n")
 
 
 def _resolve_seed(args) -> int:
@@ -76,9 +88,9 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind)
 
 
-def _trunc5(p: Fraction) -> str:
-    """Truncate an exact probability to 5 decimals (the table convention)."""
-    t = (p.numerator * 100000) // p.denominator
+def _trunc5(num: int, den: int) -> str:
+    """Truncate a probability num/den to 5 decimals (the table convention)."""
+    t = (num * 100000) // den
     return f"{t // 100000}.{t % 100000:05d}"
 
 
@@ -114,14 +126,17 @@ def cmd_pmf(args) -> int:
     t0 = time.perf_counter()
     law = exact.enumerate_law(args.n, args.model, exact=True)
     params = {"model": args.model, "n": args.n}
+    # each distinct probability is formatted once and summed once, times its count
+    ratios = [p.as_integer_ratio() for p in law.probs]
+    counts = Counter(ratios)
+    cells = {(a, b): (_trunc5(a, b), repr(a / b)) for a, b in counts}
+    den = math.lcm(*(b for _, b in counts))
+    total = sum(a * c * (den // b) for (a, b), c in counts.items()) / den
     out = csv.writer(sys.stdout)
     out.writerow(["permutation", "prob_5dp", "prob_full"])
-    total = Fraction(0)
-    for outcome, p in zip(law.outcomes, law.probs):
-        total += p
-        text = "(" + ",".join(map(str, outcome)) + ")"
-        out.writerow([text, _trunc5(p), repr(float(p))])
-    results = {"outcomes": len(law.outcomes), "total_probability": repr(float(total))}
+    out.writerows(("(" + ",".join(map(str, o)) + ")", *cells[r])
+                  for o, r in zip(law.outcomes, ratios))
+    results = {"outcomes": len(law.outcomes), "total_probability": repr(total)}
     _emit_record(_record("pmf", params, results, t0), to_stderr=True)
     return 0
 
@@ -283,8 +298,8 @@ def _add_seed_threads(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="root seed; generated and reported when omitted")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker count, checked to be >= 1; sampling runs on one "
-                         "thread, so results are identical for any value")
+                    help="threads counting clt and ratio inversions, at most one per "
+                         "CPU (sample ignores it); results are identical for any value")
 
 
 def _add_model(sp, default: str = "inverse-unfair") -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -329,39 +330,33 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 #
 # Row r of a batch is drawn from stream first_stream + r, on the calling
 # thread.  _stream_blocks hands out the rows in blocks of at most
-# _BLOCK_ROWS, each with one source of uniforms holding one row per stream:
-# make_generator on the block's stream indices gives an rng.StreamBlock, which
-# draws all streams at once, or _RowGenerators holds one generator per stream
-# behind the same random(k, out=) shape.  Both give the same bits, so the
-# markov walk and the log-score transform ln(u)/k run over the whole block
-# either way, and the size-bias completions read their blocks from the same
-# rule.  A score row draws n uniforms, or 2n - 1 for markov (the walk's n - 1
-# come first); this is the draw width below.
+# _BLOCK_ROWS, each with one source of uniforms holding one row per stream
+# behind the random(k, out=) shape of an rng.StreamBlock.  All sources give
+# the same bits, so the markov walk and the log-score transform ln(u)/k run
+# over the whole block either way, and the size-bias completions read their
+# blocks from the same rule.  A score row draws n uniforms, or 2n - 1 for
+# markov (the walk's n - 1 come first); this is the draw width below.
 #
-# Stepping streams together costs about 40 ns per element plus about 40 us
-# per column; a generator per row costs about 27 us plus about 10 ns per
-# element.  Measured ratios of stepped to per-row time
-# for the score rows (2-core x86_64, numpy 2.4; best of five each):
+# Every block below stream 2^64, the most a StreamBlock holds, is seeded at
+# once (about 0.2 ms).  A narrow block is then stepped, all streams together
+# at about 40 us per column; a wide one is drawn natively, row by row
+# (StreamBlock.random_rows), at about 4.5 us per row plus 5 ns per element.
+# Median ratios of stepped to native time for the uniforms (nine alternating
+# timings, quartiles in brackets; 2-core x86_64, numpy 2.4):
 #
-#     rows \ n     5     50    150    300    500    600    700    800
-#     30        0.56   2.74   6.95     -      -      -      -      -
-#     300       0.06   0.49   0.71   1.96   2.92     -      -      -
-#     1000      0.03   0.15   0.36   0.80   1.40   1.64     -      -
-#     4096      0.01   0.08   0.32   0.46   0.67   0.92   0.93   1.11
+#     rows   k: ratio
+#     30     3: 0.73 (0.69-0.78)    5: 0.87 (0.83-0.87)    8: 1.09 (1.08-1.11)
+#     300   40: 0.78 (0.76-0.78)   50: 0.93 (0.91-0.94)   60: 1.08 (1.07-1.10)
+#     1000 100: 0.74 (0.73-0.82)  130: 0.98 (0.97-1.00)  160: 1.15 (1.13-1.17)
+#     4096 200: 0.70 (0.69-0.71)  250: 0.86 (0.82-0.88)  300: 1.00 (0.96-1.04)
 #
-# Near the limits, two sets of nine alternating single timings gave median
-# ratios (quartiles) at 4096 rows of 0.67 (0.67-0.69) and 0.76 (0.69-0.80)
-# at n = 600, 0.98 (0.92-1.10) and 0.87 (0.83-0.88) at n = 800, and 1.01
-# (0.98-1.04) at n = 1000; at 1000 rows and n = 400, 0.85 (0.82-0.87) and
-# 0.87 (0.72-0.89).  Full blocks break even between n = 800 and 1000, so a
-# block is stepped when its draw width is at most _STEPPED_MAX_WIDTH, which
-# leaves a margin for host noise, it has at least _STEPPED_ROWS_PER_COLUMN
-# rows per column drawn (short tail blocks stay per row), and its streams
-# lie below 2^64, the most a StreamBlock holds.
+# So a block is stepped when its draw width is at most _STEPPED_MAX_WIDTH
+# and its rows over _STEPPED_ROWS_PER_COLUMN; streams at or past 2^64 get one
+# generator per row (_RowGenerators).
 
 _BLOCK_ROWS = 4096  # temporaries of one block stay near 1 MB per column pass
-_STEPPED_MAX_WIDTH = 600
-_STEPPED_ROWS_PER_COLUMN = 3
+_STEPPED_MAX_WIDTH = 250
+_STEPPED_ROWS_PER_COLUMN = 7
 
 
 class _RowGenerators:
@@ -384,18 +379,17 @@ def _stream_blocks(
 ):
     """(a, b, rng) for rows a..b-1 of a batch of ``rows`` that each draw
     ``width`` uniforms: rng has one row per stream first_stream + a..b-1
-    (under ``substream``), stepped or one generator per row by the rule
-    above."""
+    (under ``substream``), stepped, native or one generator per row by the
+    rule above."""
     for a in range(0, rows, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, rows)
-        if (
-            width <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
-            and first_stream + b <= 2 ** 64
-        ):
-            streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-            yield a, b, make_generator(seed, streams, substream)
-        else:
+        if first_stream + b > 2 ** 64:
             yield a, b, _RowGenerators(seed, range(first_stream + a, first_stream + b), substream)
+            continue
+        streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+        block = make_generator(seed, streams, substream)
+        stepped = width <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
+        yield a, b, block if stepped else SimpleNamespace(random=block.random_rows)
 
 
 def sample_score_matrix(
@@ -408,8 +402,8 @@ def sample_score_matrix(
 ) -> np.ndarray:
     """(reps, n) log-score matrix; row r comes from stream first_stream + r.
 
-    Rows are drawn on the calling thread; ``workers`` is checked but selects
-    nothing, so the result is the same for any value.
+    Rows are drawn on the calling thread; ``workers`` is checked to be at
+    least 1 but not used, so the result is the same for any value.
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")

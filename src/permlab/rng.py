@@ -4,9 +4,7 @@ All randomness flows through numpy's PCG64 keyed by
 ``SeedSequence(seed, spawn_key=(stream,))`` or ``(stream, substream)``.
 Given (seed, stream[, substream]) the byte stream is fixed, so every run is
 bit-reproducible on any platform: replica r of a Monte Carlo run always draws
-from stream r, however its rows are split into blocks and chunks.  Sampling
-runs on the calling thread; a ``workers`` argument is accepted but selects
-nothing.
+from stream r, however its rows are split into blocks, chunks and threads.
 
 Many streams are drawn together.  Building one ``Generator`` costs
 20-27 us, which dominates when each replica needs only a few draws.
@@ -17,9 +15,9 @@ element per stream and one step per column (PCG64 is a plain 128-bit LCG;
 O'Neill 2014).  Row r of ``make_generator(seed, streams,
 substream).random(k)`` holds exactly the bits of ``make_generator(seed,
 streams[r], substream).random(k)``; only the cost differs.  Stepping costs
-about 40 ns per element and 40 us per column, so it loses on wide rows; the
-batch-sampling note in ``permlab.models`` gives the measured crossover
-behind its row-width threshold.  Temporaries are a few dozen arrays of
+about 40 ns per element and 40 us per column, so it loses on wide rows, which
+``random_rows`` draws row by row through numpy's own PCG64; ``permlab.models``
+gives the measured crossover.  Temporaries are a few dozen arrays of
 len(streams), so callers bound the number of streams in one block.
 """
 from __future__ import annotations
@@ -197,20 +195,39 @@ class StreamBlock:
         """(len(self), k) uniforms on [0, 1), one step of every stream per
         column.  ``out``, if given, is a float64 array of that shape to fill
         and return."""
-        shape = (len(self), int(k))
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 array of shape {shape}")
+        out = self._out(k, out)
         hi, lo, inc_hi, inc_lo = self._state
         with np.errstate(over="ignore"):
-            for j in range(shape[1]):
+            for j in range(out.shape[1]):
                 hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
                 x = hi ^ lo  # XSL-RR output
                 rot = hi >> np.uint64(58)
                 x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
                 out[:, j] = (x >> np.uint64(11)) * 2.0 ** -53
         self._state = hi, lo, inc_hi, inc_lo
+        return out
+
+    def random_rows(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The draws of ``random(k)``, made row by row by a numpy PCG64 set to
+        each stream's state: numpy's cost per element plus a few us per row."""
+        out = self._out(k, out)
+        bits = np.random.PCG64()
+        gen, state = np.random.Generator(bits), bits.state
+        hi, lo, inc_hi, inc_lo = (a.tolist() for a in self._state)
+        for r, row in enumerate(out):
+            state["state"] = {"state": hi[r] << 64 | lo[r], "inc": inc_hi[r] << 64 | inc_lo[r]}
+            bits.state = state
+            gen.random(out.shape[1], out=row)
+            hi[r], lo[r] = divmod(bits.state["state"]["state"], 1 << 64)
+        self._state = (np.array(hi, np.uint64), np.array(lo, np.uint64)) + self._state[2:]
+        return out
+
+    def _out(self, k: int, out: np.ndarray | None) -> np.ndarray:
+        shape = (len(self), int(k))
+        if out is None:
+            return np.empty(shape)
+        if out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {shape}")
         return out
 
 

@@ -243,7 +243,8 @@ class IdentityCheckReport:
 
     @property
     def gap_in_se(self) -> float:
-        return abs(self.lhs - self.rhs) / self.pooled_se if self.pooled_se > 0 else math.inf
+        gap = abs(self.lhs - self.rhs)  # 0/0 (equal sides, no noise) is no gap
+        return gap / self.pooled_se if self.pooled_se > 0 else math.inf if gap else 0.0
 
 
 def verify_size_bias_identity(

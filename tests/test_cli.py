@@ -41,6 +41,26 @@ def test_pmf_table(capsys):
     assert rec["results"]["outcomes"] == 6
 
 
+@pytest.mark.parametrize("model", ["inverse-unfair", "unfair"])
+def test_pmf_rows_match_per_row_formatting(capsys, model):
+    # each distinct probability is formatted once; every row must still read
+    # as if formatted on its own, and the total is the exact sum
+    from fractions import Fraction
+
+    from permlab import exact
+
+    law = exact.enumerate_law(6, model, exact=True)
+    code, out, err = run_cli(["pmf", "--model", model, "--n", "6"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    want = [["(" + ",".join(map(str, o)) + ")",
+             f"{p.numerator * 100000 // p.denominator // 100000}."
+             f"{p.numerator * 100000 // p.denominator % 100000:05d}",
+             repr(float(p))] for o, p in zip(law.outcomes, law.probs)]
+    assert code == 0 and rows == want
+    total = repr(float(sum(law.probs, Fraction(0))))
+    assert record_of(err)["results"]["total_probability"] == total
+
+
 def test_pmf_unfair_differs(capsys):
     _, out_r, _ = run_cli(["pmf", "--model", "inverse-unfair", "--n", "4"], capsys)
     _, out_f, _ = run_cli(["pmf", "--model", "unfair", "--n", "4"], capsys)
@@ -360,6 +380,27 @@ def test_sizebias_identity_record(capsys):
     )
     rec = record_of(out)
     assert rec["results"]["gap_in_se"] < 5.0
+
+
+def test_records_are_strict_json(capsys):
+    # NaN and Infinity are not JSON: a record writes them as null, and the
+    # identity check's 0/0 gap (both sides exactly 0) reads 0
+    code, out, _ = run_cli(
+        ["sizebias", "--n", "10", "--check", "indicator:nan", "--reps", "50", "--seed", "1"],
+        capsys,
+    )
+    rec = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+    assert code == 0 and rec["results"]["gap_in_se"] == 0.0
+    cli._emit_record({"a": math.nan, "b": [math.inf, 1.5], "c": {"d": -math.inf}}, False)
+    assert json.loads(capsys.readouterr().out) == {"a": None, "b": [None, 1.5], "c": {"d": None}}
+
+
+def test_clt_at_n_1_is_one_error_line(capsys):
+    # every statistic is constant on S_1: no scale to standardize by
+    code, out, err = run_cli(["clt", "--stat", "inv", "--n", "1", "--reps", "10",
+                              "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: degenerate scale") and err.count("\n") == 1
 
 
 def test_sizebias_bound_record(capsys):

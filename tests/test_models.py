@@ -13,7 +13,7 @@ from permlab.models import (
     TieDetected,
 )
 from permlab.perm import Permutation, all_permutations
-from permlab.rng import make_generator
+from permlab.rng import StreamBlock, make_generator
 from permlab.stats import ranks_matrix
 
 
@@ -332,32 +332,43 @@ def test_worker_count_below_one_rejected():
             models.sample_score_matrix(ModelSpec.uniform(), 4, 10, seed=1, workers=workers)
 
 
-def test_score_rows_match_per_row_streams_on_both_paths(monkeypatch):
-    # both paths must give the bits of one make_generator per row; the spy
-    # checks that each path really ran
-    stepped_calls = []
+def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
+    # stepped, native and per-row blocks must all give the bits of one
+    # make_generator per row; the spies check that each path really ran
+    ran = set()
 
-    def spy(seed, stream=0, substream=None):
-        if np.ndim(stream):
-            stepped_calls.append(stream)
-        return make_generator(seed, stream, substream)
+    def spy(path, call):
+        def wrapped(*args, **kwargs):
+            if path != "block" or np.ndim(args[1]):
+                ran.add(path)
+            return call(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(models, "make_generator", spy)
+    monkeypatch.setattr(models, "make_generator", spy("block", make_generator))
+    monkeypatch.setattr(StreamBlock, "random_rows", spy("native", StreamBlock.random_rows))
+    monkeypatch.setattr(models, "_RowGenerators", spy("per-row", models._RowGenerators))
     wide = models._STEPPED_MAX_WIDTH + 1
+    cases = (
+        # markov rows draw 2n - 1 uniforms: 15 at n = 8, so 105 rows per block
+        (8, 150, 7, {"block"}),
+        (wide, 3, 7, {"block", "native"}),
+        (8, 12, 2 ** 32 - 6, {"block", "native"}),  # one- and two-word spawn keys
+        (9, 40, 2 ** 64 - 40, {"block", "native"}),  # ends at stream 2^64 - 1
+        (8, 5, 2 ** 64 - 2, {"per-row"}),  # streams 2^64 and past
+    )
     for spec in _ALL_MODELS:
-        # markov rows draw 2n - 1 uniforms: 15 at n = 8, so 45 rows per block
-        for n, reps, stepped in ((8, 150, True), (wide, 3, False)):
+        for n, reps, first, paths in cases:
             want = np.array([
-                models.sample_scores(spec, n, make_generator(5, 7 + r)).values
+                models.sample_scores(spec, n, make_generator(5, first + r)).values
                 for r in range(reps)
             ])
             for workers in (1, 2, 3):
-                stepped_calls.clear()
+                ran.clear()
                 got = models.sample_score_matrix(
-                    spec, n, reps, seed=5, first_stream=7, workers=workers
+                    spec, n, reps, seed=5, first_stream=first, workers=workers
                 )
                 assert np.array_equal(got, want)
-                assert bool(stepped_calls) == stepped
+                assert ran == paths
 
 
 def test_first_stream_offset():

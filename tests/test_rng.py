@@ -61,6 +61,25 @@ def test_stream_block_matches_make_generator():
     assert isinstance(make_generator(0, np.int64(3)), np.random.Generator)
 
 
+def test_random_rows_continue_every_stream():
+    # row-by-row draws hold random()'s bits and continue the streams, mixed
+    # with stepped draws, under a substream too, across 2^32 and up to the
+    # last stream below 2^64
+    for first in (0, 2**32 - 3, 2**64 - 6):
+        streams = np.arange(first, first + 6, dtype=np.uint64)
+        for substream in (None, 3):
+            block = make_generator(11, streams, substream)
+            got = np.hstack([block.random_rows(5), block.random(2), block.random_rows(700)])
+            want = np.array(
+                [make_generator(11, int(s), substream).random(707) for s in streams]
+            )
+            assert np.array_equal(got, want)
+    buf = np.empty((6, 4))
+    assert make_generator(0, streams).random_rows(4, out=buf) is buf
+    with pytest.raises(ValueError, match="shape"):
+        make_generator(0, streams).random_rows(4, out=np.empty((5, 4)))
+
+
 def test_stream_block_rejects_negative_keys():
     with pytest.raises(ValueError):
         make_generator(3, [-1])

@@ -7,7 +7,7 @@ import pytest
 
 from permlab import exact, sizebias
 from permlab.models import ModelSpec, sample_score_matrix, sample_scores
-from permlab.rng import make_generator
+from permlab.rng import StreamBlock, make_generator
 from permlab.stats import inversions_batch
 
 from oracles import inv_oracle
@@ -244,6 +244,19 @@ def test_completion_streams_cross_blocks():
             np.stack([make_generator(seed, first + r, substream=1).random(4)
                       for r in range(reps)]))
         assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
+
+
+def test_completion_uniforms_on_native_rows(monkeypatch):
+    # 20 rows of 4 draws are drawn natively; 2^32 - 10 straddles two-word keys
+    native = []
+    real = StreamBlock.random_rows
+    monkeypatch.setattr(StreamBlock, "random_rows", lambda *a, **kw: native.append(a) or real(*a, **kw))
+    for c in (0, 2):
+        u = sizebias._completion_uniforms(7, 2 ** 32 - 10, 20, c)
+        want = np.stack([make_generator(7, 2 ** 32 - 10 + r, substream=1 + c).random(4)
+                         for r in range(20)])
+        assert np.array_equal(u, want)
+    assert len(native) == 2
 
 
 def test_couple_draw_order():
