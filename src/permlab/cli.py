@@ -82,7 +82,7 @@ def _model_spec(args) -> ModelSpec:
         return ModelSpec.phi_draw(phi)
     if kind is ModelKind.MARKOV:
         if not getattr(args, "chain", None):
-            raise SystemExit("markov model needs --chain FILE")
+            raise ValueError("markov model needs --chain FILE")
         obj = load_config(args.chain)
         return ModelSpec.markov_draw(chain_from_config(obj.get("chain", obj)))
     return ModelSpec(kind)
@@ -163,11 +163,11 @@ def cmd_stats(args) -> int:
     texts = list(args.perm or [])
     if not texts:
         texts = [line.strip() for line in sys.stdin if line.strip()]
+    # every row is evaluated before any is written: a refused run prints no table
+    rows = [(str(p), str(kind), evaluate(kind, p)) for p in map(Permutation.from_string, texts)]
     out = csv.writer(sys.stdout)
     out.writerow(["permutation", "statistic", "value"])
-    for text in texts:
-        p = Permutation.from_string(text)
-        out.writerow([str(p), str(kind), evaluate(kind, p)])
+    out.writerows(rows)
     rec = _record("stats", {"stat": str(kind)}, {"rows": len(texts)}, t0)
     _emit_record(rec, to_stderr=True)
     return 0
@@ -176,10 +176,7 @@ def cmd_stats(args) -> int:
 def cmd_moments(args) -> int:
     t0 = time.perf_counter()
     kind = parse_statistic(args.stat)
-    try:
-        results = exact.closed_form_moments(kind, args.n)
-    except exact.UnknownClosedForm as exc:
-        raise SystemExit(str(exc)) from None
+    results = exact.closed_form_moments(kind, args.n)
     rec = _record("moments", {"stat": str(kind), "n": args.n}, results, t0)
     _emit_record(rec, to_stderr=False)
     return 0
@@ -286,7 +283,7 @@ def cmd_sizebias(args) -> int:
             "bound": report.bound,
         }
     else:
-        raise SystemExit(f"unknown check {args.check!r}")
+        raise ValueError(f"unknown check {args.check!r}")
     _emit_record(_record("sizebias", params, results, t0), to_stderr=False)
     return 0
 
@@ -298,8 +295,8 @@ def _add_seed_threads(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="root seed; generated and reported when omitted")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="threads counting clt and ratio inversions, at most one per "
-                         "CPU (sample ignores it); results are identical for any value")
+                    help="checked (>= 1) but selects nothing: inversion counts run on "
+                         "up to one thread per CPU, with identical results on any host")
 
 
 def _add_model(sp, default: str = "inverse-unfair") -> None:

@@ -330,8 +330,11 @@ def _pair_sums(n: int, m: int) -> tuple[np.ndarray, ...]:
 
     For s = 3..2n-1 they are i = lo..hi, lo = max(1, s - n, ceil((s - m)/2)),
     hi = (s - 1) // 2, and c_s = lo + ... + hi (0 where lo = hi + 1).  m is
-    clamped to n first: no pair is further apart, and int64 holds n.
+    clamped to n first: no pair is further apart, and int64 holds n.  n past
+    10^7 is refused first: the moments peak near 214 bytes per n.
     """
+    if n > 10 ** 7:
+        raise ValueError(f"n = {n} exceeds the moment table cap 10^7")
     s = np.arange(3, 2 * n, dtype=np.int64)
     lo = np.maximum(np.maximum(1, s - n), (s - min(m, n) + 1) // 2)
     hi = (s - 1) // 2

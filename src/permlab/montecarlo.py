@@ -4,8 +4,8 @@ Replica r of every run draws from stream r of the root seed (disjoint blocks
 when a run needs two models), and reductions are numpy pairwise sums over the
 replica-indexed value array.  Replicas are sampled on the calling thread in
 row chunks of at most ``stats._CHUNK_ELEMENTS`` scores, so a run holds one
-chunk of scores plus one value per replica; a chunk's inversion counts run on
-up to ``workers`` threads, and results are the same for any value.
+chunk of scores plus one value per replica.  Inversion counts run on up to one
+thread per CPU, wherever called; ``workers`` is checked but selects nothing.
 Empirical normality is measured against the standard normal with a
 Kolmogorov-Smirnov distance and an order-statistic Wasserstein-1 distance;
 both carry an MC noise floor of order reps^(-1/2) that the acceptance tests
@@ -14,9 +14,7 @@ document.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,13 +50,11 @@ class BudgetExceeded(ValueError):
 class Centering(str, Enum):
     """How standardized samples are centered.
 
-    EXACT_MEAN uses the exact finite-n mean; CLOSED_FORM is its alias for
-    statistics whose exact mean is a closed form (descents); ASYMPTOTIC uses
-    the leading-order formula only.
+    EXACT_MEAN uses the exact finite-n mean; ASYMPTOTIC uses the
+    leading-order formula only.
     """
 
     EXACT_MEAN = "exact"
-    CLOSED_FORM = "closed"
     ASYMPTOTIC = "asymptotic"
 
 
@@ -71,35 +67,22 @@ def _check_budget(n: int, reps: int, max_budget: int) -> None:
 
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
             first_stream: int, workers: int) -> np.ndarray:
-    """Statistic values (float) of replicas from streams first_stream + r,
-    sampled at most ``stats._CHUNK_ELEMENTS`` scores at a time.  Only the
-    inversion count pays for threads; the O(n) statistics are memory-bound
-    (within 15 % either way on two threads) and ``incsub`` is Python.
+    """Statistic values (float) of replicas from streams first_stream + r:
+    sample a chunk of at most ``stats._CHUNK_ELEMENTS`` scores, then evaluate
+    it.  Inversion counts run on up to one thread per CPU inside ``stats``;
+    ``workers`` is checked by the sampler but selects nothing.
 
     Unfair rows are one-line permutations, but ``inv`` and ``ainv`` read score
     rows (Inv(g) = Inv(g^-1)); every other model's score rows are compared as
     they are, their comparisons being the rank sequence's.
     """
-    inversions = kind.tag in ("inv", "ainv")
-    ranks = spec.kind is ModelKind.UNFAIR and not inversions
+    ranks = spec.kind is ModelKind.UNFAIR and kind.tag not in ("inv", "ainv")
     sample = sample_permutation_matrix if ranks else sample_score_matrix
     values = np.empty(reps)
     step = max(1, stats._CHUNK_ELEMENTS // n)
     for lo in range(0, reps, step):
         mat = sample(spec, n, min(step, reps - lo), seed, first_stream + lo, workers)
-        out = values[lo:lo + len(mat)]
-        # the threads' slices together hold one serial chunk's padded keys
-        threads = min(workers, os.cpu_count() or 1)
-        part = max(1, (stats._MERGE_KEYS // threads) >> (n - 1).bit_length())
-        starts = range(0, len(mat), part)
-        if inversions and threads > 1 and len(starts) > 1:
-            def evaluate(a: int) -> None:
-                out[a:a + part] = evaluate_batch(kind, mat[a:a + part], assume_ranks=ranks)
-
-            with ThreadPoolExecutor(min(threads, len(starts))) as pool:
-                list(pool.map(evaluate, starts))
-        else:
-            out[:] = evaluate_batch(kind, mat, assume_ranks=ranks)
+        values[lo:lo + len(mat)] = evaluate_batch(kind, mat, assume_ranks=ranks)
     return values
 
 

@@ -161,8 +161,9 @@ def test_moments_desc_window_past_n_is_inv(capsys):
 
 
 def test_moments_unsupported(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["moments", "--stat", "las", "--n", "10"])
+    code, out, err = run_cli(["moments", "--stat", "las", "--n", "10"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: no closed-form moments for statistic las\n"
 
 
 @pytest.mark.parametrize("stat", ["inv", "desc:1", "desc:3"])
@@ -317,8 +318,9 @@ def test_threads_below_one_rejected(capsys, threads):
 
 
 def test_sample_markov_needs_config(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["sample", "--model", "markov", "--n", "4", "--reps", "1"])
+    code, out, err = run_cli(["sample", "--model", "markov", "--n", "4", "--reps", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: markov model needs --chain FILE\n"
 
 
 def test_clt_record(capsys):
@@ -426,8 +428,9 @@ def test_sizebias_bound_record(capsys):
 
 
 def test_sizebias_unknown_check(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["sizebias", "--n", "5", "--check", "nonsense"])
+    code, out, err = run_cli(["sizebias", "--n", "5", "--check", "nonsense"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unknown check 'nonsense'\n"
 
 
 def test_sizebias_has_no_threads_option():
@@ -516,3 +519,80 @@ def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
     code, out, err = run_cli(["tv", "--n", "3"], capsys)
     assert code == 1 and out == ""
     assert err == "error: out of memory\n"
+
+
+def _edge_grid(tmp_path):
+    """argv of every subcommand over edge values: n of 0, 1, 2 and 10^12,
+    reps of 0, 1 and 10^12, windows past n, a NaN threshold, bad thread
+    counts and every model, each refused before a large allocation or small."""
+    phi, chain = tmp_path / "phi.json", tmp_path / "chain.json"
+    phi.write_text(json.dumps({"phi": {"table": {"1": 2, "2": 5}}}))
+    chain.write_text(json.dumps({"chain": {"states": [1, 3],
+                                           "transitions": [[0.5, 0.5], [0.0, 1.0]]}}))
+    models = [["--model", m] for m in ("uniform", "unfair", "inverse-unfair", "markov")] + [
+        ["--model", "phi", "--phi", "one"], ["--model", "phi", "--phi-table", str(phi)],
+        ["--model", "markov", "--chain", str(chain)]]
+    wide = f"desc:{10 ** 30}"
+    seed = ["--seed", "1"]
+    for n in ("0", "1", "2", str(10 ** 12)):
+        yield ["tv", "--n", n]
+        for model in ("uniform", "unfair", "inverse-unfair"):
+            yield ["pmf", "--model", model, "--n", n]
+        for stat in ("inv", "desc:1", "desc:3", wide, "las"):
+            yield ["moments", "--stat", stat, "--n", n]
+        for reps in ("0", "1", str(10 ** 12)):
+            for model in models:
+                yield ["sample", *model, "--n", n, "--reps", reps, *seed]
+                for stat in ("inv", "desc:1", wide):
+                    yield ["clt", "--stat", stat, *model, "--n", n, "--reps", reps, *seed]
+            for stat in ("inv", "ainv", "desc:1", wide, "locmax", "incsub:2"):
+                yield ["ratio", "--stat", stat, "--n", n, "--reps", reps, *seed]
+            for check in ("identity", "square", "indicator:nan", "indicator:x", "nonsense"):
+                yield ["sizebias", "--check", check, "--n", n, "--reps", reps, *seed]
+            for check in ("var", "bound"):
+                yield ["sizebias", "--check", check, "--n", n, "--outer", reps, *seed]
+                yield ["sizebias", "--check", check, "--n", n, "--outer", "50", "--inner", reps,
+                       *seed]
+    for threads in ("0", "-1", str(10 ** 9)):
+        yield ["sample", "--n", "5", "--reps", "3", *seed, "--threads", threads]
+        for cmd in ("clt", "ratio"):
+            yield [cmd, "--stat", "inv", "--n", "20", "--reps", "10", *seed, "--threads", threads]
+    yield ["stats", "--stat", wide, "--perm", "3,1,2"]
+    yield ["stats", "--stat", "incsub:50", "--perm", "10,9,8,7,6,5,4,3,2,1"]
+    for cmd in ("clt", "ratio"):
+        yield [cmd, "--stat", "incsub:50", "--n", "10", "--reps", "5", *seed]
+    yield ["ratio", "--stat", "inv", "--n", "5", "--reps", "5", "--k", "0", *seed]
+    # n past the moment table cap, inside the sampling budget
+    yield ["moments", "--stat", "inv", "--n", str(10 ** 8)]
+    yield ["clt", "--stat", "inv", "--n", str(10 ** 8), "--reps", "2", *seed]
+    yield ["sizebias", "--check", "identity", "--n", str(10 ** 8), "--reps", "2", *seed]
+    yield ["sizebias", "--check", "bound", "--n", str(10 ** 8), "--outer", "2", "--inner", "1",
+           *seed]
+
+
+def test_every_subcommand_over_edge_values(capsys, tmp_path):
+    # exit 0 with one strict-JSON record (on stderr after a table), or exit 1
+    # with one error line and no output, in bounded time and traced memory
+    import time
+    import tracemalloc
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    bad = []
+    for argv in _edge_grid(tmp_path):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        if code == 0:
+            text = err or out
+            ok = len(text.splitlines()) == 1 and bool(
+                json.loads(text, parse_constant=no_constant))
+        else:
+            ok = code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if not ok or seconds > 2.0 or peak > 64 * 2 ** 20:
+            bad.append((argv, code, err, round(seconds, 3), peak))
+    assert bad == []

@@ -97,7 +97,7 @@ def test_centering_modes():
     assert asym_c == pytest.approx(exact.inversion_constants().mean_coeff * n ** 2)
     assert scale2 == scale
     kd = parse_statistic("desc:1")
-    c1, s1 = montecarlo._center_and_scale(kd, n, montecarlo.Centering.CLOSED_FORM)
+    c1, s1 = montecarlo._center_and_scale(kd, n, montecarlo.Centering.EXACT_MEAN)
     assert c1 == pytest.approx(exact.mean_m_descents(n, 1))
     assert s1 == pytest.approx(math.sqrt(exact.var_descents(n)))
     c2, _ = montecarlo._center_and_scale(kd, n, montecarlo.Centering.ASYMPTOTIC)
@@ -257,102 +257,32 @@ def test_standardized_sample_memory_does_not_grow_with_reps(monkeypatch):
     assert peaks[1] - peaks[0] < 4 * 2 ** 20, peaks
 
 
-def _pool_spy(monkeypatch, cpus=4):
-    """Record the thread count of every pool _values opens, on a host of
-    ``cpus`` CPUs."""
-    pools = []
-    real = montecarlo.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real(max_workers)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-    return pools
-
-
 @pytest.mark.parametrize("stat, unfair, chunk, threaded", [
-    ("inv", False, None, True),  # 600 x 300: one chunk, split over the pool
-    ("inv", True, 300 * 500, True),  # chunks of 500 rows, then a serial tail of 100
+    ("inv", False, None, True),  # 600 x 300: one sampled chunk, counted on the pool
+    ("inv", True, 300 * 500, True),  # sampled chunks of 500 rows, then a serial tail of 100
     ("desc:3", True, None, False),  # unfair rank rows; an O(n) statistic stays serial
 ])
 def test_values_equal_bits_for_any_worker_count(monkeypatch, stat, unfair, chunk, threaded):
-    pools = _pool_spy(monkeypatch)
+    # the inversion kernel picks its threads from the CPU count; workers selects nothing
+    pools = []
+    real = stats.ThreadPoolExecutor
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
     if chunk:
         monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", chunk)
     kind = parse_statistic(stat)
     spec = ModelSpec.unfair() if unfair else ModelSpec.inverse_unfair()
     n, reps, seed = 300, 600, 6
     got = {}
-    for workers in (1, 2, 3):
+    for cpus, workers in ((1, 3), (2, 1), (3, 2)):
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
         pools.clear()
         s = montecarlo.standardized_sample(kind, spec, n, reps, seed, workers=workers)
         e = montecarlo.estimate(kind, spec, n, reps, seed, workers=workers)
         r = montecarlo.moment_ratio_mc(kind, n, reps, seed, k=2, workers=workers)
-        got[workers] = (s.values.tobytes(), e.mean, e.variance, r.ratio, r.se)
-        assert bool(pools) == (threaded and workers > 1)
-        assert all(1 < p <= workers for p in pools)
+        got[cpus] = (s.values.tobytes(), e.mean, e.variance, r.ratio, r.se)
+        assert bool(pools) == (threaded and cpus > 1)
+        assert all(1 < p <= cpus for p in pools)
     assert got[1] == got[2] == got[3]
-
-
-def test_pool_runs_only_above_the_size_rule(monkeypatch):
-    # two threads take slices of 2^17 padded keys: 256 rows at n = 300 (512
-    # keys a row), so 256 rows stay on the calling thread and 257 do not
-    pools = _pool_spy(monkeypatch)
-    kind, spec = parse_statistic("inv"), ModelSpec.inverse_unfair()
-    n, rows = 300, (stats._MERGE_KEYS // 2) // 512
-    below = montecarlo._values(kind, spec, n, rows, 3, 0, 2)
-    assert pools == []
-    above = montecarlo._values(kind, spec, n, rows + 1, 3, 0, 2)
-    assert pools == [2]
-    assert np.array_equal(above[:-1], below)
-    # one worker, one CPU, or a statistic other than the inversion count: no pool
-    pools.clear()
-    montecarlo._values(kind, spec, n, 2 * rows, 3, 0, 1)
-    for stat in ("desc:3", "locmax", "incsub:2"):
-        montecarlo._values(parse_statistic(stat), spec, n, 2 * rows, 3, 0, 2)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
-    montecarlo._values(kind, spec, n, 2 * rows, 3, 0, 2)
-    assert pools == []
-
-
-def test_threaded_slices_bound_keys_in_flight(monkeypatch):
-    # each slice holds at most _MERGE_KEYS // threads padded keys
-    _pool_spy(monkeypatch)
-    seen = []
-    real = montecarlo.evaluate_batch
-
-    def spy(kind, x, assume_ranks=False):
-        seen.append(x.shape[0])
-        return real(kind, x, assume_ranks)
-
-    monkeypatch.setattr(montecarlo, "evaluate_batch", spy)
-    montecarlo._values(parse_statistic("inv"), ModelSpec.inverse_unfair(), 1000, 700, 2, 0, 3)
-    assert len(seen) > 1 and max(seen) * 1024 <= stats._MERGE_KEYS // 3 and sum(seen) == 700
-
-
-def test_threaded_values_under_stress(monkeypatch):
-    # more threads than cores, one-row slices and a short switch interval:
-    # every slice still lands in its own rows, within a time bound
-    import sys
-    import threading
-
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 16)
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 64)
-    kind, spec = parse_statistic("inv"), ModelSpec.inverse_unfair()
-    want = montecarlo._values(kind, spec, 60, 300, 9, 0, 1)
-    got = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(
-            target=lambda: got.update(v=montecarlo._values(kind, spec, 60, 300, 9, 0, 16)))
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive() and np.array_equal(got["v"], want)
 
 
 def test_standardized_sample_rejects_n_1():

@@ -251,6 +251,7 @@ def test_inversions_batch_chunking(monkeypatch):
 
     monkeypatch.setattr(stats, "_inversions_chunk", counted)
     monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # one thread, full chunks
     chunked = stats.inversions_batch(x)
     assert np.array_equal(full, chunked)
     assert chunk_rows == [7] * 9 + [1]
@@ -268,6 +269,107 @@ def test_inversions_batch_repairs_ties_of_the_fast_argsort():
     want = [inv_oracle(row.tolist()) for row in x]
     assert stats.inversions_batch(x).tolist() == want
     assert want[8] == 0
+
+
+def _pool_spy(monkeypatch, cpus):
+    """Record the thread count of every pool ``inversions_batch`` opens, on a
+    host of ``cpus`` CPUs."""
+    pools = []
+    real = stats.ThreadPoolExecutor
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def test_inversions_batch_equal_for_any_thread_count(monkeypatch):
+    # chunks of 2 to 7 rows at n = 37 (64 keys): score rows, rank rows and
+    # tied rows (exact ties, two -inf) count the same on 1, 2 and 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
+    rng = np.random.default_rng(11)
+    x = rng.random((50, 37))
+    x[10:20] = np.floor(x[10:20] * 5)
+    x[30, [2, 9]] = -np.inf
+    ranks = stats.ranks_matrix(x)
+    want = [inv_oracle(row.tolist()) for row in x]
+    for cpus in (1, 2, 3):
+        pools = _pool_spy(monkeypatch, cpus)
+        assert stats.inversions_batch(x).tolist() == want
+        assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+        assert pools == ([cpus, cpus] if cpus > 1 else [])
+
+
+def test_inversions_pool_runs_only_above_one_chunk(monkeypatch):
+    # two threads take chunks of 2^17 padded keys: 256 rows at n = 300 (512
+    # keys a row), so 256 rows stay on the calling thread and 257 do not
+    x = np.random.default_rng(3).random((1000, 300))
+    rows = (stats._MERGE_KEYS // 2) // 512
+    pools = _pool_spy(monkeypatch, 2)
+    below = stats.inversions_batch(x[:rows])
+    assert pools == []
+    above = stats.inversions_batch(x[:rows + 1])
+    assert pools == [2] and np.array_equal(above[:-1], below)
+    # a pool of min(threads, chunks): 3 CPUs, 2 chunks, then 6 chunks
+    pools = _pool_spy(monkeypatch, 3)
+    stats.inversions_batch(x[:2 * ((stats._MERGE_KEYS // 3) // 512)])
+    stats.inversions_batch(x)
+    assert pools == [2, 3]
+    # one CPU: no pool, whatever the chunk count
+    pools = _pool_spy(monkeypatch, 1)
+    stats.inversions_batch(x)
+    assert pools == []
+
+
+def test_inversions_chunks_bound_keys_in_flight(monkeypatch):
+    # each chunk holds at most _MERGE_KEYS // threads padded keys
+    _pool_spy(monkeypatch, 3)
+    seen = []
+    real = stats._inversions_chunk
+
+    def spy(y, assume_ranks):
+        seen.append(len(y))
+        return real(y, assume_ranks)
+
+    monkeypatch.setattr(stats, "_inversions_chunk", spy)
+    stats.inversions_batch(np.random.default_rng(2).random((700, 1000)))
+    assert len(seen) > 1 and max(seen) * 1024 <= stats._MERGE_KEYS // 3 and sum(seen) == 700
+
+
+def test_inversions_batch_under_stress(monkeypatch):
+    # more threads than cores, one-row chunks and a short switch interval:
+    # every chunk still lands in its own rows, within a time bound
+    import sys
+    import threading
+
+    x = np.random.default_rng(9).random((300, 60))
+    want = [inv_oracle(row.tolist()) for row in x]
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 64)
+    pools = _pool_spy(monkeypatch, 16)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: got.update(v=stats.inversions_batch(x)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and got["v"].tolist() == want and pools == [16]
+
+
+def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
+    # the size-bias checks count their inversions through the same kernel
+    from permlab import sizebias
+
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 32 * 30)  # 10-row chunks on 3 threads
+    got = {}
+    for cpus in (1, 3):
+        pools = _pool_spy(monkeypatch, cpus)
+        draws = sizebias.couple_batch(30, 90, 5)
+        bound = sizebias.stein_bound(30, 200, 16, 6)
+        ident = sizebias.verify_size_bias_identity(30, "square", 50, 7)
+        got[cpus] = ({k: v.tobytes() for k, v in draws.items()}, bound, ident)
+        assert bool(pools) == (cpus > 1)
+    assert got[1] == got[3]
 
 
 def test_batch_single_row_and_single_column():
