@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Every run emits exactly one RunRecord, a JSON object with the command, the
-fully resolved parameters (including the seed, generated and reported when
-not supplied), the results, the package version and the runtime.  Scalar
-commands print the record on stdout; table commands stream CSV rows on stdout
-and put the record on stderr, so data and diagnostics never mix.
+Every run emits exactly one RunRecord, a JSON object with the command, every
+parsed argument as params (with the seed generated and reported when not
+supplied, and the statistic normalized), the results, the package version
+and the runtime.  Scalar commands print the record on stdout; table commands
+stream CSV rows on stdout and put the record on stderr, so data and
+diagnostics never mix.
 """
 from __future__ import annotations
 
@@ -39,10 +40,13 @@ except Exception:  # pragma: no cover
     VERSION = "0.1.0"
 
 
-def _record(command: str, params: dict, results: dict, t0: float) -> dict:
+def _record(args, results: dict, t0: float, **resolved) -> dict:
+    """The RunRecord of a run: params are the parsed arguments, with
+    ``resolved`` (the seed, the normalized statistic) in place of theirs."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {
-        "command": command,
-        "params": params,
+        "command": args.command,
+        "params": params | resolved,
         "results": results,
         "version": VERSION,
         "runtime_seconds": round(time.perf_counter() - t0, 6),
@@ -103,29 +107,20 @@ def cmd_sample(args) -> int:
     spec = _model_spec(args)
     montecarlo._check_budget(args.n, args.reps, montecarlo.DEFAULT_MAX_BUDGET)
     mat = sample_permutation_matrix(spec, args.n, args.reps, seed, workers=args.threads)
-    params = {
-        "model": spec.kind.value,
-        "n": args.n,
-        "reps": args.reps,
-        "seed": seed,
-        "threads": args.threads,
-        "format": args.format,
-    }
     if args.format == "json":
-        rec = _record("sample", params, {"permutations": mat.tolist()}, t0)
+        rec = _record(args, {"permutations": mat.tolist()}, t0, seed=seed)
         _emit_record(rec, to_stderr=False)
         return 0
     out = csv.writer(sys.stdout)
     for a in range(0, len(mat), _BLOCK_ROWS):  # one block of Python ints at a time
         out.writerows([",".join(map(str, row))] for row in mat[a:a + _BLOCK_ROWS].tolist())
-    _emit_record(_record("sample", params, {"rows": int(mat.shape[0])}, t0), to_stderr=True)
+    _emit_record(_record(args, {"rows": int(mat.shape[0])}, t0, seed=seed), to_stderr=True)
     return 0
 
 
 def cmd_pmf(args) -> int:
     t0 = time.perf_counter()
     law = exact.enumerate_law(args.n, args.model, exact=True)
-    params = {"model": args.model, "n": args.n}
     # each distinct probability is formatted once and summed once, times its count
     ratios = [p.as_integer_ratio() for p in law.probs]
     counts = Counter(ratios)
@@ -137,7 +132,7 @@ def cmd_pmf(args) -> int:
     out.writerows(("(" + ",".join(map(str, o)) + ")", *cells[r])
                   for o, r in zip(law.outcomes, ratios))
     results = {"outcomes": len(law.outcomes), "total_probability": repr(total)}
-    _emit_record(_record("pmf", params, results, t0), to_stderr=True)
+    _emit_record(_record(args, results, t0), to_stderr=True)
     return 0
 
 
@@ -153,7 +148,7 @@ def cmd_tv(args) -> int:
         results.update({"p_rho": p_rho, "p_pi": p_pi, "lower_bound": diff})
     else:
         results.update({"p_rho": None, "p_pi": None, "lower_bound": None})
-    _emit_record(_record("tv", {"n": args.n}, results, t0), to_stderr=False)
+    _emit_record(_record(args, results, t0), to_stderr=False)
     return 0
 
 
@@ -168,8 +163,7 @@ def cmd_stats(args) -> int:
     out = csv.writer(sys.stdout)
     out.writerow(["permutation", "statistic", "value"])
     out.writerows(rows)
-    rec = _record("stats", {"stat": str(kind)}, {"rows": len(texts)}, t0)
-    _emit_record(rec, to_stderr=True)
+    _emit_record(_record(args, {"rows": len(texts)}, t0, stat=str(kind)), to_stderr=True)
     return 0
 
 
@@ -177,8 +171,7 @@ def cmd_moments(args) -> int:
     t0 = time.perf_counter()
     kind = parse_statistic(args.stat)
     results = exact.closed_form_moments(kind, args.n)
-    rec = _record("moments", {"stat": str(kind), "n": args.n}, results, t0)
-    _emit_record(rec, to_stderr=False)
+    _emit_record(_record(args, results, t0, stat=str(kind)), to_stderr=False)
     return 0
 
 
@@ -203,16 +196,7 @@ def cmd_clt(args) -> int:
         "ks": montecarlo.ks_to_normal(sample.values),
         "w1": montecarlo.wasserstein1_to_normal(sample.values),
     }
-    params = {
-        "kind": str(kind),
-        "model": spec.kind.value,
-        "n": args.n,
-        "reps": args.reps,
-        "seed": seed,
-        "centering": montecarlo.Centering(args.centering).value,
-        "threads": args.threads,
-    }
-    _emit_record(_record("clt", params, results, t0), to_stderr=False)
+    _emit_record(_record(args, results, t0, seed=seed, stat=str(kind)), to_stderr=False)
     return 0
 
 
@@ -231,28 +215,18 @@ def cmd_ratio(args) -> int:
     }
     if kind.tag == "desc" and kind.m == 1 and args.k == 1:
         results["closed_form_ratio"] = exact.moment_ratio_descents(args.n)
-    params = {
-        "stat": str(kind),
-        "n": args.n,
-        "reps": args.reps,
-        "k": args.k,
-        "seed": seed,
-        "threads": args.threads,
-    }
-    _emit_record(_record("ratio", params, results, t0), to_stderr=False)
+    _emit_record(_record(args, results, t0, seed=seed, stat=str(kind)), to_stderr=False)
     return 0
 
 
 def cmd_sizebias(args) -> int:
     t0 = time.perf_counter()
     seed = _resolve_seed(args)
-    params = {"n": args.n, "seed": seed, "check": args.check}
     # var/bound hold each outer score row and its inner completions
     rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else args.reps
     montecarlo._check_budget(args.n, rows, montecarlo.DEFAULT_MAX_BUDGET)
     if args.check in ("identity", "square") or args.check.startswith("indicator:"):
         report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, seed)
-        params["reps"] = args.reps
         results = {
             "f": report.f_name,
             "lhs": report.lhs,
@@ -261,17 +235,14 @@ def cmd_sizebias(args) -> int:
             "gap_in_se": report.gap_in_se,
         }
     elif args.check == "var":
-        params.update({"outer": args.outer, "inner": args.inner})
-        _, d = sizebias._differences(args.n, args.outer, args.inner, seed)
-        raw, value = sizebias._var_cond(d, args.n)
+        report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)
         results = {
-            "var_cond": value,
-            "var_cond_over_n": value / args.n,
-            "var_cond_raw": raw,
-            "clamped": raw < 0.0,
+            "var_cond": report.var_cond,
+            "var_cond_over_n": report.var_cond / args.n,
+            "var_cond_raw": report.var_cond_raw,
+            "clamped": report.clamped,
         }
     elif args.check == "bound":
-        params.update({"outer": args.outer, "inner": args.inner})
         report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)
         results = {
             "mu": report.mu,
@@ -284,7 +255,7 @@ def cmd_sizebias(args) -> int:
         }
     else:
         raise ValueError(f"unknown check {args.check!r}")
-    _emit_record(_record("sizebias", params, results, t0), to_stderr=False)
+    _emit_record(_record(args, results, t0, seed=seed), to_stderr=False)
     return 0
 
 

@@ -266,7 +266,7 @@ def statistic_law(
     acc: dict[int, object] = {}
     zero = Fraction(0) if exact else 0.0
     rows = np.array([as_entries(o) for o in law.outcomes], dtype=np.int64)
-    values = _stats.evaluate_batch(kind, rows, assume_ranks=True).tolist()
+    values = _stats.evaluate_batch(kind, rows).tolist()
     for v, p in zip(values, law.probs):
         acc[v] = acc.get(v, zero) + p
     support = tuple(sorted(acc))
@@ -331,10 +331,11 @@ def _pair_sums(n: int, m: int) -> tuple[np.ndarray, ...]:
     For s = 3..2n-1 they are i = lo..hi, lo = max(1, s - n, ceil((s - m)/2)),
     hi = (s - 1) // 2, and c_s = lo + ... + hi (0 where lo = hi + 1).  m is
     clamped to n first: no pair is further apart, and int64 holds n.  n past
-    10^7 is refused first: the moments peak near 214 bytes per n.
+    10^6 is refused first: ``moments --stat inv`` at n = 10^6 takes 0.4 s
+    and 285 MB max RSS (2-core x86_64), and memory grows linearly in n.
     """
-    if n > 10 ** 7:
-        raise ValueError(f"n = {n} exceeds the moment table cap 10^7")
+    if n > 10 ** 6:
+        raise ValueError(f"n = {n} exceeds the moment table cap 10^6")
     s = np.arange(3, 2 * n, dtype=np.int64)
     lo = np.maximum(np.maximum(1, s - n), (s - min(m, n) + 1) // 2)
     hi = (s - 1) // 2

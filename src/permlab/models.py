@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -330,33 +329,14 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 #
 # Row r of a batch is drawn from stream first_stream + r, on the calling
 # thread.  _stream_blocks hands out the rows in blocks of at most
-# _BLOCK_ROWS, each with one source of uniforms holding one row per stream
-# behind the random(k, out=) shape of an rng.StreamBlock.  All sources give
+# _BLOCK_ROWS, each with one source of uniforms holding one row per stream:
+# an rng.StreamBlock (which picks its own way to draw), or one generator per
+# row for streams at or past 2^64, the most a StreamBlock holds.  Both give
 # the same bits, so the markov walk and the log-score transform ln(u)/k run
-# over the whole block either way, and the size-bias completions read their
-# blocks from the same rule.  A score row draws n uniforms, or 2n - 1 for
-# markov (the walk's n - 1 come first); this is the draw width below.
-#
-# Every block below stream 2^64, the most a StreamBlock holds, is seeded at
-# once (about 0.2 ms).  A narrow block is then stepped, all streams together
-# at about 40 us per column; a wide one is drawn natively, row by row
-# (StreamBlock.random_rows), at about 4.5 us per row plus 5 ns per element.
-# Median ratios of stepped to native time for the uniforms (nine alternating
-# timings, quartiles in brackets; 2-core x86_64, numpy 2.4):
-#
-#     rows   k: ratio
-#     30     3: 0.73 (0.69-0.78)    5: 0.87 (0.83-0.87)    8: 1.09 (1.08-1.11)
-#     300   40: 0.78 (0.76-0.78)   50: 0.93 (0.91-0.94)   60: 1.08 (1.07-1.10)
-#     1000 100: 0.74 (0.73-0.82)  130: 0.98 (0.97-1.00)  160: 1.15 (1.13-1.17)
-#     4096 200: 0.70 (0.69-0.71)  250: 0.86 (0.82-0.88)  300: 1.00 (0.96-1.04)
-#
-# So a block is stepped when its draw width is at most _STEPPED_MAX_WIDTH
-# and its rows over _STEPPED_ROWS_PER_COLUMN; streams at or past 2^64 get one
-# generator per row (_RowGenerators).
+# over the whole block, and the size-bias completions read their blocks from
+# the same rule.
 
 _BLOCK_ROWS = 4096  # temporaries of one block stay near 1 MB per column pass
-_STEPPED_MAX_WIDTH = 250
-_STEPPED_ROWS_PER_COLUMN = 7
 
 
 class _RowGenerators:
@@ -374,22 +354,17 @@ class _RowGenerators:
         return out
 
 
-def _stream_blocks(
-    seed: int, first_stream: int, rows: int, width: int, substream: int | None = None
-):
-    """(a, b, rng) for rows a..b-1 of a batch of ``rows`` that each draw
-    ``width`` uniforms: rng has one row per stream first_stream + a..b-1
-    (under ``substream``), stepped, native or one generator per row by the
-    rule above."""
+def _stream_blocks(seed: int, first_stream: int, rows: int, substream: int | None = None):
+    """(a, b, rng) for rows a..b-1 of a batch of ``rows``: rng has one row
+    per stream first_stream + a..b-1 (under ``substream``), a StreamBlock or
+    one generator per row by the rule above."""
     for a in range(0, rows, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, rows)
         if first_stream + b > 2 ** 64:
             yield a, b, _RowGenerators(seed, range(first_stream + a, first_stream + b), substream)
-            continue
-        streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-        block = make_generator(seed, streams, substream)
-        stepped = width <= min(_STEPPED_MAX_WIDTH, (b - a) // _STEPPED_ROWS_PER_COLUMN)
-        yield a, b, block if stepped else SimpleNamespace(random=block.random_rows)
+        else:
+            streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+            yield a, b, make_generator(seed, streams, substream)
 
 
 def sample_score_matrix(
@@ -411,8 +386,7 @@ def sample_score_matrix(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     mat = np.empty((reps, n), dtype=float)
-    width = 2 * n - 1 if spec.kind is ModelKind.MARKOV else n
-    for a, b, rng in _stream_blocks(seed, first_stream, reps, width):
+    for a, b, rng in _stream_blocks(seed, first_stream, reps):
         _scores(spec, n, rng, out=mat[a:b])
     return mat
 

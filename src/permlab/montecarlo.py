@@ -3,8 +3,8 @@
 Replica r of every run draws from stream r of the root seed (disjoint blocks
 when a run needs two models), and reductions are numpy pairwise sums over the
 replica-indexed value array.  Replicas are sampled on the calling thread in
-row chunks of at most ``stats._CHUNK_ELEMENTS`` scores, so a run holds one
-chunk of scores plus one value per replica.  Inversion counts run on up to one
+row chunks of at most ``_CHUNK_ELEMENTS`` scores, so a run holds one chunk of
+scores plus one value per replica.  Inversion counts run on up to one
 thread per CPU, wherever called; ``workers`` is checked but selects nothing.
 Empirical normality is measured against the standard normal with a
 Kolmogorov-Smirnov distance and an order-statistic Wasserstein-1 distance;
@@ -21,9 +21,10 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import exact, stats
+from . import exact
 from .exact import UnknownClosedForm
-from .models import ModelKind, ModelSpec, sample_permutation_matrix, sample_score_matrix
+from .models import (ModelKind, ModelSpec, _fixed_counts, sample_permutation_matrix,
+                     sample_score_matrix)
 from .stats import StatisticKind, evaluate_batch
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BUDGET = 500_000_000
+# Scores sampled and evaluated at once, bounding a run's memory.
+_CHUNK_ELEMENTS = 8_000_000
 
 
 class BudgetExceeded(ValueError):
@@ -65,24 +68,29 @@ def _check_budget(n: int, reps: int, max_budget: int) -> None:
         raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {max_budget}")
 
 
+def _counts_inversions(kind: StatisticKind, n: int) -> bool:
+    """inv, ainv or desc:m with m >= n - 1: counts over all pairs, equal on g and g^-1."""
+    return kind.tag in ("inv", "ainv") or (kind.tag == "desc" and kind.m >= n - 1)
+
+
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
             first_stream: int, workers: int) -> np.ndarray:
     """Statistic values (float) of replicas from streams first_stream + r:
-    sample a chunk of at most ``stats._CHUNK_ELEMENTS`` scores, then evaluate
-    it.  Inversion counts run on up to one thread per CPU inside ``stats``;
+    sample a chunk of at most ``_CHUNK_ELEMENTS`` scores, then evaluate it.
+    Inversion counts run on up to one thread per CPU inside ``stats``;
     ``workers`` is checked by the sampler but selects nothing.
 
-    Unfair rows are one-line permutations, but ``inv`` and ``ainv`` read score
+    Unfair rows are one-line permutations, but inversion counts read score
     rows (Inv(g) = Inv(g^-1)); every other model's score rows are compared as
     they are, their comparisons being the rank sequence's.
     """
-    ranks = spec.kind is ModelKind.UNFAIR and kind.tag not in ("inv", "ainv")
+    ranks = spec.kind is ModelKind.UNFAIR and not _counts_inversions(kind, n)
     sample = sample_permutation_matrix if ranks else sample_score_matrix
     values = np.empty(reps)
-    step = max(1, stats._CHUNK_ELEMENTS // n)
+    step = max(1, _CHUNK_ELEMENTS // n)
     for lo in range(0, reps, step):
         mat = sample(spec, n, min(step, reps - lo), seed, first_stream + lo, workers)
-        values[lo:lo + len(mat)] = evaluate_batch(kind, mat, assume_ranks=ranks)
+        values[lo:lo + len(mat)] = evaluate_batch(kind, mat)
     return values
 
 
@@ -177,13 +185,19 @@ def standardized_sample(
 ) -> StandardizedSample:
     """Replica statistic values mapped through (T - center) / scale.
 
-    Centers and scales come from the inverse-unfair closed forms (inversions
-    share their law between the unfair and inverse-unfair models; descent
-    formulas are for the rank sequence).
+    Centers and scales are the inverse-unfair closed forms, so the models they
+    describe are the only ones taken: inverse-unfair, phi with phi(i) = i on
+    1..n, and unfair for inversion counts (Inv(g) = Inv(g^-1)).  Any other
+    model raises UnknownClosedForm.
     """
     centering = Centering(centering)
     _check_budget(n, reps, max_budget)
     center, scale = _center_and_scale(kind, n, centering)
+    if not (spec.kind is ModelKind.INVERSE_UNFAIR
+            or spec.kind is ModelKind.UNFAIR and _counts_inversions(kind, n)
+            or spec.kind is ModelKind.PHI
+            and np.array_equal(_fixed_counts(spec, n), np.arange(1, n + 1))):
+        raise UnknownClosedForm(f"no closed-form moments for {kind} under {spec.kind.value}")
     if scale == 0.0 or n == 1:  # S_1 holds one permutation: every statistic is constant
         raise UnknownClosedForm(f"degenerate scale for {kind} at n={n}")
     t0 = time.perf_counter()

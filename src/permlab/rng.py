@@ -10,14 +10,26 @@ Many streams are drawn together.  Building one ``Generator`` costs
 20-27 us, which dominates when each replica needs only a few draws.
 ``make_generator`` given an array of stream indices returns a
 ``StreamBlock`` instead, which runs SeedSequence's hashing and PCG64's
-seeding, step and XSL-RR output as uint32/uint64 array arithmetic, one array
-element per stream and one step per column (PCG64 is a plain 128-bit LCG;
-O'Neill 2014).  Row r of ``make_generator(seed, streams,
+seeding as uint32/uint64 array arithmetic, one array element per stream
+(about 0.2 ms for 4096 streams).  Row r of ``make_generator(seed, streams,
 substream).random(k)`` holds exactly the bits of ``make_generator(seed,
-streams[r], substream).random(k)``; only the cost differs.  Stepping costs
-about 40 ns per element and 40 us per column, so it loses on wide rows, which
-``random_rows`` draws row by row through numpy's own PCG64; ``permlab.models``
-gives the measured crossover.  Temporaries are a few dozen arrays of
+streams[r], substream).random(k)``; only the cost differs.
+
+``random(k)`` picks one of two ways to draw.  A narrow draw is stepped: PCG64
+step and XSL-RR output on all streams together, one step per column (PCG64 is
+a plain 128-bit LCG; O'Neill 2014), about 40 us per column.  A wide one is
+drawn row by row through numpy's own PCG64 (``random_rows``), about 4.5 us
+per row plus 5 ns per element.  Median ratios of stepped to row-by-row time
+(nine alternating timings, quartiles in brackets; 2-core x86_64, numpy 2.4):
+
+    rows   k: ratio
+    30     3: 0.73 (0.69-0.78)    5: 0.87 (0.83-0.87)    8: 1.09 (1.08-1.11)
+    300   40: 0.78 (0.76-0.78)   50: 0.93 (0.91-0.94)   60: 1.08 (1.07-1.10)
+    1000 100: 0.74 (0.73-0.82)  130: 0.98 (0.97-1.00)  160: 1.15 (1.13-1.17)
+    4096 200: 0.70 (0.69-0.71)  250: 0.86 (0.82-0.88)  300: 1.00 (0.96-1.04)
+
+So a draw is stepped when k is at most _STEPPED_MAX_WIDTH and the rows over
+_STEPPED_ROWS_PER_COLUMN.  Temporaries are a few dozen arrays of
 len(streams), so callers bound the number of streams in one block.
 """
 from __future__ import annotations
@@ -28,6 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["RngSeed", "StreamBlock", "make_generator", "fresh_seed"]
+
+_STEPPED_MAX_WIDTH = 250
+_STEPPED_ROWS_PER_COLUMN = 7
 
 
 @dataclass(frozen=True)
@@ -192,9 +207,15 @@ class StreamBlock:
         return self._state[0].size
 
     def random(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """(len(self), k) uniforms on [0, 1), one step of every stream per
-        column.  ``out``, if given, is a float64 array of that shape to fill
-        and return."""
+        """(len(self), k) uniforms on [0, 1), stepped or row by row by the
+        crossover above.  ``out``, if given, is a float64 array of that shape
+        to fill and return."""
+        if k <= min(_STEPPED_MAX_WIDTH, len(self) // _STEPPED_ROWS_PER_COLUMN):
+            return self._stepped(k, out)
+        return self.random_rows(k, out)
+
+    def _stepped(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The draws of ``random(k)``, one step of every stream per column."""
         out = self._out(k, out)
         hi, lo, inc_hi, inc_lo = self._state
         with np.errstate(over="ignore"):

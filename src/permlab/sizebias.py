@@ -178,7 +178,7 @@ def _completion_uniforms(seed: int, first_stream: int, reps: int, c: int) -> np.
     """(reps, 4) uniforms of completion c: row r from (stream first_stream + r,
     substream 1 + c), in the stream blocks of every models batch."""
     u = np.empty((reps, 4))
-    for a, b, rng in _stream_blocks(seed, first_stream, reps, 4, substream=1 + c):
+    for a, b, rng in _stream_blocks(seed, first_stream, reps, substream=1 + c):
         rng.random(4, out=u[a:b])
     return u
 

@@ -6,11 +6,12 @@ matrix, one permutation (or score vector) per row; the single-permutation
 function runs it on one row.  ``incsub`` is the exception: its exact
 Python-integer Fenwick count serves one permutation, and the batch form
 loops over rows.  All statistics here are comparison-based, so the batch forms
-accept either integer rank rows or raw score rows; row comparisons are what
-matters.  The batch inversion counter is an O(n log n) padded merge sort of
-int32 keys after a tie-repaired fast argsort; its O(n^2) oracle is in the tests.
-It alone runs on threads, up to one per CPU wherever it is called from, with
-the same counts for any thread count.
+read any rows, integer ranks or raw scores, with no flag saying which.  The
+batch inversion counter is an O(n log n) padded merge sort of int32 keys after
+a tie-repaired fast argsort, which rank rows pay too (Inv(p) = Inv(p^-1)): one
+row costs about 95 us at n = 5 and 250 us at n = 100 (2-core x86_64).  Its
+O(n^2) oracle is in the tests.  It alone runs on threads, up to one per CPU
+wherever it is called from, with the same counts for any thread count.
 """
 from __future__ import annotations
 
@@ -46,8 +47,6 @@ __all__ = [
     "evaluate_batch",
 ]
 
-# Scores that montecarlo samples and evaluates at once, bounding its memory.
-_CHUNK_ELEMENTS = 8_000_000
 _MERGE_KEYS = 1 << 18  # padded keys per chunk of the merge count, >= 1 row
 
 
@@ -105,12 +104,12 @@ def _row(p) -> np.ndarray:
 
 def inversions(p) -> int:
     """Number of pairs i < j with p(i) > p(j).  O(n log n)."""
-    return int(inversions_batch(_row(p), assume_ranks=True)[0])
+    return int(inversions_batch(_row(p))[0])
 
 
 def anti_inversions(p) -> int:
     """Number of pairs i < j with p(i) < p(j); complements inversions."""
-    return int(anti_inversions_batch(_row(p), assume_ranks=True)[0])
+    return int(anti_inversions_batch(_row(p))[0])
 
 
 def m_descents(p, m: int) -> int:
@@ -118,7 +117,7 @@ def m_descents(p, m: int) -> int:
 
     m = 1 gives classical descents; m >= n - 1 gives inversions.
     """
-    return int(m_descents_batch(_row(p), m, assume_ranks=True)[0])
+    return int(m_descents_batch(_row(p), m)[0])
 
 
 def m_ascents(p, m: int) -> int:
@@ -201,7 +200,7 @@ def evaluate(kind: StatisticKind, p) -> int:
     """
     if kind.tag == "incsub":
         return increasing_subsequences(p, kind.m)
-    return int(evaluate_batch(kind, _row(p), assume_ranks=True)[0])
+    return int(evaluate_batch(kind, _row(p))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +217,10 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
+def inversions_batch(x: np.ndarray) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix, O(n log n) per row.
 
+    Any rows, ranks or scores: the merge sorts each row's stable argsort.
     Bottom-up merge sort of each row, padded to size = n rounded up to a power
     of two: at each block width every inverted pair is counted exactly once,
     at the level where its positions first share a block.  Keys are int32
@@ -242,7 +242,7 @@ def inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
     starts = range(0, reps, chunk)
 
     def count(lo: int) -> None:
-        out[lo:lo + chunk] = _inversions_chunk(x[lo:lo + chunk], assume_ranks)
+        out[lo:lo + chunk] = _inversions_chunk(x[lo:lo + chunk])
 
     if min(threads, len(starts)) > 1:
         with ThreadPoolExecutor(min(threads, len(starts))) as pool:
@@ -252,24 +252,21 @@ def inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
     return out
 
 
-def _inversions_chunk(x: np.ndarray, assume_ranks: bool) -> np.ndarray:
+def _inversions_chunk(x: np.ndarray) -> np.ndarray:
     reps, n = x.shape
     if n < 2:
         return np.zeros(reps, dtype=np.int64)
-    # Values 0..n-1 with the row's inversions: ranks less one, or the stable
-    # argsort of scores (the inverse of their ranks, ties in column order),
-    # which the fast argsort is on rows whose sorted scores strictly increase;
-    # other rows (exact ties, two -inf) sort again.  The rising pad adds none.
+    # Values 0..n-1 with the row's inversions: its stable argsort (the inverse
+    # of its ranks, ties in column order), which the fast argsort is on rows
+    # whose sorted values strictly increase; other rows (exact ties, two -inf)
+    # sort again.  The rising pad adds none.
     size = 1 << (n - 1).bit_length()
     keys = np.empty((reps, size), dtype=np.int32 if size <= 1 << 30 else np.int64)
-    if assume_ranks:
-        keys[:, :n] = x - 1
-    else:
-        order = np.argsort(x, axis=1)
-        s = np.take_along_axis(x, order, axis=1)
-        tied = np.flatnonzero(~np.all(s[:, 1:] > s[:, :-1], axis=1))
-        order[tied] = np.argsort(x[tied], axis=1, kind="stable")
-        keys[:, :n] = order
+    order = np.argsort(x, axis=1)
+    s = np.take_along_axis(x, order, axis=1)
+    tied = np.flatnonzero(~np.all(s[:, 1:] > s[:, :-1], axis=1))
+    order[tied] = np.argsort(x[tied], axis=1, kind="stable")
+    keys[:, :n] = order
     keys[:, n:] = np.arange(n, size)
     # numpy sorts short rows slowly: count blocks of 16 pair by pair, sort once
     w = min(16, size)
@@ -291,19 +288,19 @@ def _inversions_chunk(x: np.ndarray, assume_ranks: bool) -> np.ndarray:
     return count
 
 
-def anti_inversions_batch(x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
+def anti_inversions_batch(x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x))
     n = x.shape[1]
-    return n * (n - 1) // 2 - inversions_batch(x, assume_ranks)
+    return n * (n - 1) // 2 - inversions_batch(x)
 
 
-def m_descents_batch(x: np.ndarray, m: int, assume_ranks: bool = False) -> np.ndarray:
+def m_descents_batch(x: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
     if m >= n - 1:
-        return inversions_batch(x, assume_ranks)
+        return inversions_batch(x)
     out = np.zeros(reps, dtype=np.int64)
     for k in range(1, m + 1):
         out += np.count_nonzero(x[:, :-k] > x[:, k:], axis=1)
@@ -356,7 +353,7 @@ def rising_sequences_batch(x: np.ndarray, m: int) -> np.ndarray:
     return np.count_nonzero(win, axis=1).astype(np.int64)
 
 
-def evaluate_batch(kind: StatisticKind, x: np.ndarray, assume_ranks: bool = False) -> np.ndarray:
+def evaluate_batch(kind: StatisticKind, x: np.ndarray) -> np.ndarray:
     """Row-wise statistic values for a (reps, n) matrix.
 
     ``incsub`` falls back to a per-row loop (it needs integer values, not just
@@ -365,11 +362,11 @@ def evaluate_batch(kind: StatisticKind, x: np.ndarray, assume_ranks: bool = Fals
     """
     tag = kind.tag
     if tag == "inv":
-        return inversions_batch(x, assume_ranks)
+        return inversions_batch(x)
     if tag == "ainv":
-        return anti_inversions_batch(x, assume_ranks)
+        return anti_inversions_batch(x)
     if tag == "desc":
-        return m_descents_batch(x, kind.m, assume_ranks)
+        return m_descents_batch(x, kind.m)
     if tag == "asc":
         return m_ascents_batch(x, kind.m)
     if tag == "locmax":
@@ -379,8 +376,7 @@ def evaluate_batch(kind: StatisticKind, x: np.ndarray, assume_ranks: bool = Fals
     if tag == "rising":
         return rising_sequences_batch(x, kind.m)
     if tag == "incsub":
-        x = np.atleast_2d(np.asarray(x))
-        r = x if assume_ranks else ranks_matrix(x)
-        vals = [increasing_subsequences(tuple(int(v) for v in row), kind.m) for row in r]
+        vals = [increasing_subsequences(tuple(int(v) for v in row), kind.m)
+                for row in ranks_matrix(x)]
         return np.asarray(vals, dtype=np.int64 if max(vals, default=0) < 2 ** 63 else object)
     raise ValueError(f"unknown statistic tag {tag!r}")

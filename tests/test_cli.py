@@ -335,7 +335,80 @@ def test_clt_record(capsys):
     assert res["ks"] < 0.1
     assert res["w1"] < 0.15
     assert rec["params"]["centering"] == "exact"
-    assert rec["params"]["kind"] == "inv"
+    assert rec["params"]["stat"] == "inv"
+
+
+def _chain_file(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"chain": {"states": [1, 2],
+                                          "transitions": [[0.5, 0.5], [0.0, 1.0]]}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("model", [
+    ["--stat", "inv", "--model", "uniform"],
+    ["--stat", "inv", "--model", "markov", "--chain", "CHAIN"],
+    ["--stat", "inv", "--model", "phi", "--phi", "one"],
+    ["--stat", "desc:1", "--model", "unfair"],
+])
+def test_clt_refuses_models_its_closed_forms_do_not_describe(capsys, tmp_path, model):
+    # the centering is the inverse-unfair closed form, which fits none of these
+    model = [_chain_file(tmp_path) if a == "CHAIN" else a for a in model]
+    code, out, err = run_cli(["clt", *model, "--n", "50", "--reps", "100", "--seed", "1"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _rerun_argv(rec):
+    """argv rebuilt from a record's params: None skipped, lists repeated."""
+    argv = [rec["command"]]
+    for key, value in rec["params"].items():
+        for v in value if isinstance(value, list) else [] if value is None else [value]:
+            argv += ["--" + key.replace("_", "-"), str(v)]
+    return argv
+
+
+def test_rerun_from_record_params_reproduces_the_run(capsys, tmp_path):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"phi": {"table": {"1": 10, "3": 2}, "default": "one"}}))
+    sample = ["sample", "--n", "6", "--reps", "5"]
+    tables = [
+        sample + ["--model", "phi", "--phi", "one", "--seed", "3"],
+        sample + ["--model", "phi", "--phi-table", str(phi), "--seed", "3"],
+        sample + ["--model", "markov", "--chain", _chain_file(tmp_path)],  # seed generated
+        ["stats", "--stat", " desc:2", "--perm", "3,1,4,2", "--perm", "2,4,1,3"],
+        ["pmf", "--model", "unfair", "--n", "4"],
+    ]
+    scalars = [
+        ["clt", "--stat", "inv", "--model", "unfair", "--n", "30", "--reps", "40"],
+        ["ratio", "--stat", "desc:1", "--n", "20", "--reps", "30", "--k", "2", "--seed", "5"],
+        ["sizebias", "--check", "var", "--n", "12", "--outer", "40", "--inner", "3",
+         "--seed", "1"],
+        ["moments", "--stat", "desc:3", "--n", "40"],
+    ]
+    for argv in tables + scalars:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        rec = record_of(err if argv in tables else out)
+        again = run_cli(_rerun_argv(rec), capsys)
+        assert again[0] == 0, again[2]
+        if argv in tables:
+            assert again[1] == out, argv
+        else:
+            assert record_of(again[1])["results"] == rec["results"], argv
+
+
+def test_moments_refuses_n_past_the_table_cap(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    code, out, err = run_cli(["moments", "--stat", "inv", "--n", "1000001"], capsys)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "10^6" in err
+    assert peak < 8 * 2 ** 20
 
 
 def test_clt_emit_sample(tmp_path, capsys):

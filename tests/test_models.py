@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from permlab import exact, models
+from permlab import exact, models, rng
 from permlab.models import (
     MarkovChainSpec,
     ModelKind,
@@ -347,9 +347,9 @@ def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
     monkeypatch.setattr(models, "make_generator", spy("block", make_generator))
     monkeypatch.setattr(StreamBlock, "random_rows", spy("native", StreamBlock.random_rows))
     monkeypatch.setattr(models, "_RowGenerators", spy("per-row", models._RowGenerators))
-    wide = models._STEPPED_MAX_WIDTH + 1
+    wide = rng._STEPPED_MAX_WIDTH + 1
     cases = (
-        # markov rows draw 2n - 1 uniforms: 15 at n = 8, so 105 rows per block
+        # 150 rows step the n = 8 draws (markov draws n - 1, then n)
         (8, 150, 7, {"block"}),
         (wide, 3, 7, {"block", "native"}),
         (8, 12, 2 ** 32 - 6, {"block", "native"}),  # one- and two-word spawn keys

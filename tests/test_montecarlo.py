@@ -57,14 +57,14 @@ def test_inv_pathwise_equal_between_models():
     assert a.variance == b.variance
 
 
-@pytest.mark.parametrize("stat", ["inv", "ainv"])
+@pytest.mark.parametrize("stat", ["inv", "ainv", "desc:32", "desc:40"])
 def test_unfair_inversions_read_score_rows(monkeypatch, stat):
     # Inv(g) = Inv(g^-1): the score rows give the unfair rows' counts, bit
-    # for bit, without sampling the rows
+    # for bit, without sampling the rows; desc:m with m >= n - 1 counts them too
     kind, spec = parse_statistic(stat), ModelSpec.unfair()
     n, reps, seed = 33, 300, 8
     perms = sample_permutation_matrix(spec, n, reps, seed)
-    want = evaluate_batch(kind, perms, assume_ranks=True).astype(float)
+    want = evaluate_batch(kind, perms).astype(float)
     monkeypatch.setattr(montecarlo, "sample_permutation_matrix", None)
     assert np.array_equal(montecarlo._values(kind, spec, n, reps, seed, 0, 1), want)
 
@@ -220,11 +220,32 @@ def test_phi_model_through_standardized_sample():
     assert np.array_equal(s.values, t.values)
 
 
+def test_standardized_sample_takes_only_models_its_closed_forms_describe():
+    from permlab.models import MarkovChainSpec, PhiSpec
+
+    # a phi table with phi(i) = i on 1..30 only is inverse-unfair at n = 30
+    n, inv, desc1 = 30, parse_statistic("inv"), parse_statistic("desc:1")
+    counts_i = ModelSpec.phi_draw(PhiSpec.from_table({n + 1: 1}))
+    chain = MarkovChainSpec((1,), np.ones((1, 1)))
+    taken = [(inv, ModelSpec.unfair()), (parse_statistic("desc:29"), ModelSpec.unfair()),
+             (desc1, counts_i), (desc1, ModelSpec.inverse_unfair())]
+    refused = [(inv, ModelSpec.uniform()), (inv, ModelSpec.phi_draw(PhiSpec.one())),
+               (inv, ModelSpec.markov_draw(chain)), (desc1, ModelSpec.unfair()),
+               (parse_statistic("desc:28"), ModelSpec.unfair())]
+    for kind, spec in taken:
+        montecarlo.standardized_sample(kind, spec, n, 20, seed=1)
+    for kind, spec in refused:
+        with pytest.raises(montecarlo.UnknownClosedForm, match=spec.kind.value):
+            montecarlo.standardized_sample(kind, spec, n, 20, seed=1)
+    with pytest.raises(montecarlo.UnknownClosedForm, match="phi"):
+        montecarlo.standardized_sample(inv, counts_i, n + 1, 20, seed=1)
+
+
 def test_values_stream_in_row_chunks(monkeypatch):
     # chunks of 40 rows (stepped blocks) end in a 10-row tail (per-row
     # generators); the values equal the statistic of the full matrices
     n, reps, seed = 12, 130, 4
-    monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 40 * n)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 40 * n)
     rank, unfair = ModelSpec.inverse_unfair(), ModelSpec.unfair()
     desc, inv = parse_statistic("desc:2"), parse_statistic("inv")
     scores = sample_score_matrix(rank, n, reps, seed)
@@ -235,7 +256,7 @@ def test_values_stream_in_row_chunks(monkeypatch):
     want = (evaluate_batch(desc, scores).astype(float) - s.center) / s.scale
     assert np.array_equal(s.values, want)
     e = montecarlo.estimate(inv, unfair, n, reps, seed)
-    v = evaluate_batch(inv, perms, assume_ranks=True).astype(float)
+    v = evaluate_batch(inv, perms).astype(float)
     assert (e.mean, e.variance) == (float(np.mean(v)), float(np.var(v, ddof=1)))
     r = montecarlo.moment_ratio_mc(desc, n, reps, seed, k=2)
     a = evaluate_batch(desc, scores).astype(float) ** 2
@@ -246,7 +267,7 @@ def test_values_stream_in_row_chunks(monkeypatch):
 def test_standardized_sample_memory_does_not_grow_with_reps(monkeypatch):
     # one chunk of 100,000 scores is live at a time; 4x the replicas adds
     # only their values (240 KB), not 24 MB of scores
-    monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 100_000)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 100_000)
     kind, spec = parse_statistic("desc:1"), ModelSpec.inverse_unfair()
     peaks = []
     for reps in (10_000, 40_000):
@@ -268,7 +289,7 @@ def test_values_equal_bits_for_any_worker_count(monkeypatch, stat, unfair, chunk
     real = stats.ThreadPoolExecutor
     monkeypatch.setattr(stats, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
     if chunk:
-        monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk)
     kind = parse_statistic(stat)
     spec = ModelSpec.unfair() if unfair else ModelSpec.inverse_unfair()
     n, reps, seed = 300, 600, 6
@@ -276,10 +297,12 @@ def test_values_equal_bits_for_any_worker_count(monkeypatch, stat, unfair, chunk
     for cpus, workers in ((1, 3), (2, 1), (3, 2)):
         monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
         pools.clear()
-        s = montecarlo.standardized_sample(kind, spec, n, reps, seed, workers=workers)
+        # the closed forms describe no unfair desc:3, so it is not standardized
+        s = None if unfair and stat == "desc:3" else montecarlo.standardized_sample(
+            kind, spec, n, reps, seed, workers=workers).values.tobytes()
         e = montecarlo.estimate(kind, spec, n, reps, seed, workers=workers)
         r = montecarlo.moment_ratio_mc(kind, n, reps, seed, k=2, workers=workers)
-        got[cpus] = (s.values.tobytes(), e.mean, e.variance, r.ratio, r.se)
+        got[cpus] = (s, e.mean, e.variance, r.ratio, r.se)
         assert bool(pools) == (threaded and cpus > 1)
         assert all(1 < p <= cpus for p in pools)
     assert got[1] == got[2] == got[3]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from permlab import rng
 from permlab.rng import RngSeed, StreamBlock, fresh_seed, make_generator
 
 
@@ -43,8 +44,8 @@ def test_fresh_seed_range():
 
 
 def test_stream_block_matches_make_generator():
-    # 2**32 and up take a two-word spawn key
-    streams = np.array([0, 1, 9, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64)
+    # 2**32 and up take a two-word spawn key; 42 streams step 6 columns
+    streams = np.array([0, 1, 9, 2**32 - 1, 2**32, 2**40 + 3] * 7, dtype=np.uint64)
     for seed in (0, 2**63 - 1):
         for substream in (None, 0, 1):
             block = make_generator(seed, streams, substream)
@@ -69,7 +70,7 @@ def test_random_rows_continue_every_stream():
         streams = np.arange(first, first + 6, dtype=np.uint64)
         for substream in (None, 3):
             block = make_generator(11, streams, substream)
-            got = np.hstack([block.random_rows(5), block.random(2), block.random_rows(700)])
+            got = np.hstack([block.random_rows(5), block._stepped(2), block.random(700)])
             want = np.array(
                 [make_generator(11, int(s), substream).random(707) for s in streams]
             )
@@ -78,6 +79,23 @@ def test_random_rows_continue_every_stream():
     assert make_generator(0, streams).random_rows(4, out=buf) is buf
     with pytest.raises(ValueError, match="shape"):
         make_generator(0, streams).random_rows(4, out=np.empty((5, 4)))
+
+
+def test_random_steps_narrow_draws_and_rows_wide_ones(monkeypatch):
+    # stepped when k <= min(_STEPPED_MAX_WIDTH, rows // _STEPPED_ROWS_PER_COLUMN)
+    ran = []
+    for path in ("_stepped", "random_rows"):
+        real = getattr(StreamBlock, path)
+        monkeypatch.setattr(StreamBlock, path,
+                            lambda *a, real=real, path=path: ran.append(path) or real(*a))
+    wide = rng._STEPPED_MAX_WIDTH
+    rows = wide * rng._STEPPED_ROWS_PER_COLUMN
+    cases = ((42, 6, "_stepped"), (41, 6, "random_rows"),
+             (rows, wide, "_stepped"), (rows, wide + 1, "random_rows"))
+    for streams, k, path in cases:
+        ran.clear()
+        make_generator(1, np.arange(streams)).random(k)
+        assert ran == [path], (streams, k)
 
 
 def test_stream_block_rejects_negative_keys():

@@ -186,16 +186,16 @@ def test_batch_matches_single_exhaustive():
     perms = list(all_permutations(5))
     x = _stack_perms(perms)
     assert np.array_equal(
-        stats.inversions_batch(x, assume_ranks=True),
+        stats.inversions_batch(x),
         [stats.inversions(t) for t in perms],
     )
     assert np.array_equal(
-        stats.anti_inversions_batch(x, assume_ranks=True),
+        stats.anti_inversions_batch(x),
         [stats.anti_inversions(t) for t in perms],
     )
     for m in (1, 2, 3, 4):
         assert np.array_equal(
-            stats.m_descents_batch(x, m, assume_ranks=True),
+            stats.m_descents_batch(x, m),
             [stats.m_descents(t, m) for t in perms],
         )
         assert np.array_equal(
@@ -225,7 +225,7 @@ def test_batch_on_scores_equals_batch_on_ranks():
     for sel in ("inv", "desc:2", "asc:1", "locmax", "las", "rising:3", "incsub:3"):
         kind = stats.parse_statistic(sel)
         got = stats.evaluate_batch(kind, scores)
-        want = stats.evaluate_batch(kind, r, assume_ranks=True)
+        want = stats.evaluate_batch(kind, r)
         assert np.array_equal(got, want), sel
 
 
@@ -245,9 +245,9 @@ def test_inversions_batch_chunking(monkeypatch):
     chunk_rows = []
     merge = stats._inversions_chunk
 
-    def counted(y, assume_ranks):
+    def counted(y):
         chunk_rows.append(len(y))
-        return merge(y, assume_ranks)
+        return merge(y)
 
     monkeypatch.setattr(stats, "_inversions_chunk", counted)
     monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
@@ -294,7 +294,7 @@ def test_inversions_batch_equal_for_any_thread_count(monkeypatch):
     for cpus in (1, 2, 3):
         pools = _pool_spy(monkeypatch, cpus)
         assert stats.inversions_batch(x).tolist() == want
-        assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+        assert stats.inversions_batch(ranks).tolist() == want
         assert pools == ([cpus, cpus] if cpus > 1 else [])
 
 
@@ -325,9 +325,9 @@ def test_inversions_chunks_bound_keys_in_flight(monkeypatch):
     seen = []
     real = stats._inversions_chunk
 
-    def spy(y, assume_ranks):
+    def spy(y):
         seen.append(len(y))
-        return real(y, assume_ranks)
+        return real(y)
 
     monkeypatch.setattr(stats, "_inversions_chunk", spy)
     stats.inversions_batch(np.random.default_rng(2).random((700, 1000)))
@@ -373,7 +373,7 @@ def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
 
 
 def test_batch_single_row_and_single_column():
-    assert stats.inversions_batch(np.array([[1]]), assume_ranks=True).tolist() == [0]
+    assert stats.inversions_batch(np.array([[1]])).tolist() == [0]
     assert stats.local_maxima_batch(np.array([[1, 2]])).tolist() == [0]
     assert stats.longest_alternating_batch(np.array([[1]])).tolist() == [1]
 
@@ -408,7 +408,7 @@ def test_inversions_batch_matches_oracle_on_padded_widths(n):
     ties = np.floor(rng.random((6, n)) * 4)  # few distinct values: many ties
     want = [inv_oracle(row) for row in scores]
     assert stats.inversions_batch(scores).tolist() == want
-    assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+    assert stats.inversions_batch(ranks).tolist() == want
     assert stats.inversions_batch(ties).tolist() == [inv_oracle(row) for row in ties]
 
 
@@ -418,7 +418,7 @@ def test_inversions_batch_matches_oracle_at_n_2000():
     want = [inv_oracle(row.tolist()) for row in scores]
     assert stats.inversions_batch(scores).tolist() == want
     ranks = stats.ranks_matrix(scores)
-    assert stats.inversions_batch(ranks, assume_ranks=True).tolist() == want
+    assert stats.inversions_batch(ranks).tolist() == want
 
 
 def _inv_by_halving(e: np.ndarray) -> int:
