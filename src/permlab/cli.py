@@ -5,7 +5,10 @@ parsed argument as params (with the seed generated and reported when not
 supplied, and the statistic normalized), the results, the package version
 and the runtime.  Scalar commands print the record on stdout; table commands
 stream CSV rows on stdout and put the record on stderr, so data and
-diagnostics never mix.
+diagnostics never mix.  ``sample`` and ``pmf`` write their table bodies by
+block, each block gathered as bytes from numpy tables and written as one
+str, byte for byte what the csv module writes: the joined permutation field
+is quoted, and bare at n = 1 where it holds no comma.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ import sys
 import time
 from collections import Counter
 
+import numpy as np
+
 from . import exact, montecarlo, sizebias
 from .models import (
     _BLOCK_ROWS,
@@ -28,7 +33,7 @@ from .models import (
     phi_from_config,
     sample_permutation_matrix,
 )
-from .perm import Permutation
+from .perm import Permutation, permutation_matrix
 from .rng import fresh_seed
 from .stats import evaluate, parse_statistic
 
@@ -98,6 +103,30 @@ def _trunc5(num: int, den: int) -> str:
     return f"{t // 100000}.{t % 100000:05d}"
 
 
+def _write_rows(mat, lead: str, close: str, cells: "list[str]", ids) -> None:
+    """Write row r of ``mat`` (values 0..n) to stdout as the csv module would:
+    a first field lead + the row's values joined by "," + close, then
+    cells[ids[r]], the rest of the line.  csv quotes a field only where it
+    holds a comma, so one-value rows go bare.  Each block of rows is gathered
+    from zero-padded byte tables (",<v>" by value, the tails by id), stripped
+    of its zero bytes and written as one str; blocks hold at most 2^20 values."""
+    rows, n = mat.shape
+    quote = '"' if n > 1 else ""
+    values = np.array([f",{v}" for v in range(n + 1)], dtype="S")
+    values = values.view(np.uint8).reshape(n + 1, -1)
+    tails = np.array([close + quote + c for c in cells], dtype="S")
+    tails = tails.view(np.uint8).reshape(len(cells), -1)
+    head = np.frombuffer((quote + lead).encode(), dtype=np.uint8)
+    step = max(1, min(_BLOCK_ROWS, 2 ** 20 // n))
+    for a in range(0, rows, step):
+        block = mat[a:a + step]
+        line = np.concatenate([np.broadcast_to(head, (len(block), head.size)),
+                               values[block].reshape(len(block), -1), tails[ids[a:a + step]]],
+                              axis=1)
+        line[:, head.size] = 0  # the first value takes no comma
+        sys.stdout.write(str(line[line != 0], "ascii"))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -111,9 +140,7 @@ def cmd_sample(args) -> int:
         rec = _record(args, {"permutations": mat.tolist()}, t0, seed=seed)
         _emit_record(rec, to_stderr=False)
         return 0
-    out = csv.writer(sys.stdout)
-    for a in range(0, len(mat), _BLOCK_ROWS):  # one block of Python ints at a time
-        out.writerows([",".join(map(str, row))] for row in mat[a:a + _BLOCK_ROWS].tolist())
+    _write_rows(mat, "", "", ["\r\n"], np.zeros(len(mat), dtype=np.intp))
     _emit_record(_record(args, {"rows": int(mat.shape[0])}, t0, seed=seed), to_stderr=True)
     return 0
 
@@ -124,13 +151,13 @@ def cmd_pmf(args) -> int:
     # each distinct probability is formatted once and summed once, times its count
     ratios = [p.as_integer_ratio() for p in law.probs]
     counts = Counter(ratios)
-    cells = {(a, b): (_trunc5(a, b), repr(a / b)) for a, b in counts}
+    ids = {r: i for i, r in enumerate(counts)}
+    cells = [f",{_trunc5(a, b)},{a / b!r}\r\n" for a, b in counts]
     den = math.lcm(*(b for _, b in counts))
     total = sum(a * c * (den // b) for (a, b), c in counts.items()) / den
-    out = csv.writer(sys.stdout)
-    out.writerow(["permutation", "prob_5dp", "prob_full"])
-    out.writerows(("(" + ",".join(map(str, o)) + ")", *cells[r])
-                  for o, r in zip(law.outcomes, ratios))
+    sys.stdout.write("permutation,prob_5dp,prob_full\r\n")
+    _write_rows(permutation_matrix(args.n), "(", ")", cells,
+                np.array([ids[r] for r in ratios], dtype=np.intp))
     results = {"outcomes": len(law.outcomes), "total_probability": repr(total)}
     _emit_record(_record(args, results, t0), to_stderr=True)
     return 0
@@ -234,13 +261,14 @@ def cmd_sizebias(args) -> int:
             "pooled_se": report.pooled_se,
             "gap_in_se": report.gap_in_se,
         }
-    elif args.check == "var":
-        report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)
+    elif args.check == "var":  # no sigma^2 guard: the variance does not divide by it
+        raw = sizebias.estimate_var_conditional(args.n, args.outer, args.inner, seed, clamp=False)
+        var_cond = max(raw, 0.0)
         results = {
-            "var_cond": report.var_cond,
-            "var_cond_over_n": report.var_cond / args.n,
-            "var_cond_raw": report.var_cond_raw,
-            "clamped": report.clamped,
+            "var_cond": var_cond,
+            "var_cond_over_n": var_cond / args.n,
+            "var_cond_raw": raw,
+            "clamped": raw < 0.0,
         }
     elif args.check == "bound":
         report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)

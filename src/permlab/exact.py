@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perm import Permutation, all_permutations, as_entries, validate
+from .perm import Permutation, all_permutations, permutation_matrix, validate
 from .models import ModelKind, ModelSpec, _fixed_counts, invert_rows
 from . import stats as _stats
 
@@ -96,15 +96,31 @@ def _plackett_luce(orders: np.ndarray, counts: Sequence[int], exact: bool) -> li
     """prod_l k_l / (k_1 + ... + k_l) for each row of ``orders``.
 
     Each row lists the players 1..m (m = len(counts)) once each in finishing
-    order, weakest first; k_l is the draw count of its l-th player.  Every
-    factor is at most 1, so the float product only shrinks as it goes.  The
-    exact route sums Python integers, which do not wrap like int64 does.
+    order, weakest first; k_l is the draw count of its l-th player.  Both
+    routes start from the float products prod (k_1 + ... + k_l).  The float
+    route divides prod k_l by them once; they stay finite for every
+    enumerable S_n (at most 10 players of counts below 2^63), and where both
+    products are integers below 2^53 (the three fixed-count paper models up to
+    m = 10) the quotient is the correctly rounded law.  Longer rows whose
+    product overflows take the product of the m ratios instead.  The exact
+    route makes one Fraction per distinct denominator: from the float
+    products when all are below 2^53, so none was rounded, else from Python
+    integers, which do not wrap like int64 does.
     """
+    w = np.asarray(counts, dtype=float)[orders - 1]
+    with np.errstate(over="ignore"):
+        den = np.prod(np.cumsum(w, axis=1), axis=1)
     if not exact:
-        w = np.asarray(counts, dtype=float)[orders - 1]
+        if np.all(np.isfinite(den)):
+            return (np.prod(w, axis=1) / den).tolist()
         return np.prod(w / np.cumsum(w, axis=1), axis=1).tolist()
     k = [int(c) for c in counts]
     num = math.prod(k)  # the same for every row: each holds every player
+    if den.max() < 2 ** 53:
+        dens, rows = np.unique(den.astype(np.int64), return_inverse=True)
+        fracs = np.empty(len(dens), dtype=object)
+        fracs[:] = [Fraction(num, d) for d in dens.tolist()]
+        return fracs[rows].tolist()
     dens = [math.prod(accumulate(map(k.__getitem__, row))) for row in (orders - 1).tolist()]
     by_den = {den: Fraction(num, den) for den in set(dens)}
     return [by_den[den] for den in dens]
@@ -253,9 +269,8 @@ def enumerate_law(
     enumeration_limit)."""
     _check_enum(n)
     spec = _fixed_count_spec(model)
-    outcomes = tuple(all_permutations(n))
-    probs = _law(spec, np.array(outcomes, dtype=np.int64), exact)
-    return ExactDistribution(outcomes, tuple(probs), ("perm", n))
+    probs = _law(spec, permutation_matrix(n), exact)
+    return ExactDistribution(tuple(all_permutations(n)), tuple(probs), ("perm", n))
 
 
 def statistic_law(
@@ -265,8 +280,7 @@ def statistic_law(
     law = enumerate_law(n, model, exact=exact)
     acc: dict[int, object] = {}
     zero = Fraction(0) if exact else 0.0
-    rows = np.array([as_entries(o) for o in law.outcomes], dtype=np.int64)
-    values = _stats.evaluate_batch(kind, rows).tolist()
+    values = _stats.evaluate_batch(kind, permutation_matrix(n)).tolist()
     for v, p in zip(values, law.probs):
         acc[v] = acc.get(v, zero) + p
     support = tuple(sorted(acc))

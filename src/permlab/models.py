@@ -399,7 +399,11 @@ def sample_permutation_matrix(
     first_stream: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
-    """(reps, n) one-line permutation matrix; row r uses stream first_stream+r."""
+    """(reps, n) one-line permutation matrix; row r uses stream first_stream+r.
+
+    Rows are the ranks of the score rows, ties broken by column; an unfair
+    row is their inverse, the stable argsort of the scores plus 1.
+    """
     scores = sample_score_matrix(spec, n, reps, seed, first_stream, workers)
     rho = ranks_matrix(scores)
     return invert_rows(rho) if spec.kind is ModelKind.UNFAIR else rho

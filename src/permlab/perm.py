@@ -135,3 +135,14 @@ def all_permutations(n: int) -> Iterable[tuple[int, ...]]:
     import itertools
 
     return itertools.permutations(range(1, n + 1))
+
+
+def permutation_matrix(n: int) -> np.ndarray:
+    """All of S_n as the rows of an (n!, n) int64 matrix, in the lexicographic
+    order of all_permutations, built with no per-row Python objects."""
+    m = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        # S_k: each first entry v, then S_(k-1) in order on the values other than v
+        m = np.concatenate([np.column_stack([np.full(len(m), v), m + (m >= v)])
+                            for v in range(1, k + 1)])
+    return m

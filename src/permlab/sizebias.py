@@ -329,14 +329,17 @@ def _var_cond(d: np.ndarray, n: int) -> tuple[float, float]:
 
 
 def estimate_var_conditional(
-    n: int, outer_reps: int, inner_pairs: int, seed: int
+    n: int, outer_reps: int, inner_pairs: int, seed: int, clamp: bool = True
 ) -> float:
-    """Paired-replicate estimate of Var(E[W^s - W | S]), clamped at 0.
+    """Paired-replicate estimate of Var(E[W^s - W | S]), clamped at 0 unless
+    ``clamp`` is false.
 
     ``inner_pairs`` independent completions per outer score draw; the same
-    draws and estimate as ``stein_bound(...).var_cond``.
+    draws and estimate as ``stein_bound(...).var_cond`` (``.var_cond_raw``
+    unclamped), with no sigma^2 to estimate, so equal outer counts are fine.
     """
-    return _var_cond(_differences(n, outer_reps, inner_pairs, seed)[1], n)[1]
+    raw, clamped = _var_cond(_differences(n, outer_reps, inner_pairs, seed)[1], n)
+    return clamped if clamp else raw
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ function runs it on one row.  ``incsub`` is the exception: its exact
 Python-integer Fenwick count serves one permutation, and the batch form
 loops over rows.  All statistics here are comparison-based, so the batch forms
 read any rows, integer ranks or raw scores, with no flag saying which.  The
-batch inversion counter is an O(n log n) padded merge sort of int32 keys after
-a tie-repaired fast argsort, which rank rows pay too (Inv(p) = Inv(p^-1)): one
-row costs about 95 us at n = 5 and 250 us at n = 100 (2-core x86_64).  Its
+batch inversion counter compares rows of at most 16 pair by pair as given;
+longer rows take an O(n log n) padded merge sort of int32 keys after a
+tie-repaired fast argsort, which rank rows pay too (Inv(p) = Inv(p^-1)): one
+row costs about 30 us at n = 5 and 250 us at n = 100 (2-core x86_64).  Its
 O(n^2) oracle is in the tests.  It alone runs on threads, up to one per CPU
 wherever it is called from, with the same counts for any thread count.
 """
@@ -220,10 +221,12 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
 def inversions_batch(x: np.ndarray) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix, O(n log n) per row.
 
-    Any rows, ranks or scores: the merge sorts each row's stable argsort.
-    Bottom-up merge sort of each row, padded to size = n rounded up to a power
-    of two: at each block width every inverted pair is counted exactly once,
-    at the level where its positions first share a block.  Keys are int32
+    Any rows, ranks or scores: rows of at most 16 count the pairs with
+    x_i > x_j directly (ties are no inversions, as in the stable argsort);
+    longer rows merge-sort their stable argsort.  Bottom-up merge sort of
+    each row, padded to size = n rounded up to a power of two: at each block
+    width every inverted pair is counted exactly once, at the level where its
+    positions first share a block.  Keys are int32
     up to size 2^30.  Chunks of ``_MERGE_KEYS // CPUs`` padded keys together
     stay near the 4 MB L2 cache, on up to one thread per CPU, each writing its
     own rows.  Median ms on score rows by keys per chunk, one thread (2 cores,
@@ -254,8 +257,9 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
 
 def _inversions_chunk(x: np.ndarray) -> np.ndarray:
     reps, n = x.shape
-    if n < 2:
-        return np.zeros(reps, dtype=np.int64)
+    if n <= 16:  # one pairwise block counts every pair; strict > counts no tie
+        return sum((np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1) for d in range(1, n)),
+                   np.zeros(reps, dtype=np.int64))
     # Values 0..n-1 with the row's inversions: its stable argsort (the inverse
     # of its ranks, ties in column order), which the fast argsort is on rows
     # whose sorted values strictly increase; other rows (exact ties, two -inf)

@@ -41,24 +41,33 @@ def test_pmf_table(capsys):
     assert rec["results"]["outcomes"] == 6
 
 
-@pytest.mark.parametrize("model", ["inverse-unfair", "unfair"])
-def test_pmf_rows_match_per_row_formatting(capsys, model):
-    # each distinct probability is formatted once; every row must still read
-    # as if formatted on its own, and the total is the exact sum
-    from fractions import Fraction
-
+def _pmf_oracle(n, model):
+    """The pmf table written row by row through csv.writer."""
     from permlab import exact
 
-    law = exact.enumerate_law(6, model, exact=True)
-    code, out, err = run_cli(["pmf", "--model", model, "--n", "6"], capsys)
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    want = [["(" + ",".join(map(str, o)) + ")",
-             f"{p.numerator * 100000 // p.denominator // 100000}."
-             f"{p.numerator * 100000 // p.denominator % 100000:05d}",
-             repr(float(p))] for o, p in zip(law.outcomes, law.probs)]
-    assert code == 0 and rows == want
-    total = repr(float(sum(law.probs, Fraction(0))))
-    assert record_of(err)["results"]["total_probability"] == total
+    law = exact.enumerate_law(n, model, exact=True)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["permutation", "prob_5dp", "prob_full"])
+    for o, p in zip(law.outcomes, law.probs):
+        t = p.numerator * 100000 // p.denominator
+        writer.writerow(["(" + ",".join(map(str, o)) + ")", f"{t // 100000}.{t % 100000:05d}",
+                         repr(float(p))])
+    return out.getvalue(), repr(float(sum(law.probs)))
+
+
+@pytest.mark.parametrize("model", ["inverse-unfair", "unfair", "uniform"])
+def test_pmf_rows_match_per_row_formatting(capsys, monkeypatch, model):
+    # each distinct probability is formatted once and rows are written by
+    # block; the bytes are still the per-row csv.writer table's (a bare first
+    # field at n = 1), and the total is the exact sum
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    for n in range(1, 9):
+        code, out, err = run_cli(["pmf", "--model", model, "--n", str(n)], capsys)
+        want, total = _pmf_oracle(n, model)
+        assert code == 0 and out == want, (model, n)
+        assert record_of(err)["results"]["total_probability"] == total
+    assert _pmf_oracle(1, model)[0].endswith("\r\n(1),1.00000,1.0\r\n")
 
 
 def test_pmf_unfair_differs(capsys):
@@ -214,22 +223,52 @@ def test_sample_csv_and_seed_reported(capsys):
     assert rec["params"]["seed"] == 99
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_sample_csv_bytes(capsys, monkeypatch, n):
-    # blocks of 3 rows cross block edges; one quoted field per row, bare at
-    # n = 1 where the row holds no comma
-    from permlab.models import ModelSpec, sample_permutation_matrix
+def _model_argvs(tmp_path):
+    """--model arguments of every model, config files written to tmp_path."""
+    phi, chain = tmp_path / "phi.json", tmp_path / "chain.json"
+    phi.write_text(json.dumps({"phi": {"table": {"1": 2, "2": 5}}}))
+    chain.write_text(json.dumps({"chain": {"states": [1, 3],
+                                           "transitions": [[0.5, 0.5], [0.0, 1.0]]}}))
+    return [["--model", m] for m in ("uniform", "unfair", "inverse-unfair")] + [
+        ["--model", "phi", "--phi", "one"], ["--model", "phi", "--phi-table", str(phi)],
+        ["--model", "markov", "--chain", str(chain)]]
 
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 99, 100, 101, 1000])
+def test_sample_csv_bytes(capsys, monkeypatch, tmp_path, n):
+    # blocks of 3 rows cross block edges at every digit width; the oracle is
+    # csv.writer on one joined field per row, quoted, bare at n = 1 where the
+    # row holds no comma
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
-    code, out, _ = run_cli(
-        ["sample", "--model", "unfair", "--n", str(n), "--reps", "7", "--seed", "5"], capsys
-    )
-    want = io.StringIO()
-    writer = csv.writer(want)
-    for row in sample_permutation_matrix(ModelSpec.unfair(), n, 7, 5):
-        writer.writerow([",".join(str(int(v)) for v in row)])
-    assert code == 0 and out == want.getvalue()
-    assert n != 1 or out == "1\r\n" * 7
+    for model in _model_argvs(tmp_path):
+        argv = ["sample", *model, "--n", str(n), "--reps", "7", "--seed", "5"]
+        code, out, _ = run_cli(argv, capsys)
+        perms = record_of(run_cli(argv + ["--format", "json"], capsys)[1])["results"]
+        want = io.StringIO()
+        writer = csv.writer(want)
+        for row in perms["permutations"]:
+            writer.writerow([",".join(map(str, row))])
+        assert code == 0 and out == want.getvalue(), model
+        assert n != 1 or out == "1\r\n" * 7
+
+
+def test_wide_rows_are_written_in_bounded_blocks(monkeypatch):
+    # blocks hold at most 2^20 values: 5 rows a block at n = 200000 trace
+    # about 21 MB, where one 4096-row block (all 20 rows here) traces 79 MB
+    import tracemalloc
+    from types import SimpleNamespace
+
+    n, reps = 200_000, 20
+    mat = np.tile(np.arange(1, n + 1), (reps, 1))
+    sizes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=lambda text: sizes.append(len(text))))
+    tracemalloc.start()
+    cli._write_rows(mat, "", "", ["\r\n"], np.zeros(reps, dtype=np.intp))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    row = 2 + len(",".join(map(str, range(1, n + 1)))) + 2
+    assert sizes == [5 * row] * 4
+    assert peak < 48 * 2 ** 20
 
 
 def test_sample_generates_seed(capsys):
@@ -500,6 +539,19 @@ def test_sizebias_bound_record(capsys):
         assert res["clamped"] == (res["var_cond_raw"] < 0.0)
 
 
+def test_sizebias_var_needs_no_spread_of_w(capsys):
+    # every outer inversion count is equal here: the bound refuses to divide
+    # by that zero sigma^2, the conditional variance does not need it
+    argv = ["sizebias", "--n", "2", "--outer", "2", "--inner", "2", "--seed", "2"]
+    code, out, err = run_cli(argv + ["--check", "var"], capsys)
+    res = record_of(out)["results"]
+    assert code == 0 and err == ""
+    assert res == {"var_cond": 0.0, "var_cond_over_n": 0.0, "var_cond_raw": 0.0,
+                   "clamped": False}
+    code, out, err = run_cli(argv + ["--check", "bound"], capsys)
+    assert code == 1 and err.startswith("error: degenerate variance estimate")
+
+
 def test_sizebias_unknown_check(capsys):
     code, out, err = run_cli(["sizebias", "--n", "5", "--check", "nonsense"], capsys)
     assert code == 1 and out == ""
@@ -598,13 +650,7 @@ def _edge_grid(tmp_path):
     """argv of every subcommand over edge values: n of 0, 1, 2 and 10^12,
     reps of 0, 1 and 10^12, windows past n, a NaN threshold, bad thread
     counts and every model, each refused before a large allocation or small."""
-    phi, chain = tmp_path / "phi.json", tmp_path / "chain.json"
-    phi.write_text(json.dumps({"phi": {"table": {"1": 2, "2": 5}}}))
-    chain.write_text(json.dumps({"chain": {"states": [1, 3],
-                                           "transitions": [[0.5, 0.5], [0.0, 1.0]]}}))
-    models = [["--model", m] for m in ("uniform", "unfair", "inverse-unfair", "markov")] + [
-        ["--model", "phi", "--phi", "one"], ["--model", "phi", "--phi-table", str(phi)],
-        ["--model", "markov", "--chain", str(chain)]]
+    models = _model_argvs(tmp_path) + [["--model", "markov"]]
     wide = f"desc:{10 ** 30}"
     seed = ["--seed", "1"]
     for n in ("0", "1", "2", str(10 ** 12)):
@@ -630,6 +676,13 @@ def _edge_grid(tmp_path):
         yield ["sample", "--n", "5", "--reps", "3", *seed, "--threads", threads]
         for cmd in ("clt", "ratio"):
             yield [cmd, "--stat", "inv", "--n", "20", "--reps", "10", *seed, "--threads", threads]
+    # the CSV byte kernel: every pmf table, and sample at a digit-width edge
+    for n in range(3, 9):
+        for model in ("uniform", "unfair", "inverse-unfair"):
+            yield ["pmf", "--model", model, "--n", str(n)]
+    for n in ("9", "10", "11"):
+        for model in models:
+            yield ["sample", *model, "--n", n, "--reps", "50", *seed]
     yield ["stats", "--stat", wide, "--perm", "3,1,2"]
     yield ["stats", "--stat", "incsub:50", "--perm", "10,9,8,7,6,5,4,3,2,1"]
     for cmd in ("clt", "ratio"):

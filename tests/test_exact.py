@@ -113,6 +113,20 @@ def test_pmf_float_route():
             exact.pmf(p, model)
 
 
+def test_float_law_is_the_rounded_exact_law():
+    # one division of two exact products: the uniform law is 1/n! and every
+    # float row is float(exact row), to the bit
+    for n in range(1, 11):
+        assert exact.pmf(tuple(range(n, 0, -1)), "uniform") == 1 / math.factorial(n)
+    for model in ("uniform", "unfair", "inverse-unfair"):
+        for n in range(1, 9):
+            want = tuple(map(float, exact.enumerate_law(n, model, exact=True).probs))
+            assert exact.enumerate_law(n, model).probs == want, (model, n)
+    # past 2^1024 in the denominator (n = 150) the law is the product of ratios
+    got = exact.pmf(tuple(range(1, 151)), "inverse-unfair")
+    assert got == pytest.approx(exact.prob_identity(150), rel=1e-12)
+
+
 def test_frozen_tables_s4():
     rank_law = exact.enumerate_law(4, ModelKind.INVERSE_UNFAIR, exact=True)
     finish_law = exact.enumerate_law(4, ModelKind.UNFAIR, exact=True)

@@ -387,6 +387,21 @@ def test_unfair_rows_are_inverses():
     assert np.array_equal(models.invert_rows(gam), rho)
 
 
+def test_unfair_rows_are_inverted_ranks_on_tied_scores(monkeypatch):
+    # unfair rows are the stable argsort of the scores: the inverse of their
+    # ranks, ties broken by column, on exact ties and two -inf as well
+    scores = np.log(np.random.default_rng(4).random((30, 9)))
+    scores[:10] = np.floor(scores[:10] * 2)
+    scores[10, [1, 6]] = -np.inf
+    scores[11] = -1.0
+    monkeypatch.setattr(models, "sample_score_matrix", lambda *args: scores)
+    gam = models.sample_permutation_matrix(ModelSpec.unfair(), 9, 30, seed=0)
+    assert gam.dtype == np.int64
+    assert np.array_equal(gam, models.invert_rows(ranks_matrix(scores)))
+    assert np.array_equal(gam, np.argsort(scores, axis=1, kind="stable") + 1)
+    assert gam[11].tolist() == list(range(1, 10))
+
+
 def test_invert_rows():
     rho = np.array([[2, 3, 1], [1, 2, 3]])
     assert models.invert_rows(rho).tolist() == [[3, 1, 2], [1, 2, 3]]

@@ -12,6 +12,7 @@ from permlab.perm import (
     all_permutations,
     as_entries,
     inverse_entries,
+    permutation_matrix,
     validate,
 )
 
@@ -72,6 +73,13 @@ def test_inverse_all_s4():
         p = Permutation(t)
         assert p.inverse().entries == inverse_entries(t)
         assert p.inverse().inverse() == p
+
+
+def test_permutation_matrix_is_all_permutations_in_order():
+    for n in range(1, 8):
+        mat = permutation_matrix(n)
+        assert mat.dtype == np.int64 and mat.shape == (len(list(all_permutations(n))), n)
+        assert list(map(tuple, mat.tolist())) == list(all_permutations(n))
 
 
 def test_hashable_frozen():

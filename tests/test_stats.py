@@ -271,6 +271,22 @@ def test_inversions_batch_repairs_ties_of_the_fast_argsort():
     assert want[8] == 0
 
 
+@pytest.mark.parametrize("n", range(2, 18))
+def test_short_rows_count_ties_as_the_stable_argsort(n):
+    # rows of at most 16 are compared as given, with no argsort: exact ties,
+    # two -inf, an all-equal row and rank rows still count as the oracle
+    rng = np.random.default_rng(n)
+    x = rng.random((40, n))
+    x[:10] = np.floor(x[:10] * 3)
+    x[10, [0, n - 1]] = -np.inf
+    x[11, : (n + 1) // 2] = -np.inf
+    x[12] = 0.25
+    x[13:20] = stats.ranks_matrix(x[13:20])
+    want = [inv_oracle(row.tolist()) for row in x]
+    assert stats.inversions_batch(x).tolist() == want
+    assert want[12] == 0
+
+
 def _pool_spy(monkeypatch, cpus):
     """Record the thread count of every pool ``inversions_batch`` opens, on a
     host of ``cpus`` CPUs."""
