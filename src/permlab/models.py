@@ -79,6 +79,14 @@ class ModelKind(str, Enum):
     MARKOV = "markov"
 
 
+def _phi_rule(name: str, what: str = "phi rule") -> Callable[[int], int]:
+    """The map a phi rule name stands for: ``"one"`` or ``"identity"``."""
+    rules = {"one": lambda i: 1, "identity": lambda i: i}
+    if name not in rules:
+        raise ValueError(f"unknown {what} {name!r}")
+    return rules[name]
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """A total map i -> positive draw count, with a printable name."""
@@ -94,11 +102,11 @@ class PhiSpec:
 
     @classmethod
     def one(cls) -> "PhiSpec":
-        return cls(lambda i: 1, "one")
+        return cls(_phi_rule("one"), "one")
 
     @classmethod
     def identity(cls) -> "PhiSpec":
-        return cls(lambda i: i, "identity")
+        return cls(_phi_rule("identity"), "identity")
 
     @classmethod
     def from_table(cls, table: dict[int, int], default: "int | str" = "identity") -> "PhiSpec":
@@ -112,12 +120,7 @@ class PhiSpec:
             if i < 1 or k < 1:
                 raise ValueError(f"bad phi table entry ({i}, {k})")
         if isinstance(default, str):
-            if default == "one":
-                fallback = lambda i: 1
-            elif default == "identity":
-                fallback = lambda i: i
-            else:
-                raise ValueError(f"unknown phi default rule {default!r}")
+            fallback = _phi_rule(default, "phi default rule")
         else:
             d = _integer(default, "phi default")
             if d < 1:
@@ -287,20 +290,16 @@ def sample_scores(spec: ModelSpec, n: int, rng: np.random.Generator) -> ScoreVec
     return ScoreVector(_scores(spec, n, rng))
 
 
-def ranks(scores: "ScoreVector | Sequence[float]", on_ties: str = "raise") -> Permutation:
+def ranks(scores: "ScoreVector | Sequence[float]") -> Permutation:
     """Rank sequence of a score vector (1 = smallest score).
 
-    ``on_ties="raise"`` (default, for user-supplied vectors) raises
-    TieDetected on exactly equal scores; ``on_ties="stable"`` breaks ties by
-    (score, index) lexicographic order, the samplers' convention.
+    Raises TieDetected on exactly equal scores; the samplers break ties by
+    column instead (see ``sample_permutation``).
     """
     v = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores, dtype=float)
-    if on_ties not in ("raise", "stable"):
-        raise ValueError("on_ties must be 'raise' or 'stable'")
-    if on_ties == "raise" and np.unique(v).size != v.size:
+    if np.unique(v).size != v.size:
         raise TieDetected("score vector contains exactly equal entries")
-    r = ranks_matrix(v[None, :])[0]
-    return Permutation(tuple(int(x) for x in r))
+    return Permutation(tuple(int(x) for x in ranks_matrix(v[None, :])[0]))
 
 
 def sample_inverse_unfair(n: int, rng: np.random.Generator) -> Permutation:
@@ -319,9 +318,9 @@ def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Permutation:
-    """One permutation from any model."""
-    rho = ranks(sample_scores(spec, n, rng), on_ties="stable")
-    return rho.inverse() if spec.kind is ModelKind.UNFAIR else rho
+    """One permutation from any model: the batch rule on one score row."""
+    row = _permutation_rows(spec, sample_scores(spec, n, rng).values[None, :])[0]
+    return Permutation(tuple(int(x) for x in row))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,11 @@ def sample_permutation_matrix(
     Rows are the ranks of the score rows, ties broken by column; an unfair
     row is their inverse, the stable argsort of the scores plus 1.
     """
-    scores = sample_score_matrix(spec, n, reps, seed, first_stream, workers)
+    return _permutation_rows(spec, sample_score_matrix(spec, n, reps, seed, first_stream, workers))
+
+
+def _permutation_rows(spec: ModelSpec, scores: np.ndarray) -> np.ndarray:
+    """The one-line rows of score rows, as ``sample_permutation_matrix`` says."""
     rho = ranks_matrix(scores)
     return invert_rows(rho) if spec.kind is ModelKind.UNFAIR else rho
 
@@ -436,11 +439,7 @@ def phi_from_config(obj: "str | dict") -> PhiSpec:
     accepted too.
     """
     if isinstance(obj, str):
-        if obj == "one":
-            return PhiSpec.one()
-        if obj == "identity":
-            return PhiSpec.identity()
-        raise ValueError(f"unknown phi rule {obj!r}")
+        return PhiSpec(_phi_rule(obj), obj)
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("phi config must be 'one', 'identity' or {table, default}")
     return PhiSpec.from_table(dict(obj["table"]), obj.get("default", "identity"))

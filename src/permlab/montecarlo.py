@@ -68,23 +68,14 @@ def _check_budget(n: int, reps: int, max_budget: int) -> None:
         raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {max_budget}")
 
 
-def _counts_inversions(kind: StatisticKind, n: int) -> bool:
-    """inv, ainv or desc:m with m >= n - 1: counts over all pairs, equal on g and g^-1."""
-    return kind.tag in ("inv", "ainv") or (kind.tag == "desc" and kind.m >= n - 1)
-
-
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
             first_stream: int, workers: int) -> np.ndarray:
     """Statistic values (float) of replicas from streams first_stream + r:
     sample a chunk of at most ``_CHUNK_ELEMENTS`` scores, then evaluate it.
-    Inversion counts run on up to one thread per CPU inside ``stats``;
-    ``workers`` is checked by the sampler but selects nothing.
-
-    Unfair rows are one-line permutations, but inversion counts read score
-    rows (Inv(g) = Inv(g^-1)); every other model's score rows are compared as
-    they are, their comparisons being the rank sequence's.
+    Score rows compare as their rank sequences do; unfair rows are one-line
+    permutations unless the statistic counts every pair (equal on g^-1).
     """
-    ranks = spec.kind is ModelKind.UNFAIR and not _counts_inversions(kind, n)
+    ranks = spec.kind is ModelKind.UNFAIR and not kind.counts_every_pair(n)
     sample = sample_permutation_matrix if ranks else sample_score_matrix
     values = np.empty(reps)
     step = max(1, _CHUNK_ELEMENTS // n)
@@ -194,7 +185,7 @@ def standardized_sample(
     _check_budget(n, reps, max_budget)
     center, scale = _center_and_scale(kind, n, centering)
     if not (spec.kind is ModelKind.INVERSE_UNFAIR
-            or spec.kind is ModelKind.UNFAIR and _counts_inversions(kind, n)
+            or spec.kind is ModelKind.UNFAIR and kind.counts_every_pair(n)
             or spec.kind is ModelKind.PHI
             and np.array_equal(_fixed_counts(spec, n), np.arange(1, n + 1))):
         raise UnknownClosedForm(f"no closed-form moments for {kind} under {spec.kind.value}")

@@ -5,14 +5,24 @@ Every statistic has one kernel, a ``*_batch`` form operating on a (reps, n)
 matrix, one permutation (or score vector) per row; the single-permutation
 function runs it on one row.  ``incsub`` is the exception: its exact
 Python-integer Fenwick count serves one permutation, and the batch form
-loops over rows.  All statistics here are comparison-based, so the batch forms
-read any rows, integer ranks or raw scores, with no flag saying which.  The
-batch inversion counter compares rows of at most 16 pair by pair as given;
-longer rows take an O(n log n) padded merge sort of int32 keys after a
-tie-repaired fast argsort, which rank rows pay too (Inv(p) = Inv(p^-1)): one
-row costs about 30 us at n = 5 and 250 us at n = 100 (2-core x86_64).  Its
-O(n^2) oracle is in the tests.  It alone runs on threads, up to one per CPU
-wherever it is called from, with the same counts for any thread count.
+loops over rows.  Every other statistic reads one relation, x_i > x_j for
+i < j (a descending pair; any other pair ascends), so the batch forms read
+any rows, integer ranks or raw scores, with no flag saying which, and exact
+ties count as in the stable ranks, the earlier entry the smaller:
+
+>>> x = np.array([[-1, -1, -2, -0.5, -0.5, -3]])
+>>> both = np.vstack([x, ranks_matrix(x)])
+>>> m_ascents_batch(both, 1).tolist(), local_maxima_batch(both).tolist()
+([3, 3], [2, 2])
+
+One counter sums descending pairs at distances 1..m; ascents are the
+window's pairs less its descents, so ``asc:m`` with m >= n - 1 is ``ainv``.
+Inversions of rows of at most 16 are that count; longer rows take an
+O(n log n) padded merge sort of int32 keys, their stable argsort, which rank
+rows pay too (Inv(p) = Inv(p^-1)): one row costs about 30 us at n = 5 and
+250 us at n = 100 (2-core x86_64).  Its O(n^2) oracle is in the tests.  It
+alone runs on threads, up to one per CPU wherever it is called from, with
+the same counts for any thread count.
 """
 from __future__ import annotations
 
@@ -81,6 +91,10 @@ class StatisticKind:
 
     def __str__(self) -> str:
         return self.tag if self.m is None else f"{self.tag}:{self.m}"
+
+    def counts_every_pair(self, n: int) -> bool:
+        """Whether it counts every pair of n positions, so is equal on g and g^-1."""
+        return self.tag in ("inv", "ainv") or self.tag in ("desc", "asc") and self.m >= n - 1
 
 
 def parse_statistic(text: str) -> StatisticKind:
@@ -210,27 +224,47 @@ def evaluate(kind: StatisticKind, p) -> int:
 def ranks_matrix(x: np.ndarray) -> np.ndarray:
     """Row-wise ranks (1 = smallest) with ties broken by column index."""
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
-    order = np.argsort(x, axis=1, kind="stable")
-    r = np.empty((reps, n), dtype=np.int64)
-    rows = np.arange(reps)[:, None]
-    r[rows, order] = np.arange(1, n + 1)[None, :]
+    r = np.empty(x.shape, dtype=np.int64)
+    np.put_along_axis(r, _order(x), np.arange(1, x.shape[1] + 1)[None, :], axis=1)
     return r
+
+
+def _order(x: np.ndarray) -> np.ndarray:
+    """Row-wise stable argsort of a (reps, n) matrix: ties in column order.
+
+    Longer rows than 16 take the default argsort, the stable one where the
+    sorted row strictly increases, and sort the other rows (exact ties, two
+    -inf) again; ms on 2 M elements, stable / this (2-core x86_64): 30.5 /
+    92.7 at n = 4, 42.0 / 50.6 at 12, 41.1 / 36.5 at 16, 76.8 / 41.3 at 100.
+    """
+    if x.shape[1] <= 16:
+        return np.argsort(x, axis=1, kind="stable")
+    order = np.argsort(x, axis=1)
+    s = np.sort(x, axis=1)  # faster than gathering x by order
+    tied = np.flatnonzero(~np.all(s[:, 1:] > s[:, :-1], axis=1))
+    order[tied] = np.argsort(x[tied], axis=1, kind="stable")
+    return order
+
+
+def _descending_pairs(x: np.ndarray, m: int) -> np.ndarray:
+    """Per row (first axis), the count of x_i > x_{i+d}, 1 <= d <= m, on the last axis."""
+    n = x.shape[-1]
+    axes = tuple(range(1, x.ndim))
+    return sum((np.count_nonzero(x[..., :n - d] > x[..., d:], axis=axes)
+                for d in range(1, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
 
 
 def inversions_batch(x: np.ndarray) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix, O(n log n) per row.
 
-    Any rows, ranks or scores: rows of at most 16 count the pairs with
-    x_i > x_j directly (ties are no inversions, as in the stable argsort);
-    longer rows merge-sort their stable argsort.  Bottom-up merge sort of
-    each row, padded to size = n rounded up to a power of two: at each block
-    width every inverted pair is counted exactly once, at the level where its
-    positions first share a block.  Keys are int32
-    up to size 2^30.  Chunks of ``_MERGE_KEYS // CPUs`` padded keys together
-    stay near the 4 MB L2 cache, on up to one thread per CPU, each writing its
-    own rows.  Median ms on score rows by keys per chunk, one thread (2 cores,
-    AVX-512):
+    Any rows, ranks or scores: rows of at most 16 count their descending
+    pairs, longer rows merge-sort their stable argsort.  Bottom-up merge sort
+    of each row, padded to size = n rounded up to a power of two: at each
+    block width every inverted pair is counted exactly once, at the level
+    where its positions first share a block.  Keys are int32 up to size
+    2^30.  Chunks of ``_MERGE_KEYS // CPUs`` padded keys together stay near
+    the 4 MB L2 cache, on up to one thread per CPU, each writing its own rows.
+    Median ms on score rows by keys per chunk, one thread (2 cores, AVX-512):
         rows x n     2^16  2^17  2^18  2^19  2^20  2^21
         400 x 2000     58    57    60    58    65    66
         1000 x 4000   351   329   341   348   366   371
@@ -257,25 +291,18 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
 
 def _inversions_chunk(x: np.ndarray) -> np.ndarray:
     reps, n = x.shape
-    if n <= 16:  # one pairwise block counts every pair; strict > counts no tie
-        return sum((np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1) for d in range(1, n)),
-                   np.zeros(reps, dtype=np.int64))
-    # Values 0..n-1 with the row's inversions: its stable argsort (the inverse
-    # of its ranks, ties in column order), which the fast argsort is on rows
-    # whose sorted values strictly increase; other rows (exact ties, two -inf)
-    # sort again.  The rising pad adds none.
+    if n <= 16:  # one pairwise block counts every pair
+        return _descending_pairs(x, n - 1)
+    # Keys 0..n-1 with the row's inversions: its stable argsort, the inverse
+    # of its ranks.  The rising pad adds none.
     size = 1 << (n - 1).bit_length()
     keys = np.empty((reps, size), dtype=np.int32 if size <= 1 << 30 else np.int64)
-    order = np.argsort(x, axis=1)
-    s = np.take_along_axis(x, order, axis=1)
-    tied = np.flatnonzero(~np.all(s[:, 1:] > s[:, :-1], axis=1))
-    order[tied] = np.argsort(x[tied], axis=1, kind="stable")
-    keys[:, :n] = order
+    keys[:, :n] = _order(x)
     keys[:, n:] = np.arange(n, size)
     # numpy sorts short rows slowly: count blocks of 16 pair by pair, sort once
     w = min(16, size)
     v = keys.reshape(reps, -1, w)
-    count = sum(np.count_nonzero(v[..., :w - d] > v[..., d:], axis=(1, 2)) for d in range(1, w))
+    count = _descending_pairs(v, w - 1)
     v.sort(axis=2)
     keys <<= 1  # low bit: 1 on the right half of the current block
     pos = np.arange(size, dtype=np.int32 if size <= 1 << 16 else np.int64)  # sums < 2^31
@@ -293,33 +320,20 @@ def _inversions_chunk(x: np.ndarray) -> np.ndarray:
 
 
 def anti_inversions_batch(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x))
-    n = x.shape[1]
-    return n * (n - 1) // 2 - inversions_batch(x)
+    return m_ascents_batch(x, np.shape(x)[-1] + 1)  # a window past the row: every pair
 
 
 def m_descents_batch(x: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
-    if m >= n - 1:
-        return inversions_batch(x)
-    out = np.zeros(reps, dtype=np.int64)
-    for k in range(1, m + 1):
-        out += np.count_nonzero(x[:, :-k] > x[:, k:], axis=1)
-    return out
+    return inversions_batch(x) if m >= x.shape[1] - 1 else _descending_pairs(x, m)
 
 
 def m_ascents_batch(x: np.ndarray, m: int) -> np.ndarray:
-    if m < 1:
-        raise ValueError("m must be >= 1")
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
-    out = np.zeros(reps, dtype=np.int64)
-    for k in range(1, min(m, n - 1) + 1):
-        out += np.count_nonzero(x[:, :-k] < x[:, k:], axis=1)
-    return out
+    k = min(m, x.shape[1] - 1)
+    return k * x.shape[1] - k * (k + 1) // 2 - m_descents_batch(x, m)
 
 
 def local_maxima_batch(x: np.ndarray) -> np.ndarray:
@@ -327,9 +341,8 @@ def local_maxima_batch(x: np.ndarray) -> np.ndarray:
     reps, n = x.shape
     if n < 3:
         return np.zeros(reps, dtype=np.int64)
-    mid = x[:, 1:-1]
-    peaks = (mid > x[:, :-2]) & (mid > x[:, 2:])
-    return np.count_nonzero(peaks, axis=1).astype(np.int64)
+    desc = x[:, :-1] > x[:, 1:]
+    return np.count_nonzero(~desc[:, :-1] & desc[:, 1:], axis=1).astype(np.int64)
 
 
 def longest_alternating_batch(x: np.ndarray, ascent_first: bool = False) -> np.ndarray:
@@ -345,15 +358,10 @@ def longest_alternating_batch(x: np.ndarray, ascent_first: bool = False) -> np.n
 
 def rising_sequences_batch(x: np.ndarray, m: int) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
+    n = x.shape[1]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
-    if m == 1:
-        return np.full(reps, n, dtype=np.int64)
-    asc = x[:, :-1] < x[:, 1:]
-    if m == 2:
-        return np.count_nonzero(asc, axis=1).astype(np.int64)
-    win = sliding_window_view(asc, m - 1, axis=1).all(axis=-1)
+    win = sliding_window_view(~(x[:, :-1] > x[:, 1:]), m - 1, axis=1).all(axis=-1)
     return np.count_nonzero(win, axis=1).astype(np.int64)
 
 

@@ -208,6 +208,18 @@ def test_moments_desc_time_is_bounded_in_m(capsys, stat, n, limit_s):
     assert rec["runtime_seconds"] < limit_s
 
 
+def test_ratio_asc_time_is_bounded_in_m(capsys):
+    # a window past n - 1 is every pair: asc is ainv, at the merge count's cost
+    recs = []
+    for stat in ("asc:" + str(10 ** 30), "ainv"):
+        code, out, _ = run_cli(["ratio", "--stat", stat, "--n", "20000", "--reps", "10",
+                                "--seed", "1"], capsys)
+        assert code == 0
+        recs.append(record_of(out))
+    assert recs[0]["runtime_seconds"] < 1.0
+    assert recs[0]["results"]["ratio"] == recs[1]["results"]["ratio"]
+
+
 def test_sample_csv_and_seed_reported(capsys):
     code, out, err = run_cli(
         ["sample", "--model", "inverse-unfair", "--n", "5", "--reps", "4",

@@ -219,14 +219,25 @@ def test_batch_matches_single_exhaustive():
 
 
 def test_batch_on_scores_equals_batch_on_ranks():
+    # exact ties count as in the stable ranks: floor(x * 3) rows, two -inf
+    # and an all-equal row
     rng = np.random.default_rng(11)
     scores = rng.random((50, 23))
-    r = stats.ranks_matrix(scores)
-    for sel in ("inv", "desc:2", "asc:1", "locmax", "las", "rising:3", "incsub:3"):
-        kind = stats.parse_statistic(sel)
-        got = stats.evaluate_batch(kind, scores)
-        want = stats.evaluate_batch(kind, r)
-        assert np.array_equal(got, want), sel
+    ties = scores.copy()
+    ties[:20] = np.floor(ties[:20] * 3)
+    ties[20, [4, 9]] = -np.inf
+    ties[21] = 0.5
+    wide = str(10 ** 30)
+    for x in (scores, ties):
+        r = stats.ranks_matrix(x)
+        for sel in ("inv", "ainv", "desc:2", "desc:" + wide, "asc:1", "asc:" + wide, "locmax",
+                    "las", "rising:2", "rising:3", "incsub:3"):
+            kind = stats.parse_statistic(sel)
+            got = stats.evaluate_batch(kind, x)
+            want = stats.evaluate_batch(kind, r)
+            assert np.array_equal(got, want), sel
+        ainv = stats.evaluate_batch(stats.parse_statistic("ainv"), x)
+        assert np.array_equal(stats.evaluate_batch(stats.parse_statistic("asc:22"), x), ainv)
 
 
 def test_ranks_matrix_values_and_ties():
