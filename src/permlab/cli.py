@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .models import (
     phi_from_config,
     sample_permutation_matrix,
 )
-from .perm import Permutation, permutation_matrix
+from .perm import Permutation
 from .rng import fresh_seed
 from .stats import evaluate, parse_statistic
 
@@ -97,34 +96,28 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind)
 
 
-def _trunc5(num: int, den: int) -> str:
-    """Truncate a probability num/den to 5 decimals (the table convention)."""
-    t = (num * 100000) // den
-    return f"{t // 100000}.{t % 100000:05d}"
-
-
-def _write_rows(mat, lead: str, close: str, cells: "list[str]", ids) -> None:
+def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
     """Write row r of ``mat`` (values 0..n) to stdout as the csv module would:
     a first field lead + the row's values joined by "," + close, then
-    cells[ids[r]], the rest of the line.  csv quotes a field only where it
-    holds a comma, so one-value rows go bare.  Each block of rows is gathered
-    from zero-padded byte tables (",<v>" by value, the tails by id), stripped
-    of its zero bytes and written as one str; blocks hold at most 2^20 values."""
+    cells[ids[r]] (str or bytes), the rest of the line.  csv quotes a field
+    only where it holds a comma, so one-value rows go bare.  ",<v>" by value
+    and close + cell by id are 1-D zero-padded fixed-width bytes tables; each
+    block of rows takes from both once, viewed as uint8, drops the zero bytes
+    with ``bytes.translate`` and is written as one str.  Blocks hold at most
+    2^20 values."""
     rows, n = mat.shape
     quote = '"' if n > 1 else ""
     values = np.array([f",{v}" for v in range(n + 1)], dtype="S")
-    values = values.view(np.uint8).reshape(n + 1, -1)
-    tails = np.array([close + quote + c for c in cells], dtype="S")
-    tails = tails.view(np.uint8).reshape(len(cells), -1)
+    cells = np.char.add((close + quote).encode(), np.asarray(cells, dtype="S"))
     head = np.frombuffer((quote + lead).encode(), dtype=np.uint8)
     step = max(1, min(_BLOCK_ROWS, 2 ** 20 // n))
     for a in range(0, rows, step):
-        block = mat[a:a + step]
-        line = np.concatenate([np.broadcast_to(head, (len(block), head.size)),
-                               values[block].reshape(len(block), -1), tails[ids[a:a + step]]],
-                              axis=1)
+        block, k = mat[a:a + step], min(step, rows - a)
+        line = np.concatenate([np.broadcast_to(head, (k, head.size)),
+                               values.take(block).view(np.uint8),
+                               cells.take(ids[a:a + step]).view(np.uint8).reshape(k, -1)], axis=1)
         line[:, head.size] = 0  # the first value takes no comma
-        sys.stdout.write(str(line[line != 0], "ascii"))
+        sys.stdout.write(line.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +139,23 @@ def cmd_sample(args) -> int:
 
 
 def cmd_pmf(args) -> int:
+    """Row r of S_n has probability num/den[r], integers below 2^53.  Each
+    distinct den is one cell, a/b in lowest terms: 5 decimals truncated from
+    the integer digits of a * 10^5 // b, and repr(a / b), its one Python
+    step.  The total is summed exactly over the lcm of the b."""
     t0 = time.perf_counter()
-    law = exact.enumerate_law(args.n, args.model, exact=True)
-    # each distinct probability is formatted once and summed once, times its count
-    ratios = [p.as_integer_ratio() for p in law.probs]
-    counts = Counter(ratios)
-    ids = {r: i for i, r in enumerate(counts)}
-    cells = [f",{_trunc5(a, b)},{a / b!r}\r\n" for a, b in counts]
-    den = math.lcm(*(b for _, b in counts))
-    total = sum(a * c * (den // b) for (a, b), c in counts.items()) / den
+    perms, num, den = exact._law_table(args.n, args.model)
+    dens, ids, counts = np.unique(den, return_inverse=True, return_counts=True)
+    a, b = num // np.gcd(num, dens), dens // np.gcd(num, dens)
+    digits = (a * 100000 // b)[:, None] // 10 ** np.arange(5, -1, -1) % 10 + ord("0")
+    fives = np.insert(digits.astype(np.uint8), 1, ord("."), axis=1).view("S7")[:, 0]
+    full = np.char.add(np.array(list(map(repr, (a / b).tolist())), dtype="S"), b"\r\n")
+    cells = np.char.add(np.char.add(b",", fives), np.char.add(b",", full))
+    lcm = math.lcm(*b.tolist())
+    total = sum(x * c * (lcm // y) for x, y, c in zip(a.tolist(), b.tolist(), counts.tolist()))
     sys.stdout.write("permutation,prob_5dp,prob_full\r\n")
-    _write_rows(permutation_matrix(args.n), "(", ")", cells,
-                np.array([ids[r] for r in ratios], dtype=np.intp))
-    results = {"outcomes": len(law.outcomes), "total_probability": repr(total)}
+    _write_rows(perms, "(", ")", cells, ids)
+    results = {"outcomes": len(perms), "total_probability": repr(total / lcm)}
     _emit_record(_record(args, results, t0), to_stderr=True)
     return 0
 

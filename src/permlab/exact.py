@@ -11,9 +11,9 @@ Every exact law is one kernel for that product over the model's draw counts
 * P(gamma = a) = n! / prod_i (a_1 + ... + a_i),
 
 from which identity/reversal probabilities, full enumeration on small n and
-total-variation distances follow.  Probabilities are double-precision
-products, or Fractions with ``exact=True``, and laws sum by one rule
-(``_total``).  Inversions and m-descents count the pairs i < j with
+total-variation distances follow.  A law is num / den per row, prod k over
+int64 products of prefix sums; probabilities are its floats, or Fractions
+with ``exact=True``, and laws sum by one rule (``_total``).  Inversions and m-descents count the pairs i < j with
 rho(i) > rho(j) among all pairs or those with j - i <= m; ``_pair_sums``
 groups a pair set by s = i + j, so each mean is one O(n) sum, and it is the
 size-bias index table too.  ``closed_form_moments`` picks every statistic's
@@ -26,7 +26,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,38 +91,32 @@ def enumeration_limit() -> int:
 # ---------------------------------------------------------------------------
 # closed-form probabilities
 
-def _plackett_luce(orders: np.ndarray, counts: Sequence[int], exact: bool) -> list:
-    """prod_l k_l / (k_1 + ... + k_l) for each row of ``orders``.
+def _plackett_luce(orders: np.ndarray, counts: Sequence[int]) -> tuple[int, np.ndarray]:
+    """(num, den) with prod_l k_l / (k_1 + ... + k_l) = num / den[r] for row r.
 
-    Each row lists the players 1..m (m = len(counts)) once each in finishing
-    order, weakest first; k_l is the draw count of its l-th player.  Both
-    routes start from the float products prod (k_1 + ... + k_l).  The float
-    route divides prod k_l by them once; they stay finite for every
-    enumerable S_n (at most 10 players of counts below 2^63), and where both
-    products are integers below 2^53 (the three fixed-count paper models up to
-    m = 10) the quotient is the correctly rounded law.  Longer rows whose
-    product overflows take the product of the m ratios instead.  The exact
-    route makes one Fraction per distinct denominator: from the float
-    products when all are below 2^53, so none was rounded, else from Python
-    integers, which do not wrap like int64 does.
+    Each row of ``orders`` lists the players 1..m (m = len(counts)) once each
+    in finishing order, weakest first; k_l is the draw count of its l-th
+    player.  num = prod k, a Python int, is the same for every row.  den is
+    int64 where every float product of prefix sums is below 2^53, so none was
+    rounded (the three fixed-count paper models up to m = 10), else Python
+    ints, which do not wrap like int64 does; num / den rounds the law once.
     """
-    w = np.asarray(counts, dtype=float)[orders - 1]
+    k = [int(c) for c in counts]
+    w = np.asarray(k, dtype=float)[orders - 1]
     with np.errstate(over="ignore"):
         den = np.prod(np.cumsum(w, axis=1), axis=1)
-    if not exact:
-        if np.all(np.isfinite(den)):
-            return (np.prod(w, axis=1) / den).tolist()
-        return np.prod(w / np.cumsum(w, axis=1), axis=1).tolist()
-    k = [int(c) for c in counts]
-    num = math.prod(k)  # the same for every row: each holds every player
     if den.max() < 2 ** 53:
-        dens, rows = np.unique(den.astype(np.int64), return_inverse=True)
-        fracs = np.empty(len(dens), dtype=object)
-        fracs[:] = [Fraction(num, d) for d in dens.tolist()]
-        return fracs[rows].tolist()
-    dens = [math.prod(accumulate(map(k.__getitem__, row))) for row in (orders - 1).tolist()]
-    by_den = {den: Fraction(num, den) for den in set(dens)}
-    return [by_den[den] for den in dens]
+        return math.prod(k), den.astype(np.int64)
+    return math.prod(k), np.cumsum(np.asarray(k, dtype=object)[orders - 1], axis=1).prod(axis=1)
+
+
+def _probs(num: int, den: np.ndarray, exact: bool) -> list:
+    """num / den per row: floats, or Fractions made once per distinct den."""
+    if not exact:
+        return (num / den).tolist()
+    dens, rows = np.unique(den, return_inverse=True)
+    fracs = [Fraction(num, d) for d in dens.tolist()]
+    return list(map(fracs.__getitem__, rows.tolist()))
 
 
 def _fixed_count_spec(model: "ModelKind | str | ModelSpec") -> ModelSpec:
@@ -133,11 +126,11 @@ def _fixed_count_spec(model: "ModelKind | str | ModelSpec") -> ModelSpec:
     return spec
 
 
-def _law(spec: ModelSpec, perms: np.ndarray, exact: bool) -> list:
-    """Probabilities of the one-line rows of ``perms``: an unfair row is a
-    finishing order, any other row a rank sequence, the inverse of one."""
+def _law(spec: ModelSpec, perms: np.ndarray) -> tuple[int, np.ndarray]:
+    """The kernel's (num, den) of the one-line rows of ``perms``: an unfair row
+    is a finishing order, any other row a rank sequence, the inverse of one."""
     orders = perms if spec.kind is ModelKind.UNFAIR else invert_rows(perms)
-    return _plackett_luce(orders, _fixed_counts(spec, perms.shape[1]), exact)
+    return _plackett_luce(orders, _fixed_counts(spec, perms.shape[1]))
 
 
 def prob_pair_less(i: int, j: int, exact: bool = False):
@@ -160,7 +153,7 @@ def prob_ordered_tuple(indices: Sequence[int], exact: bool = False):
         raise ValueError("need at least one index")
     if any(i < 1 for i in idx) or len(set(idx)) != len(idx):
         raise ValueError(f"indices must be distinct and >= 1: {idx}")
-    return _plackett_luce(np.arange(1, len(idx) + 1)[None, :], idx, exact)[0]
+    return _probs(*_plackett_luce(np.arange(1, len(idx) + 1)[None, :], idx), exact)[0]
 
 
 def pmf_inverse_unfair(p, exact: bool = False):
@@ -181,7 +174,7 @@ def pmf(p, model: "ModelKind | str | ModelSpec", exact: bool = False):
     Fraction(2, 15)
     """
     spec = _fixed_count_spec(model)
-    return _law(spec, np.array([validate(p)], dtype=np.int64), exact)[0]
+    return _probs(*_law(spec, np.array([validate(p)], dtype=np.int64)), exact)[0]
 
 
 def prob_identity(n: int, exact: bool = False):
@@ -267,10 +260,15 @@ def enumerate_law(
 ) -> ExactDistribution:
     """The full law over S_n in lexicographic order (n capped, see
     enumeration_limit)."""
-    _check_enum(n)
-    spec = _fixed_count_spec(model)
-    probs = _law(spec, permutation_matrix(n), exact)
+    probs = _probs(*_law_table(n, model)[1:], exact)
     return ExactDistribution(tuple(all_permutations(n)), tuple(probs), ("perm", n))
+
+
+def _law_table(n: int, model: "ModelKind | str | ModelSpec") -> tuple[np.ndarray, int, np.ndarray]:
+    """S_n as ``permutation_matrix`` rows and the kernel's (num, den) of each."""
+    _check_enum(n)
+    spec, perms = _fixed_count_spec(model), permutation_matrix(n)
+    return (perms, *_law(spec, perms))
 
 
 def statistic_law(
@@ -305,9 +303,9 @@ def tv_model_vs_uniform(n: int, model: "ModelKind | str | ModelSpec", exact: boo
     The uniform law gives every permutation 1/n!, taken from the kernel as
     the pmf of one permutation: the float every row of the uniform law holds.
     """
-    law = enumerate_law(n, model, exact=exact)
+    probs = np.array(enumerate_law(n, model, exact=exact).probs, dtype=object if exact else float)
     uniform = pmf(range(1, n + 1), ModelKind.UNIFORM, exact=exact)
-    return _total((abs(p - uniform) for p in law.probs), exact) / 2
+    return _total(np.abs(probs - uniform).tolist(), exact) / 2
 
 
 def tv_event_lower_bound(n: int) -> tuple[float, float, float]:

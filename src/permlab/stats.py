@@ -15,7 +15,8 @@ ties count as in the stable ranks, the earlier entry the smaller:
 >>> m_ascents_batch(both, 1).tolist(), local_maxima_batch(both).tolist()
 ([3, 3], [2, 2])
 
-One counter sums descending pairs at distances 1..m; ascents are the
+One counter sums descending pairs at distances 1..m, or for m >= n / 2 the
+inversions less those at the n - 1 - m distances past m; ascents are the
 window's pairs less its descents, so ``asc:m`` with m >= n - 1 is ``ainv``.
 Inversions of rows of at most 16 are that count; longer rows take an
 O(n log n) padded merge sort of int32 keys, their stable argsort, which rank
@@ -246,12 +247,12 @@ def _order(x: np.ndarray) -> np.ndarray:
     return order
 
 
-def _descending_pairs(x: np.ndarray, m: int) -> np.ndarray:
-    """Per row (first axis), the count of x_i > x_{i+d}, 1 <= d <= m, on the last axis."""
+def _descending_pairs(x: np.ndarray, m: int, first: int = 1) -> np.ndarray:
+    """Per row (first axis), the count of x_i > x_{i+d}, first <= d <= m, on the last axis."""
     n = x.shape[-1]
     axes = tuple(range(1, x.ndim))
     return sum((np.count_nonzero(x[..., :n - d] > x[..., d:], axis=axes)
-                for d in range(1, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
+                for d in range(first, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
 
 
 def inversions_batch(x: np.ndarray) -> np.ndarray:
@@ -327,7 +328,9 @@ def m_descents_batch(x: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.atleast_2d(np.asarray(x))
-    return inversions_batch(x) if m >= x.shape[1] - 1 else _descending_pairs(x, m)
+    if 2 * m < x.shape[1]:
+        return _descending_pairs(x, m)
+    return inversions_batch(x) - _descending_pairs(x, x.shape[1], m + 1)  # less those past m
 
 
 def m_ascents_batch(x: np.ndarray, m: int) -> np.ndarray:

@@ -209,15 +209,30 @@ def test_moments_desc_time_is_bounded_in_m(capsys, stat, n, limit_s):
 
 
 def test_ratio_asc_time_is_bounded_in_m(capsys):
-    # a window past n - 1 is every pair: asc is ainv, at the merge count's cost
-    recs = []
-    for stat in ("asc:" + str(10 ** 30), "ainv"):
-        code, out, _ = run_cli(["ratio", "--stat", stat, "--n", "20000", "--reps", "10",
+    # a window past n - 1 is every pair: asc is ainv, at the merge count's cost;
+    # a window past (n - 1) / 2 is every pair less the few distances past it
+    from permlab import models, stats
+
+    n, reps, wide = 20000, 10, "asc:" + str(10 ** 30)
+    recs = {}
+    for stat in (wide, "ainv", "desc:19997", "asc:19997"):
+        code, out, _ = run_cli(["ratio", "--stat", stat, "--n", str(n), "--reps", str(reps),
                                 "--seed", "1"], capsys)
         assert code == 0
-        recs.append(record_of(out))
-    assert recs[0]["runtime_seconds"] < 1.0
-    assert recs[0]["results"]["ratio"] == recs[1]["results"]["ratio"]
+        recs[stat] = record_of(out)
+        assert stat == "ainv" or recs[stat]["runtime_seconds"] < 1.0, stat
+    assert recs[wide]["results"]["ratio"] == recs["ainv"]["results"]["ratio"]
+    # each moment is the mean window count of the same score rows: the
+    # descending pairs less those at distances 19998 and 19999, and the
+    # ascents the window's other pairs
+    for first, spec, key in ((0, models.ModelSpec.inverse_unfair(), "model_moment"),
+                             (reps, models.ModelSpec.uniform(), "uniform_moment")):
+        x = models.sample_score_matrix(spec, n, reps, 1, first)
+        far = sum(np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1) for d in (19998, 19999))
+        desc = stats.inversions_batch(x) - far
+        pairs = n * (n - 1) // 2 - 3
+        assert recs["desc:19997"]["results"][key] == float(np.mean(desc.astype(float)))
+        assert recs["asc:19997"]["results"][key] == float(np.mean((pairs - desc).astype(float)))
 
 
 def test_sample_csv_and_seed_reported(capsys):
@@ -246,7 +261,7 @@ def _model_argvs(tmp_path):
         ["--model", "markov", "--chain", str(chain)]]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 99, 100, 101, 1000])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
 def test_sample_csv_bytes(capsys, monkeypatch, tmp_path, n):
     # blocks of 3 rows cross block edges at every digit width; the oracle is
     # csv.writer on one joined field per row, quoted, bare at n = 1 where the

@@ -206,6 +206,13 @@ def test_huge_constant_phi_is_uniform():
     assert exact.enumerate_law(6, spec).probs == pytest.approx([1 / 720] * 720, rel=1e-14)
 
 
+def test_float_law_is_the_rounded_fraction_past_2_53():
+    # prefix-sum products past 2^53 are Python ints, so each float is rounded once
+    spec = ModelSpec.phi_draw(PhiSpec.from_table({3: 10 ** 6}, default=7))
+    floats = exact.enumerate_law(6, spec).probs
+    assert floats == tuple(map(float, exact.enumerate_law(6, spec, exact=True).probs))
+
+
 def test_enumerate_law_rejects_n_below_one():
     for model in (*ModelKind, ModelSpec.phi_draw(README_PHI)):
         for n in (0, -1):

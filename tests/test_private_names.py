@@ -7,6 +7,7 @@ import permlab
 
 # (module, sibling, name)
 ALLOWED = {
+    ("cli", "exact", "_law_table"),
     ("cli", "models", "_BLOCK_ROWS"),
     ("cli", "montecarlo", "_check_budget"),
     ("exact", "models", "_fixed_counts"),

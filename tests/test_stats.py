@@ -111,6 +111,22 @@ def test_m_descents_equals_inversions_for_wide_window():
         assert stats.m_descents(t, 9) == stats.inversions(t)
 
 
+@pytest.mark.parametrize("n", [17, 40, 300])
+def test_wide_windows_equal_the_window_count(n):
+    # m from ceil((n - 1) / 2) to n - 2 counts every pair less the distances
+    # past m; the reference sums the rank rows' pairs distance by distance
+    rng = np.random.default_rng(n)
+    scores = rng.random((6, n))
+    for x in (scores, stats.ranks_matrix(scores), np.floor(scores * 3)):
+        r = stats.ranks_matrix(x)
+        by_d = [r[:, :n - d] > r[:, d:] for d in range(1, n)]
+        desc = np.cumsum([np.count_nonzero(v, axis=1) for v in by_d], axis=0)
+        asc = np.cumsum([np.count_nonzero(~v, axis=1) for v in by_d], axis=0)
+        for m in range(n // 2, n - 1):
+            assert stats.m_descents_batch(x, m).tolist() == desc[m - 1].tolist(), m
+            assert stats.m_ascents_batch(x, m).tolist() == asc[m - 1].tolist(), m
+
+
 def test_desc_asc_pair_identity():
     # windows partition ordered pairs: desc + asc = total near pairs
     for t in all_permutations(5):
