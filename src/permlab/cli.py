@@ -1,14 +1,19 @@
 """Command-line interface.
 
-Every run emits exactly one RunRecord, a JSON object with the command, every
-parsed argument as params (with the seed generated and reported when not
-supplied, and the statistic normalized), the results, the package version
-and the runtime.  Scalar commands print the record on stdout; table commands
-stream CSV rows on stdout and put the record on stderr, so data and
-diagnostics never mix.  ``sample`` and ``pmf`` write their table bodies by
-block, each block gathered as bytes from numpy tables and written as one
-str, byte for byte what the csv module writes: the joined permutation field
-is quoted, and bare at n = 1 where it holds no comma.
+``main`` is the run envelope: it parses the arguments, starts the clock,
+draws a seed where a seeded command got none and parses ``--stat`` into its
+``StatisticKind``.  A subcommand only computes: it writes any table body and
+returns its results.  ``main`` then emits exactly one RunRecord, a JSON object
+with the command, every parsed argument as params (the seed drawn, the
+statistic normalized), the results, the package version and the runtime: on
+stdout for scalar commands, on stderr after the CSV rows of table commands,
+so data and diagnostics never mix.  A refused run prints one ``error:`` line,
+exits 1 and emits no record.
+
+``sample`` and ``pmf`` write their table bodies by block, each block gathered
+as bytes from numpy tables and written as one str, byte for byte what the
+csv module writes: the joined permutation field is quoted, and bare at n = 1
+where it holds no comma.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import time
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import exact, montecarlo, sizebias
 from .models import (
     _BLOCK_ROWS,
@@ -36,21 +42,15 @@ from .perm import Permutation
 from .rng import fresh_seed
 from .stats import evaluate, parse_statistic
 
-try:  # installed package metadata, if available
-    from importlib.metadata import version as _pkg_version
 
-    VERSION = _pkg_version("permlab")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
-
-
-def _record(args, results: dict, t0: float, **resolved) -> dict:
-    """The RunRecord of a run: params are the parsed arguments, with
-    ``resolved`` (the seed, the normalized statistic) in place of theirs."""
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+def _record(args, results: dict, t0: float) -> dict:
+    """The RunRecord of a run: params are the parsed arguments as ``main``
+    resolved them, the statistic as its text."""
+    params = {k: str(v) if k == "stat" else v
+              for k, v in vars(args).items() if k not in ("command", "func")}
     return {
         "command": args.command,
-        "params": params | resolved,
+        "params": params,
         "results": results,
         "version": VERSION,
         "runtime_seconds": round(time.perf_counter() - t0, 6),
@@ -73,10 +73,6 @@ def _emit_record(rec: dict, to_stderr: bool) -> None:
     except ValueError:  # strict JSON has no NaN or Infinity: write them as null
         text = json.dumps(_finite(rec), allow_nan=False)
     stream.write(text + "\n")
-
-
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else fresh_seed()
 
 
 def _model_spec(args) -> ModelSpec:
@@ -121,29 +117,23 @@ def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its results, after writing any table body
 
-def cmd_sample(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_sample(args) -> dict:
     spec = _model_spec(args)
     montecarlo._check_budget(args.n, args.reps, montecarlo.DEFAULT_MAX_BUDGET)
-    mat = sample_permutation_matrix(spec, args.n, args.reps, seed, workers=args.threads)
+    mat = sample_permutation_matrix(spec, args.n, args.reps, args.seed, workers=args.threads)
     if args.format == "json":
-        rec = _record(args, {"permutations": mat.tolist()}, t0, seed=seed)
-        _emit_record(rec, to_stderr=False)
-        return 0
+        return {"permutations": mat.tolist()}
     _write_rows(mat, "", "", ["\r\n"], np.zeros(len(mat), dtype=np.intp))
-    _emit_record(_record(args, {"rows": int(mat.shape[0])}, t0, seed=seed), to_stderr=True)
-    return 0
+    return {"rows": int(mat.shape[0])}
 
 
-def cmd_pmf(args) -> int:
+def cmd_pmf(args) -> dict:
     """Row r of S_n has probability num/den[r], integers below 2^53.  Each
     distinct den is one cell, a/b in lowest terms: 5 decimals truncated from
     the integer digits of a * 10^5 // b, and repr(a / b), its one Python
     step.  The total is summed exactly over the lcm of the b."""
-    t0 = time.perf_counter()
     perms, num, den = exact._law_table(args.n, args.model)
     dens, ids, counts = np.unique(den, return_inverse=True, return_counts=True)
     a, b = num // np.gcd(num, dens), dens // np.gcd(num, dens)
@@ -155,13 +145,10 @@ def cmd_pmf(args) -> int:
     total = sum(x * c * (lcm // y) for x, y, c in zip(a.tolist(), b.tolist(), counts.tolist()))
     sys.stdout.write("permutation,prob_5dp,prob_full\r\n")
     _write_rows(perms, "(", ")", cells, ids)
-    results = {"outcomes": len(perms), "total_probability": repr(total / lcm)}
-    _emit_record(_record(args, results, t0), to_stderr=True)
-    return 0
+    return {"outcomes": len(perms), "total_probability": repr(total / lcm)}
 
 
-def cmd_tv(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tv(args) -> dict:
     results: dict = {"n": args.n}
     try:
         results["tv_exact"] = float(exact.tv_model_vs_uniform(args.n, ModelKind.INVERSE_UNFAIR))
@@ -172,13 +159,11 @@ def cmd_tv(args) -> int:
         results.update({"p_rho": p_rho, "p_pi": p_pi, "lower_bound": diff})
     else:
         results.update({"p_rho": None, "p_pi": None, "lower_bound": None})
-    _emit_record(_record(args, results, t0), to_stderr=False)
-    return 0
+    return results
 
 
-def cmd_stats(args) -> int:
-    t0 = time.perf_counter()
-    kind = parse_statistic(args.stat)
+def cmd_stats(args) -> dict:
+    kind = args.stat
     texts = list(args.perm or [])
     if not texts:
         texts = [line.strip() for line in sys.stdin if line.strip()]
@@ -187,32 +172,24 @@ def cmd_stats(args) -> int:
     out = csv.writer(sys.stdout)
     out.writerow(["permutation", "statistic", "value"])
     out.writerows(rows)
-    _emit_record(_record(args, {"rows": len(texts)}, t0, stat=str(kind)), to_stderr=True)
-    return 0
+    return {"rows": len(texts)}
 
 
-def cmd_moments(args) -> int:
-    t0 = time.perf_counter()
-    kind = parse_statistic(args.stat)
-    results = exact.closed_form_moments(kind, args.n)
-    _emit_record(_record(args, results, t0, stat=str(kind)), to_stderr=False)
-    return 0
+def cmd_moments(args) -> dict:
+    return exact.closed_form_moments(args.stat, args.n)
 
 
-def cmd_clt(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
-    kind = parse_statistic(args.stat)
+def cmd_clt(args) -> dict:
     spec = _model_spec(args)
     sample = montecarlo.standardized_sample(
-        kind, spec, args.n, args.reps, seed,
+        args.stat, spec, args.n, args.reps, args.seed,
         centering=args.centering, workers=args.threads,
     )
     if args.emit_sample:
         with open(args.emit_sample, "w") as fh:
             for v in sample.values:
                 fh.write(f"{float(v)!r}\n")
-    results = {
+    return {
         "center": sample.center,
         "scale": sample.scale,
         "mean": sample.sample_mean,
@@ -220,16 +197,12 @@ def cmd_clt(args) -> int:
         "ks": montecarlo.ks_to_normal(sample.values),
         "w1": montecarlo.wasserstein1_to_normal(sample.values),
     }
-    _emit_record(_record(args, results, t0, seed=seed, stat=str(kind)), to_stderr=False)
-    return 0
 
 
-def cmd_ratio(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
-    kind = parse_statistic(args.stat)
+def cmd_ratio(args) -> dict:
+    kind = args.stat
     report = montecarlo.moment_ratio_mc(
-        kind, args.n, args.reps, seed, k=args.k, workers=args.threads
+        kind, args.n, args.reps, args.seed, k=args.k, workers=args.threads
     )
     results = {
         "ratio": report.ratio,
@@ -239,18 +212,15 @@ def cmd_ratio(args) -> int:
     }
     if kind.tag == "desc" and kind.m == 1 and args.k == 1:
         results["closed_form_ratio"] = exact.moment_ratio_descents(args.n)
-    _emit_record(_record(args, results, t0, seed=seed, stat=str(kind)), to_stderr=False)
-    return 0
+    return results
 
 
-def cmd_sizebias(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_sizebias(args) -> dict:
     # var/bound hold each outer score row and its inner completions
     rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else args.reps
     montecarlo._check_budget(args.n, rows, montecarlo.DEFAULT_MAX_BUDGET)
     if args.check in ("identity", "square") or args.check.startswith("indicator:"):
-        report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, seed)
+        report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, args.seed)
         results = {
             "f": report.f_name,
             "lhs": report.lhs,
@@ -259,7 +229,8 @@ def cmd_sizebias(args) -> int:
             "gap_in_se": report.gap_in_se,
         }
     elif args.check == "var":  # no sigma^2 guard: the variance does not divide by it
-        raw = sizebias.estimate_var_conditional(args.n, args.outer, args.inner, seed, clamp=False)
+        raw = sizebias.estimate_var_conditional(args.n, args.outer, args.inner, args.seed,
+                                                 clamp=False)
         var_cond = max(raw, 0.0)
         results = {
             "var_cond": var_cond,
@@ -268,7 +239,7 @@ def cmd_sizebias(args) -> int:
             "clamped": raw < 0.0,
         }
     elif args.check == "bound":
-        report = sizebias.stein_bound(args.n, args.outer, args.inner, seed)
+        report = sizebias.stein_bound(args.n, args.outer, args.inner, args.seed)
         results = {
             "mu": report.mu,
             "sigma2": report.sigma2,
@@ -280,8 +251,7 @@ def cmd_sizebias(args) -> int:
         }
     else:
         raise ValueError(f"unknown check {args.check!r}")
-    _emit_record(_record(args, results, t0, seed=seed), to_stderr=False)
-    return 0
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        if hasattr(args, "seed") and args.seed is None:  # reported in params
+            args.seed = fresh_seed()
+        if hasattr(args, "stat"):
+            args.stat = parse_statistic(args.stat)
+        results = args.func(args)
+        table = args.command in ("pmf", "stats") or getattr(args, "format", None) == "csv"
+        _emit_record(_record(args, results, t0), to_stderr=table)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

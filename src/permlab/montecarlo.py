@@ -258,21 +258,30 @@ def moment_ratio_mc(
 
     The two models use disjoint stream blocks of the same root seed (rank
     model: streams 0..reps-1, uniform: reps..2reps-1) and reps draws each; the
-    standard error is the independent-ratio delta method.
+    standard error is the independent-ratio delta method.  Raises
+    ValueError where a k-th power, a moment, a variance or the standard error
+    is not a finite float64.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_budget(n, 2 * reps, max_budget)
     t0 = time.perf_counter()
-    a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers) ** k
-    b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers) ** k
-    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+    a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers)
+    b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        a, b = a ** k, b ** k
+        mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+        var_a = float(np.var(a, ddof=1)) / reps if reps > 1 else 0.0
+        var_b = float(np.var(b, ddof=1)) / reps if reps > 1 else 0.0
     if mean_b == 0.0:
         raise ValueError("uniform moment is zero; ratio undefined")
-    var_a = float(np.var(a, ddof=1)) / reps if reps > 1 else 0.0
-    var_b = float(np.var(b, ddof=1)) / reps if reps > 1 else 0.0
     ratio = mean_a / mean_b
-    se = math.sqrt(var_a / mean_b ** 2 + (mean_a ** 2 / mean_b ** 4) * var_b)
+    try:
+        se = math.sqrt(var_a / mean_b ** 2 + (mean_a ** 2 / mean_b ** 4) * var_b)
+    except OverflowError:
+        se = math.inf
+    if not all(map(math.isfinite, (mean_a, mean_b, var_a, var_b, se))):
+        raise ValueError(f"moments of order k = {k} overflow float64; ratio undefined")
     return MomentRatioReport(
         kind=kind,
         n=n,

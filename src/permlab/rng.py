@@ -35,25 +35,13 @@ len(streams), so callers bound the number of streams in one block.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngSeed", "StreamBlock", "make_generator", "fresh_seed"]
+__all__ = ["StreamBlock", "make_generator", "fresh_seed"]
 
 _STEPPED_MAX_WIDTH = 250
 _STEPPED_ROWS_PER_COLUMN = 7
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """A root seed plus a stream index."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self, substream: int | None = None) -> np.random.Generator:
-        return make_generator(self.seed, self.stream, substream)
 
 
 def make_generator(

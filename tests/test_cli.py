@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,17 @@ def test_ratio_incsub_counts_past_int64(capsys):
     assert res["uniform_moment"] > 2.0 ** 63
 
 
+@pytest.mark.parametrize("k", ["160", "2000"])
+def test_ratio_moment_overflow_is_a_one_line_error(capsys, k):
+    # 10^160 is a float64, its square and mean_b^4 are not; 10^2000 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["ratio", "--stat", "inv", "--n", "5", "--reps", "5",
+                                  "--k", k, "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: moments of order k = {k} overflow float64; ratio undefined\n"
+
+
 def test_sizebias_identity_record(capsys):
     code, out, _ = run_cli(
         ["sizebias", "--n", "10", "--check", "identity", "--reps", "4000",
@@ -714,7 +726,8 @@ def _edge_grid(tmp_path):
     yield ["stats", "--stat", "incsub:50", "--perm", "10,9,8,7,6,5,4,3,2,1"]
     for cmd in ("clt", "ratio"):
         yield [cmd, "--stat", "incsub:50", "--n", "10", "--reps", "5", *seed]
-    yield ["ratio", "--stat", "inv", "--n", "5", "--reps", "5", "--k", "0", *seed]
+    for k in ("0", "160", "2000"):  # k-th powers past float64 are refused
+        yield ["ratio", "--stat", "inv", "--n", "5", "--reps", "5", "--k", k, *seed]
     # n past the moment table cap, inside the sampling budget
     yield ["moments", "--stat", "inv", "--n", str(10 ** 8)]
     yield ["clt", "--stat", "inv", "--n", str(10 ** 8), "--reps", "2", *seed]
@@ -749,3 +762,44 @@ def test_every_subcommand_over_edge_values(capsys, tmp_path):
         if not ok or seconds > 2.0 or peak > 64 * 2 ** 20:
             bad.append((argv, code, err, round(seconds, 3), peak))
     assert bad == []
+
+
+@pytest.mark.parametrize("argv, table", [
+    pytest.param(["sample", "--n", "3"], True, id="sample-csv"),
+    pytest.param(["sample", "--n", "3", "--format", "json"], False, id="sample-json"),
+    pytest.param(["pmf", "--n", "3"], True, id="pmf"),
+    pytest.param(["tv", "--n", "3"], False, id="tv"),
+    pytest.param(["stats", "--stat", " desc:2", "--perm", "2,1"], True, id="stats"),
+    pytest.param(["moments", "--stat", " desc:2", "--n", "3"], False, id="moments"),
+    pytest.param(["clt", "--stat", " desc:2", "--n", "3", "--reps", "2"], False, id="clt"),
+    pytest.param(["ratio", "--stat", " desc:2", "--n", "3", "--reps", "2"], False, id="ratio"),
+    pytest.param(["sizebias", "--n", "3"], False, id="sizebias"),
+])
+def test_main_is_the_one_run_envelope(capsys, monkeypatch, argv, table):
+    # a command only computes: main resolves the seed and the statistic and
+    # writes the one record, on stderr after a table and on stdout otherwise
+    command, seen = argv[0], []
+
+    def stub(args):
+        seen.append(args)
+        return {"marker": command}
+
+    monkeypatch.setattr(cli, f"cmd_{command}", stub)
+    code, out, err = run_cli(argv, capsys)
+    text, other = (err, out) if table else (out, err)
+    assert code == 0 and other == "" and len(text.splitlines()) == 1
+    rec = record_of(text)
+    assert rec["command"] == command and rec["results"] == {"marker": command}
+    if command in ("sample", "clt", "ratio", "sizebias"):
+        assert type(rec["params"]["seed"]) is int and seen[0].seed == rec["params"]["seed"]
+    else:
+        assert "seed" not in rec["params"]
+    if "--stat" in argv:
+        assert rec["params"]["stat"] == "desc:2"
+        assert seen[0].stat == permlab.parse_statistic("desc:2")
+
+    def refuse(args):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    assert run_cli(argv, capsys) == (1, "", "error: refused\n")

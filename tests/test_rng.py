@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from permlab import rng
-from permlab.rng import RngSeed, StreamBlock, fresh_seed, make_generator
+from permlab.rng import StreamBlock, fresh_seed, make_generator
 
 
 def test_same_key_same_stream():
@@ -25,16 +25,6 @@ def test_substream_is_distinct_dimension():
     assert not np.array_equal(sub0, sub1)
     again = make_generator(9, 2, substream=1).random(5)
     assert np.array_equal(sub1, again)
-
-
-def test_rngseed_wrapper():
-    rs = RngSeed(7, stream=3)
-    a = rs.generator().random(4)
-    b = make_generator(7, 3).random(4)
-    assert np.array_equal(a, b)
-    c = rs.generator(substream=2).random(4)
-    d = make_generator(7, 3, substream=2).random(4)
-    assert np.array_equal(c, d)
 
 
 def test_fresh_seed_range():
