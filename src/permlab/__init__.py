@@ -6,186 +6,16 @@ inverse is the unfair one.  The package provides exact laws and closed-form
 moments, fast samplers and permutation statistics, Monte Carlo normality
 checks, and a size-bias coupling with a Stein-method error bound.
 """
-from .exact import (
-    EnumerationLimit,
-    ExactDistribution,
-    InversionConstants,
-    UnknownClosedForm,
-    argmax_argmin_pmf,
-    asymptotic_mean_descents,
-    asymptotic_var_m_descents,
-    closed_form_moments,
-    cov_adjacent_descents,
-    enumerate_law,
-    enumeration_limit,
-    inversion_constants,
-    mean_inversions_exact,
-    mean_m_descents,
-    moment_ratio_descents,
-    pmf,
-    pmf_inverse_unfair,
-    pmf_unfair,
-    prob_identity,
-    prob_ordered_tuple,
-    prob_pair_less,
-    prob_reversal,
-    statistic_law,
-    tv_distance,
-    tv_event_lower_bound,
-    tv_model_vs_uniform,
-    var_descents,
-)
-from .models import (
-    MarkovChainSpec,
-    ModelKind,
-    ModelSpec,
-    PhiSpec,
-    ScoreVector,
-    TieDetected,
-    chain_from_config,
-    load_config,
-    phi_from_config,
-    ranks,
-    sample_inverse_unfair,
-    sample_permutation,
-    sample_permutation_matrix,
-    sample_score_matrix,
-    sample_scores,
-    sample_unfair,
-    sample_uniform,
-)
-from .montecarlo import (
-    BudgetExceeded,
-    Centering,
-    EstimateReport,
-    MomentRatioReport,
-    StandardizedSample,
-    estimate,
-    ks_to_normal,
-    moment_ratio_mc,
-    standardized_sample,
-    wasserstein1_to_normal,
-)
-from .perm import NotABijection, Permutation, all_permutations, as_entries, inverse_entries
-from .rng import fresh_seed, make_generator
-from .sizebias import (
-    CouplingDraw,
-    IdentityCheckReport,
-    IndexDistribution,
-    InsufficientReplicas,
-    SteinBoundReport,
-    couple,
-    couple_batch,
-    estimate_var_conditional,
-    index_distribution,
-    resample_conditional_pair,
-    stein_bound,
-    verify_size_bias_identity,
-)
-from .stats import (
-    StatisticKind,
-    anti_inversions,
-    evaluate,
-    evaluate_batch,
-    increasing_subsequences,
-    inversions,
-    inversions_batch,
-    local_maxima,
-    longest_alternating,
-    m_ascents,
-    m_descents,
-    parse_statistic,
-    ranks_matrix,
-    rising_sequences,
-)
+from . import exact, models, montecarlo, perm, rng, sizebias, stats
+from .exact import *
+from .models import *
+from .montecarlo import *
+from .perm import *
+from .rng import *
+from .sizebias import *
+from .stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "Centering",
-    "CouplingDraw",
-    "EnumerationLimit",
-    "EstimateReport",
-    "ExactDistribution",
-    "IdentityCheckReport",
-    "IndexDistribution",
-    "InsufficientReplicas",
-    "InversionConstants",
-    "MarkovChainSpec",
-    "ModelKind",
-    "ModelSpec",
-    "MomentRatioReport",
-    "NotABijection",
-    "Permutation",
-    "PhiSpec",
-    "ScoreVector",
-    "StandardizedSample",
-    "StatisticKind",
-    "SteinBoundReport",
-    "TieDetected",
-    "UnknownClosedForm",
-    "all_permutations",
-    "anti_inversions",
-    "argmax_argmin_pmf",
-    "as_entries",
-    "asymptotic_mean_descents",
-    "asymptotic_var_m_descents",
-    "chain_from_config",
-    "closed_form_moments",
-    "couple",
-    "couple_batch",
-    "cov_adjacent_descents",
-    "enumerate_law",
-    "enumeration_limit",
-    "estimate",
-    "estimate_var_conditional",
-    "evaluate",
-    "evaluate_batch",
-    "fresh_seed",
-    "increasing_subsequences",
-    "index_distribution",
-    "inverse_entries",
-    "inversion_constants",
-    "inversions",
-    "inversions_batch",
-    "ks_to_normal",
-    "load_config",
-    "local_maxima",
-    "longest_alternating",
-    "m_ascents",
-    "m_descents",
-    "make_generator",
-    "mean_inversions_exact",
-    "mean_m_descents",
-    "moment_ratio_descents",
-    "moment_ratio_mc",
-    "parse_statistic",
-    "phi_from_config",
-    "pmf",
-    "pmf_inverse_unfair",
-    "pmf_unfair",
-    "prob_identity",
-    "prob_ordered_tuple",
-    "prob_pair_less",
-    "prob_reversal",
-    "ranks",
-    "ranks_matrix",
-    "resample_conditional_pair",
-    "rising_sequences",
-    "sample_inverse_unfair",
-    "sample_permutation",
-    "sample_permutation_matrix",
-    "sample_score_matrix",
-    "sample_scores",
-    "sample_unfair",
-    "sample_uniform",
-    "standardized_sample",
-    "statistic_law",
-    "stein_bound",
-    "tv_distance",
-    "tv_event_lower_bound",
-    "tv_model_vs_uniform",
-    "var_descents",
-    "wasserstein1_to_normal",
-]
+__all__ = [*exact.__all__, *models.__all__, *montecarlo.__all__, *perm.__all__,
+           *rng.__all__, *sizebias.__all__, *stats.__all__]

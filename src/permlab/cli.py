@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -260,7 +259,7 @@ def cmd_sizebias(args) -> dict:
 def _add_seed_threads(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="root seed; generated and reported when omitted")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    sp.add_argument("--threads", type=int, default=1,
                     help="checked (>= 1) but selects nothing: inversion counts run on "
                          "up to one thread per CPU, with identical results on any host")
 

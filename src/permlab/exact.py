@@ -57,6 +57,7 @@ __all__ = [
     "asymptotic_mean_descents",
     "asymptotic_var_m_descents",
     "mean_inversions_exact",
+    "InversionConstants",
     "inversion_constants",
     "moment_ratio_descents",
     "UnknownClosedForm",

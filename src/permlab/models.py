@@ -134,8 +134,8 @@ class MarkovChainSpec:
     """A finite Markov chain over draw counts; the walk starts at state 1.
 
     ``states`` are the positive draw counts; ``transitions[a, b]`` is the
-    probability of moving from states[a] to states[b].  Rows must sum to 1
-    within 1e-12.
+    probability of moving from states[a] to states[b]: finite, nonnegative,
+    each row summing to 1 within 1e-12.
     """
 
     states: tuple[int, ...]
@@ -153,8 +153,8 @@ class MarkovChainSpec:
         k = len(states)
         if t.shape != (k, k):
             raise ValueError(f"transitions must be {k}x{k}, got {t.shape}")
-        if np.any(t < 0):
-            raise ValueError("transition probabilities must be nonnegative")
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValueError("transition probabilities must be finite and nonnegative")
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("each transition row must sum to 1 within 1e-12")
         object.__setattr__(self, "states", states)

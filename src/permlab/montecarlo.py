@@ -29,7 +29,6 @@ from .stats import StatisticKind, evaluate_batch
 
 __all__ = [
     "BudgetExceeded",
-    "UnknownClosedForm",
     "Centering",
     "EstimateReport",
     "StandardizedSample",

@@ -15,6 +15,8 @@ __all__ = [
     "Permutation",
     "validate",
     "as_entries",
+    "inverse_entries",
+    "all_permutations",
 ]
 
 

@@ -176,8 +176,14 @@ class StreamBlock:
     """
 
     def __init__(self, seed: int, streams, substream: int | None = None) -> None:
-        raw = np.asarray(streams).reshape(-1)
-        if raw.size and (raw.dtype.kind not in "iu" or raw.min() < 0):
+        if isinstance(streams, np.ndarray):
+            raw = streams.reshape(-1)
+            bad = raw.size and (raw.dtype.kind not in "iu" or raw.min() < 0)
+        else:  # as Python ints: numpy reads [1, 2**63] as float64
+            raw = np.asarray(streams, dtype=object).reshape(-1)
+            bad = not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                          and 0 <= s < 2 ** 64 for s in raw)
+        if bad:
             raise ValueError("stream indices must be non-negative integers below 2**64")
         streams = raw.astype(np.uint64)
         wide = streams > _M32

@@ -375,6 +375,28 @@ def test_sample_non_integer_draw_count_is_a_one_line_error(tmp_path, capsys, mod
     assert len(err.splitlines()) == 1
 
 
+def test_sample_nan_transition_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text('{"chain": {"states": [1, 2], "transitions": [[NaN, 1.0], [0.5, 0.5]]}}')
+    code, out, err = run_cli(
+        ["sample", "--model", "markov", "--chain", str(path), "--n", "4", "--seed", "1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == "error: transition probabilities must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["sample", "--n", "3", "--reps", "2"], "err"),
+    (["clt", "--stat", "inv", "--n", "10", "--reps", "20"], "out"),
+    (["ratio", "--stat", "inv", "--n", "10", "--reps", "20"], "out"),
+])
+def test_threads_default_is_one_on_any_host(capsys, argv, stream):
+    # a record must not depend on the CPU count of the host that wrote it
+    code, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 0
+    assert record_of({"out": out, "err": err}[stream])["params"]["threads"] == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(capsys, threads):
     for args in (["sample", "--n", "3"],
@@ -687,11 +709,15 @@ def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
 
 def _edge_grid(tmp_path):
     """argv of every subcommand over edge values: n of 0, 1, 2 and 10^12,
-    reps of 0, 1 and 10^12, windows past n, a NaN threshold, bad thread
-    counts and every model, each refused before a large allocation or small."""
+    reps of 0, 1 and 10^12, windows past n, a NaN threshold and transition,
+    bad thread counts and every model, each refused before a large allocation
+    or small."""
     models = _model_argvs(tmp_path) + [["--model", "markov"]]
     wide = f"desc:{10 ** 30}"
     seed = ["--seed", "1"]
+    nan_chain = tmp_path / "nan_chain.json"
+    nan_chain.write_text('{"chain": {"states": [1, 2], "transitions": [[NaN, 1.0], [0.5, 0.5]]}}')
+    yield ["sample", "--model", "markov", "--chain", str(nan_chain), "--n", "4", *seed]
     for n in ("0", "1", "2", str(10 ** 12)):
         yield ["tv", "--n", n]
         for model in ("uniform", "unfair", "inverse-unfair"):

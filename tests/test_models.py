@@ -71,6 +71,15 @@ def test_markov_chain_validation():
         MarkovChainSpec((1, 2), np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_markov_chain_rejects_non_finite_transitions(bad):
+    # NaN fails both t < 0 and |row sum - 1| > 1e-12, so it needs its own check
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        MarkovChainSpec((1, 2), np.array([[bad, 1.0], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        models.chain_from_config({"states": [1, 2], "transitions": [[0.5, 0.5], [1.0, bad]]})
+
+
 def test_draw_counts_fit_int64():
     # counts are held as int64: 2^63 - 1 is the largest legal one
     assert PhiSpec(lambda i: 2 ** 63 - 1, "max")(1) == 2 ** 63 - 1

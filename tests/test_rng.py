@@ -50,6 +50,10 @@ def test_stream_block_matches_make_generator():
     assert make_generator(0, streams).random(6, out=buf) is buf
     assert np.array_equal(buf, make_generator(0, streams).random(6))
     assert isinstance(make_generator(0, np.int64(3)), np.random.Generator)
+    # a list or range is read as Python ints, which numpy would make float64
+    for listed in ([1, 2**63], range(2**63 - 1, 2**63 + 2)):
+        want = np.array([make_generator(5, s).random(4) for s in listed])
+        assert np.array_equal(make_generator(5, listed).random(4), want)
 
 
 def test_random_rows_continue_every_stream():
