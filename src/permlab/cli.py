@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
 
 def cmd_sample(args) -> dict:
     spec = _model_spec(args)
-    montecarlo._check_budget(args.n, args.reps, montecarlo.DEFAULT_MAX_BUDGET)
+    montecarlo._check_budget(args.n, args.reps)
     mat = sample_permutation_matrix(spec, args.n, args.reps, args.seed, workers=args.threads)
     if args.format == "json":
         return {"permutations": mat.tolist()}
@@ -200,33 +201,22 @@ def cmd_clt(args) -> dict:
 
 def cmd_ratio(args) -> dict:
     kind = args.stat
-    report = montecarlo.moment_ratio_mc(
+    results = asdict(montecarlo.moment_ratio_mc(
         kind, args.n, args.reps, args.seed, k=args.k, workers=args.threads
-    )
-    results = {
-        "ratio": report.ratio,
-        "se": report.se,
-        "model_moment": report.model_moment,
-        "uniform_moment": report.uniform_moment,
-    }
+    ))
     if kind.tag == "desc" and kind.m == 1 and args.k == 1:
         results["closed_form_ratio"] = exact.moment_ratio_descents(args.n)
     return results
 
 
 def cmd_sizebias(args) -> dict:
-    # var/bound hold each outer score row and its inner completions
-    rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else args.reps
-    montecarlo._check_budget(args.n, rows, montecarlo.DEFAULT_MAX_BUDGET)
+    # var/bound hold each outer score row and its inner completions; the
+    # identity checks draw reps coupled rows and reps independent ones
+    rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else 2 * args.reps
+    montecarlo._check_budget(args.n, rows)
     if args.check in ("identity", "square") or args.check.startswith("indicator:"):
         report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, args.seed)
-        results = {
-            "f": report.f_name,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "pooled_se": report.pooled_se,
-            "gap_in_se": report.gap_in_se,
-        }
+        results = {"f": args.check, **asdict(report), "gap_in_se": report.gap_in_se}
     elif args.check == "var":  # no sigma^2 guard: the variance does not divide by it
         raw = sizebias.estimate_var_conditional(args.n, args.outer, args.inner, args.seed,
                                                  clamp=False)
@@ -238,16 +228,7 @@ def cmd_sizebias(args) -> dict:
             "clamped": raw < 0.0,
         }
     elif args.check == "bound":
-        report = sizebias.stein_bound(args.n, args.outer, args.inner, args.seed)
-        results = {
-            "mu": report.mu,
-            "sigma2": report.sigma2,
-            "var_cond": report.var_cond,
-            "var_cond_raw": report.var_cond_raw,
-            "clamped": report.clamped,
-            "second_moment": report.second_moment,
-            "bound": report.bound,
-        }
+        results = asdict(sizebias.stein_bound(args.n, args.outer, args.inner, args.seed))
     else:
         raise ValueError(f"unknown check {args.check!r}")
     return results

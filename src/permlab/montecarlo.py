@@ -14,7 +14,6 @@ document.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,11 +59,11 @@ class Centering(str, Enum):
     ASYMPTOTIC = "asymptotic"
 
 
-def _check_budget(n: int, reps: int, max_budget: int) -> None:
+def _check_budget(n: int, reps: int) -> None:
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
-    if n * reps > max_budget:
-        raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {max_budget}")
+    if n * reps > DEFAULT_MAX_BUDGET:
+        raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {DEFAULT_MAX_BUDGET}")
 
 
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
@@ -86,15 +85,9 @@ def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
 
 @dataclass(frozen=True)
 class EstimateReport:
-    kind: StatisticKind
-    model: ModelKind
-    n: int
-    reps: int
-    seed: int
     mean: float
     variance: float
     se_mean: float
-    wall_time: float = field(compare=False)
 
 
 def estimate(
@@ -104,24 +97,16 @@ def estimate(
     reps: int,
     seed: int,
     workers: int = 1,
-    max_budget: int = DEFAULT_MAX_BUDGET,
 ) -> EstimateReport:
     """Sample mean and variance of a statistic over independent replicas."""
-    _check_budget(n, reps, max_budget)
-    t0 = time.perf_counter()
+    _check_budget(n, reps)
     values = _values(kind, spec, n, reps, seed, 0, workers)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1)) if reps > 1 else 0.0
     return EstimateReport(
-        kind=kind,
-        model=spec.kind,
-        n=n,
-        reps=reps,
-        seed=seed,
         mean=mean,
         variance=variance,
         se_mean=math.sqrt(variance / reps) if reps > 1 else float("nan"),
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -137,16 +122,9 @@ def _center_and_scale(kind: StatisticKind, n: int, centering: Centering) -> tupl
 
 @dataclass(frozen=True)
 class StandardizedSample:
-    kind: StatisticKind
-    model: ModelKind
-    n: int
-    reps: int
-    seed: int
-    centering: Centering
     center: float
     scale: float
     values: np.ndarray = field(compare=False, repr=False)
-    wall_time: float = field(compare=False)
 
     @property
     def sample_mean(self) -> float:
@@ -154,7 +132,7 @@ class StandardizedSample:
 
     @property
     def sample_variance(self) -> float:
-        return float(np.var(self.values, ddof=1)) if self.reps > 1 else 0.0
+        return float(np.var(self.values, ddof=1)) if self.values.size > 1 else 0.0
 
     def raw_mean(self) -> float:
         return self.sample_mean * self.scale + self.center
@@ -171,7 +149,6 @@ def standardized_sample(
     seed: int,
     centering: "Centering | str" = Centering.EXACT_MEAN,
     workers: int = 1,
-    max_budget: int = DEFAULT_MAX_BUDGET,
 ) -> StandardizedSample:
     """Replica statistic values mapped through (T - center) / scale.
 
@@ -181,7 +158,7 @@ def standardized_sample(
     model raises UnknownClosedForm.
     """
     centering = Centering(centering)
-    _check_budget(n, reps, max_budget)
+    _check_budget(n, reps)
     center, scale = _center_and_scale(kind, n, centering)
     if not (spec.kind is ModelKind.INVERSE_UNFAIR
             or spec.kind is ModelKind.UNFAIR and kind.counts_every_pair(n)
@@ -190,21 +167,9 @@ def standardized_sample(
         raise UnknownClosedForm(f"no closed-form moments for {kind} under {spec.kind.value}")
     if scale == 0.0 or n == 1:  # S_1 holds one permutation: every statistic is constant
         raise UnknownClosedForm(f"degenerate scale for {kind} at n={n}")
-    t0 = time.perf_counter()
     values = (_values(kind, spec, n, reps, seed, 0, workers) - center) / scale
     values.flags.writeable = False
-    return StandardizedSample(
-        kind=kind,
-        model=spec.kind,
-        n=n,
-        reps=reps,
-        seed=seed,
-        centering=centering,
-        center=center,
-        scale=scale,
-        values=values,
-        wall_time=time.perf_counter() - t0,
-    )
+    return StandardizedSample(center=center, scale=scale, values=values)
 
 
 def ks_to_normal(values: np.ndarray) -> float:
@@ -232,16 +197,10 @@ def wasserstein1_to_normal(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MomentRatioReport:
-    kind: StatisticKind
-    n: int
-    reps: int
-    seed: int
-    k: int
     ratio: float
     se: float
     model_moment: float
     uniform_moment: float
-    wall_time: float = field(compare=False)
 
 
 def moment_ratio_mc(
@@ -251,7 +210,6 @@ def moment_ratio_mc(
     seed: int,
     k: int = 1,
     workers: int = 1,
-    max_budget: int = DEFAULT_MAX_BUDGET,
 ) -> MomentRatioReport:
     """MC estimate of E[T(rho_n)^k] / E[T(pi_n)^k] with paired budgets.
 
@@ -263,8 +221,7 @@ def moment_ratio_mc(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_budget(n, 2 * reps, max_budget)
-    t0 = time.perf_counter()
+    _check_budget(n, 2 * reps)
     a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers)
     b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
@@ -281,15 +238,4 @@ def moment_ratio_mc(
         se = math.inf
     if not all(map(math.isfinite, (mean_a, mean_b, var_a, var_b, se))):
         raise ValueError(f"moments of order k = {k} overflow float64; ratio undefined")
-    return MomentRatioReport(
-        kind=kind,
-        n=n,
-        reps=reps,
-        seed=seed,
-        k=k,
-        ratio=ratio,
-        se=se,
-        model_moment=mean_a,
-        uniform_moment=mean_b,
-        wall_time=time.perf_counter() - t0,
-    )
+    return MomentRatioReport(ratio=ratio, se=se, model_moment=mean_a, uniform_moment=mean_b)

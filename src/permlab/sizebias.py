@@ -23,7 +23,6 @@ calling thread but the inversion counts (up to one thread per CPU, ``stats``).
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,7 +126,6 @@ class CouplingDraw:
     inversion count; the two coincide when the chosen pair was already
     inverted)."""
 
-    n: int
     scores: ScoreVector
     w: int
     i: int
@@ -197,7 +195,7 @@ def couple(n: int, rng: np.random.Generator) -> CouplingDraw:
     z_s = sv.values.copy()
     z_s[[i[0] - 1, j[0] - 1]] = pair_s[0]
     sv_s = ScoreVector(z_s) if resampled[0] else sv
-    return CouplingDraw(n, sv, int(w[0]), int(i[0]), int(j[0]), int(w_s[0]),
+    return CouplingDraw(sv, int(w[0]), int(i[0]), int(j[0]), int(w_s[0]),
                         bool(resampled[0]), sv_s)
 
 
@@ -221,25 +219,20 @@ def couple_batch(
 
 def _parse_f(f: str):
     if f == "identity":
-        return (lambda x: np.asarray(x, dtype=float)), "identity"
+        return lambda x: np.asarray(x, dtype=float)
     if f == "square":
-        return (lambda x: np.asarray(x, dtype=float) ** 2), "square"
+        return lambda x: np.asarray(x, dtype=float) ** 2
     if f.startswith("indicator:"):
         t = float(f.partition(":")[2])
-        return (lambda x: (np.asarray(x, dtype=float) >= t).astype(float)), f
+        return lambda x: (np.asarray(x, dtype=float) >= t).astype(float)
     raise ValueError(f"unknown test function {f!r}; use identity, square or indicator:t")
 
 
 @dataclass(frozen=True)
 class IdentityCheckReport:
-    n: int
-    reps: int
-    seed: int
-    f_name: str
     lhs: float  # E[W f(W)] from independent draws
     rhs: float  # E[W] E[f(W^s)] from coupled draws
     pooled_se: float
-    wall_time: float = field(compare=False)
 
     @property
     def gap_in_se(self) -> float:
@@ -259,8 +252,7 @@ def verify_size_bias_identity(
     """
     if reps < 2:
         raise InsufficientReplicas("need reps >= 2")
-    func, name = _parse_f(f)
-    t0 = time.perf_counter()
+    func = _parse_f(f)
     draws = couple_batch(n, reps, seed, first_stream=0)
     w_ind = inversions_batch(sample_score_matrix(_SCORES, n, reps, seed, first_stream=reps))
     a = w_ind.astype(float) * func(w_ind)
@@ -275,16 +267,7 @@ def verify_size_bias_identity(
     ) / reps
     rhs = mean_w * mean_f
     pooled = math.sqrt(max(se_lhs_sq + var_prod, 0.0))
-    return IdentityCheckReport(
-        n=n,
-        reps=reps,
-        seed=seed,
-        f_name=name,
-        lhs=lhs,
-        rhs=rhs,
-        pooled_se=pooled,
-        wall_time=time.perf_counter() - t0,
-    )
+    return IdentityCheckReport(lhs=lhs, rhs=rhs, pooled_se=pooled)
 
 
 def _differences(
@@ -344,10 +327,6 @@ def estimate_var_conditional(
 
 @dataclass(frozen=True)
 class SteinBoundReport:
-    n: int
-    outer_reps: int
-    inner_pairs: int
-    seed: int
     mu: float
     sigma2: float
     var_cond: float  # clamped at 0; the value the bound uses
@@ -355,7 +334,6 @@ class SteinBoundReport:
     clamped: bool  # var_cond_raw < 0
     second_moment: float  # E[(W^s - W)^2]
     bound: float
-    wall_time: float = field(compare=False)
 
 
 def stein_bound(
@@ -370,7 +348,6 @@ def stein_bound(
     variance given S upper-bounds the one given W, so the bound is
     conservative up to MC noise).
     """
-    t0 = time.perf_counter()
     w, d = _differences(n, outer_reps, inner_pairs, seed)
     mu = float(np.mean(w))
     sigma2 = float(np.var(w.astype(float), ddof=1))
@@ -382,10 +359,6 @@ def stein_bound(
         mu / sigma2 ** 1.5
     ) * second
     return SteinBoundReport(
-        n=n,
-        outer_reps=outer_reps,
-        inner_pairs=inner_pairs,
-        seed=seed,
         mu=mu,
         sigma2=sigma2,
         var_cond=var_cond,
@@ -393,5 +366,4 @@ def stein_bound(
         clamped=var_cond_raw < 0.0,
         second_moment=second,
         bound=bound,
-        wall_time=time.perf_counter() - t0,
     )

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +696,39 @@ def test_sizebias_budget_rejected_before_allocation(capsys, monkeypatch, check, 
     code, _, err = run_cli(["sizebias", "--n", "2000", "--check", check, *rows], capsys)
     assert code == 1
     assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sizebias", "--check", "identity", "--n", "10", "--reps", "60"],  # 2 * 600 rows drawn
+    ["ratio", "--stat", "inv", "--n", "10", "--reps", "60"],
+])
+def test_budget_counts_every_row_drawn(capsys, monkeypatch, argv):
+    # n * reps = 600 fits a budget of 1000, the 1200 scores drawn do not
+    monkeypatch.setattr(cli.montecarlo, "DEFAULT_MAX_BUDGET", 1000)
+    code, out, err = run_cli([*argv, "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+
+
+def _identity_results(n, f, reps, seed):
+    report = cli.sizebias.verify_size_bias_identity(n, f, reps, seed)
+    return {"f": f, **asdict(report), "gap_in_se": report.gap_in_se}
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["ratio", "--stat", "inv", "--n", "20", "--reps", "50", "--seed", "3"],
+     lambda: asdict(cli.montecarlo.moment_ratio_mc(cli.parse_statistic("inv"), 20, 50, 3))),
+    (["sizebias", "--check", "bound", "--n", "12", "--outer", "200", "--inner", "2",
+      "--seed", "4"],
+     lambda: asdict(cli.sizebias.stein_bound(12, 200, 2, 4))),
+    (["sizebias", "--check", "square", "--n", "12", "--reps", "200", "--seed", "4"],
+     lambda: _identity_results(12, "square", 200, 4)),
+], ids=["ratio", "bound", "square"])
+def test_record_results_are_the_library_report(capsys, argv, report):
+    # a report holds results only: the record's inputs are its params
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert record_of(out)["results"] == report()
 
 
 def test_memory_error_is_a_one_line_error(capsys, monkeypatch):

@@ -30,7 +30,7 @@ def test_estimate_is_deterministic():
     kind = parse_statistic("inv")
     a = montecarlo.estimate(kind, ModelSpec.inverse_unfair(), 30, 500, seed=3)
     b = montecarlo.estimate(kind, ModelSpec.inverse_unfair(), 30, 500, seed=3)
-    assert a == b  # wall_time excluded from comparison
+    assert a == b
     c = montecarlo.estimate(
         kind, ModelSpec.inverse_unfair(), 30, 500, seed=3, workers=4
     )
@@ -69,7 +69,7 @@ def test_unfair_inversions_read_score_rows(monkeypatch, stat):
     assert np.array_equal(montecarlo._values(kind, spec, n, reps, seed, 0, 1), want)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     kind = parse_statistic("inv")
     with pytest.raises(montecarlo.BudgetExceeded):
         montecarlo.estimate(
@@ -77,12 +77,12 @@ def test_budget_guard():
         )
     with pytest.raises(ValueError):
         montecarlo.estimate(kind, ModelSpec.inverse_unfair(), 0, 10, seed=1)
+    monkeypatch.setattr(montecarlo, "DEFAULT_MAX_BUDGET", 50)
     with pytest.raises(montecarlo.BudgetExceeded):
-        montecarlo.standardized_sample(
-            kind, ModelSpec.inverse_unfair(), 100, 100, seed=1, max_budget=50
-        )
+        montecarlo.standardized_sample(kind, ModelSpec.inverse_unfair(), 100, 100, seed=1)
+    monkeypatch.setattr(montecarlo, "DEFAULT_MAX_BUDGET", 150)
     with pytest.raises(montecarlo.BudgetExceeded):
-        montecarlo.moment_ratio_mc(kind, 100, 100, seed=1, max_budget=150)
+        montecarlo.moment_ratio_mc(kind, 100, 100, seed=1)
 
 
 def test_centering_modes():

@@ -349,11 +349,11 @@ def test_size_bias_mean_shift():
 # identity checks
 
 def test_parse_f():
-    f, name = sizebias._parse_f("identity")
-    assert name == "identity" and f(np.array([2.0]))[0] == 2.0
-    f, name = sizebias._parse_f("square")
+    f = sizebias._parse_f("identity")
+    assert f(np.array([2.0]))[0] == 2.0
+    f = sizebias._parse_f("square")
     assert f(np.array([3.0]))[0] == 9.0
-    f, name = sizebias._parse_f("indicator:2.5")
+    f = sizebias._parse_f("indicator:2.5")
     assert f(np.array([2.0, 3.0])).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         sizebias._parse_f("cube")
