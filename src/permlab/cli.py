@@ -210,11 +210,14 @@ def cmd_ratio(args) -> dict:
 
 
 def cmd_sizebias(args) -> dict:
+    identity = args.check in ("identity", "square") or args.check.startswith("indicator:")
+    if not identity and args.check not in ("var", "bound"):
+        raise ValueError(f"unknown check {args.check!r}")
     # var/bound hold each outer score row and its inner completions; the
     # identity checks draw reps coupled rows and reps independent ones
-    rows = args.outer * (1 + args.inner) if args.check in ("var", "bound") else 2 * args.reps
+    rows = 2 * args.reps if identity else args.outer * (1 + args.inner)
     montecarlo._check_budget(args.n, rows)
-    if args.check in ("identity", "square") or args.check.startswith("indicator:"):
+    if identity:
         report = sizebias.verify_size_bias_identity(args.n, args.check, args.reps, args.seed)
         results = {"f": args.check, **asdict(report), "gap_in_se": report.gap_in_se}
     elif args.check == "var":  # no sigma^2 guard: the variance does not divide by it
@@ -227,10 +230,8 @@ def cmd_sizebias(args) -> dict:
             "var_cond_raw": raw,
             "clamped": raw < 0.0,
         }
-    elif args.check == "bound":
-        results = asdict(sizebias.stein_bound(args.n, args.outer, args.inner, args.seed))
     else:
-        raise ValueError(f"unknown check {args.check!r}")
+        results = asdict(sizebias.stein_bound(args.n, args.outer, args.inner, args.seed))
     return results
 
 

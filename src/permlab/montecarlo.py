@@ -45,7 +45,7 @@ _CHUNK_ELEMENTS = 8_000_000
 
 
 class BudgetExceeded(ValueError):
-    """n * reps exceeds the configured sampling budget."""
+    """n times the rows drawn exceeds the configured sampling budget."""
 
 
 class Centering(str, Enum):
@@ -59,11 +59,13 @@ class Centering(str, Enum):
     ASYMPTOTIC = "asymptotic"
 
 
-def _check_budget(n: int, reps: int) -> None:
-    if n < 1 or reps < 1:
+def _check_budget(n: int, rows: int) -> None:
+    """Refuse drawing ``rows`` rows of n entries past the budget."""
+    if n < 1 or rows < 1:
         raise ValueError("n and reps must be >= 1")
-    if n * reps > DEFAULT_MAX_BUDGET:
-        raise BudgetExceeded(f"n*reps = {n * reps} exceeds budget {DEFAULT_MAX_BUDGET}")
+    if n * rows > DEFAULT_MAX_BUDGET:
+        raise BudgetExceeded(f"{rows} rows of n = {n}: {n * rows} entries exceed budget "
+                             f"{DEFAULT_MAX_BUDGET}")
 
 
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,

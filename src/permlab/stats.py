@@ -20,10 +20,11 @@ inversions less those at the n - 1 - m distances past m; ascents are the
 window's pairs less its descents, so ``asc:m`` with m >= n - 1 is ``ainv``.
 Inversions of rows of at most 16 are that count; longer rows take an
 O(n log n) padded merge sort of int32 keys, their stable argsort, which rank
-rows pay too (Inv(p) = Inv(p^-1)): one row costs about 30 us at n = 5 and
-250 us at n = 100 (2-core x86_64).  Its O(n^2) oracle is in the tests.  It
-alone runs on threads, up to one per CPU wherever it is called from, with
-the same counts for any thread count.
+rows pay too (Inv(p) = Inv(p^-1)).  A call on one row costs about 30 us at
+n = 5, 170 us at n = 100 and 0.6 ms at n = 2000; a row of a batch (20,000
+rows, 400 at n = 2000) about 0.05, 2.2 and 58 us (2-core x86_64).  Its
+O(n^2) oracle is in the tests.  It alone runs on threads, up to one per CPU
+wherever it is called from, with the same counts for any thread count.
 """
 from __future__ import annotations
 
@@ -60,6 +61,10 @@ __all__ = [
 ]
 
 _MERGE_KEYS = 1 << 18  # padded keys per chunk of the merge count, >= 1 row
+_ORDER_KEYS = 1 << 16  # int64 keys per block of the stable order
+_LOW63 = 0x7FFF_FFFF_FFFF_FFFF
+_NEG_INF_KEY = -0x7FF0_0000_0000_0001  # order key of -inf; a NaN's is below or above
+_POS_INF_KEY = 0x7FF0_0000_0000_0000
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +238,66 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
 def _order(x: np.ndarray) -> np.ndarray:
     """Row-wise stable argsort of a (reps, n) matrix: ties in column order.
 
-    Longer rows than 16 take the default argsort, the stable one where the
-    sorted row strictly increases, and sort the other rows (exact ties, two
-    -inf) again; ms on 2 M elements, stable / this (2-core x86_64): 30.5 /
-    92.7 at n = 4, 42.0 / 50.6 at 12, 41.1 / 36.5 at 16, 76.8 / 41.3 at 100.
+    Rows longer than 16 sort one int64 key per entry, in blocks of
+    ``_ORDER_KEYS``: the float's order-preserving bits (-0.0 made +0.0) with
+    the low ceil(log2 n) bits replaced by the column.  Rows where two of
+    those truncated keys are equal (exact ties, two -inf, near neighbours,
+    integers past 2^53) or that hold a NaN take the stable argsort.  Median
+    ms on 2 M log-score entries, stable / this (2-core x86_64, one thread):
+    45 / 27 at n = 17, 69 / 21 at 100, 137 / 25 at 2000, 183 / 26 at 10000.
+    Unblocked, 20,000 x 100 took 36 ms, against 23 to 25 in blocks of 2^15
+    to 2^17 keys.
     """
-    if x.shape[1] <= 16:
-        return np.argsort(x, axis=1, kind="stable")
-    order = np.argsort(x, axis=1)
-    s = np.sort(x, axis=1)  # faster than gathering x by order
-    tied = np.flatnonzero(~np.all(s[:, 1:] > s[:, :-1], axis=1))
-    order[tied] = np.argsort(x[tied], axis=1, kind="stable")
+    reps, n = x.shape
+    if n <= 16 or x.dtype.kind not in "fiu":
+        return _stable_order(x)
+    bits = (n - 1).bit_length()
+    low = (1 << bits) - 1
+    order = np.empty((reps, n), dtype=np.int64)
+    cols = np.arange(n)
+    step = max(1, _ORDER_KEYS // n)
+    tied = np.empty(reps, dtype=bool)
+    for a in range(0, reps, step):
+        keys = np.add(x[a:a + step], 0.0, dtype=np.float64).view(np.int64)
+        keys ^= (keys >> 63) & _LOW63  # negative floats: flip all but the sign
+        keys &= ~low
+        keys |= cols
+        keys.sort(axis=1)
+        np.bitwise_and(keys, low, out=order[a:a + step])
+        keys >>= bits
+        block = tied[a:a + step]
+        np.any(keys[:, 1:] == keys[:, :-1], axis=1, out=block)
+        # a NaN sorts past an infinity; look for one only in rows ending there
+        ends = (keys[:, 0] <= _NEG_INF_KEY >> bits) | (keys[:, -1] >= _POS_INF_KEY >> bits)
+        ends = np.flatnonzero(ends & ~block)
+        block[ends] = np.isnan(x[a + ends]).any(axis=1)
+    redo = np.flatnonzero(tied)
+    order[redo] = _stable_order(x[redo])
     return order
 
 
+def _stable_order(x: np.ndarray) -> np.ndarray:
+    return np.argsort(x, axis=1, kind="stable")
+
+
 def _descending_pairs(x: np.ndarray, m: int, first: int = 1) -> np.ndarray:
-    """Per row (first axis), the count of x_i > x_{i+d}, first <= d <= m, on the last axis."""
-    n = x.shape[-1]
-    axes = tuple(range(1, x.ndim))
-    return sum((np.count_nonzero(x[..., :n - d] > x[..., d:], axis=axes)
+    """Per row, the count of x_i > x_{i+d}, first <= d <= m."""
+    n = x.shape[1]
+    return sum((np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1)
                 for d in range(first, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
+
+
+def _block_inversions(x: np.ndarray, w: int) -> np.ndarray:
+    """Per row, the inverted pairs inside each block of w <= 16 columns.
+
+    The block positions go to the leading axis, so every compare runs over
+    one contiguous array; a block holds at most 120 pairs, so uint8 sums.
+    """
+    t = np.ascontiguousarray(np.moveaxis(x.reshape(len(x), -1, w), 2, 0))
+    count = np.zeros(t.shape[1:], dtype=np.uint8)
+    for d in range(1, w):
+        count += np.add.reduce(t[:w - d] > t[d:], axis=0, dtype=np.uint8)
+    return count.sum(axis=1, dtype=np.int64)
 
 
 def inversions_batch(x: np.ndarray) -> np.ndarray:
@@ -265,12 +310,13 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
     where its positions first share a block.  Keys are int32 up to size
     2^30.  Chunks of ``_MERGE_KEYS // CPUs`` padded keys together stay near
     the 4 MB L2 cache, on up to one thread per CPU, each writing its own rows.
-    Median ms on score rows by keys per chunk, one thread (2 cores, AVX-512):
+    Median ms on score rows by keys per chunk, one thread (2 cores, AVX-512),
+    median of three runs; on 2 CPUs a chunk holds 2^17 keys:
         rows x n     2^16  2^17  2^18  2^19  2^20  2^21
-        400 x 2000     58    57    60    58    65    66
-        1000 x 4000   351   329   341   348   366   371
-        8000 x 100     53    51    53    46    55    53
-        40 x 10000     55    52    53    52    51    52
+        400 x 2000     40    38    36    36    39    38
+        1000 x 4000   208   193   213   206   218   224
+        8000 x 100     25    24    30    29    30    30
+        40 x 10000     41    37    36    39    38    34
     """
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
@@ -293,7 +339,7 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
 def _inversions_chunk(x: np.ndarray) -> np.ndarray:
     reps, n = x.shape
     if n <= 16:  # one pairwise block counts every pair
-        return _descending_pairs(x, n - 1)
+        return _block_inversions(x, max(n, 1))
     # Keys 0..n-1 with the row's inversions: its stable argsort, the inverse
     # of its ranks.  The rising pad adds none.
     size = 1 << (n - 1).bit_length()
@@ -301,10 +347,9 @@ def _inversions_chunk(x: np.ndarray) -> np.ndarray:
     keys[:, :n] = _order(x)
     keys[:, n:] = np.arange(n, size)
     # numpy sorts short rows slowly: count blocks of 16 pair by pair, sort once
-    w = min(16, size)
-    v = keys.reshape(reps, -1, w)
-    count = _descending_pairs(v, w - 1)
-    v.sort(axis=2)
+    w = 16
+    count = _block_inversions(keys, w)
+    keys.reshape(reps, -1, w).sort(axis=2)
     keys <<= 1  # low bit: 1 on the right half of the current block
     pos = np.arange(size, dtype=np.int32 if size <= 1 << 16 else np.int64)  # sums < 2^31
     while w < size:

@@ -703,11 +703,18 @@ def test_sizebias_budget_rejected_before_allocation(capsys, monkeypatch, check, 
     ["ratio", "--stat", "inv", "--n", "10", "--reps", "60"],
 ])
 def test_budget_counts_every_row_drawn(capsys, monkeypatch, argv):
-    # n * reps = 600 fits a budget of 1000, the 1200 scores drawn do not
+    # n * reps = 600 fits a budget of 1000, the 1200 scores drawn do not,
+    # and the refusal names the rows it counted
     monkeypatch.setattr(cli.montecarlo, "DEFAULT_MAX_BUDGET", 1000)
     code, out, err = run_cli([*argv, "--seed", "1"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+    assert (code, out) == (1, "")
+    assert err == "error: 120 rows of n = 10: 1200 entries exceed budget 1000\n"
+
+
+@pytest.mark.parametrize("n", ["0", "10", str(10 ** 12)])
+def test_unknown_sizebias_check_is_refused_before_the_budget(capsys, n):
+    argv = ["sizebias", "--check", "nonsense", "--n", n, "--reps", str(10 ** 12), "--seed", "1"]
+    assert run_cli(argv, capsys) == (1, "", "error: unknown check 'nonsense'\n")
 
 
 def _identity_results(n, f, reps, seed):

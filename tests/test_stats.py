@@ -284,9 +284,18 @@ def test_inversions_batch_chunking(monkeypatch):
     assert chunk_rows == [7] * 9 + [1]
 
 
-def test_inversions_batch_repairs_ties_of_the_fast_argsort():
+def _fallback_spy(monkeypatch):
+    """Record every row the stable-argsort fallback of ``stats._order`` sorts."""
+    rows = []
+    real = stats._stable_order
+    monkeypatch.setattr(stats, "_stable_order", lambda x: rows.extend(x) or real(x))
+    return rows
+
+
+def test_inversions_batch_repairs_ties_of_the_fast_argsort(monkeypatch):
     # one chunk of untied rows, rows with exact ties, two -inf scores, a
-    # lone -inf and an all-equal row: every count is the oracle's
+    # lone -inf and an all-equal row: every count is the oracle's, and only
+    # the tied rows take the stable argsort
     rng = np.random.default_rng(17)
     x = rng.random((12, 300))
     x[1:4] = np.floor(x[1:4] * 6)
@@ -294,8 +303,72 @@ def test_inversions_batch_repairs_ties_of_the_fast_argsort():
     x[6, 7] = -np.inf
     x[8] = 0.5
     want = [inv_oracle(row.tolist()) for row in x]
+    fallback = _fallback_spy(monkeypatch)
     assert stats.inversions_batch(x).tolist() == want
     assert want[8] == 0
+    assert np.array_equal(fallback, x[[1, 2, 3, 5, 8]])
+
+
+def test_untied_score_rows_skip_the_stable_argsort(monkeypatch):
+    # a fallback taken by every row would still count right, only slower
+    n = 2000
+    x = np.log(np.random.default_rng(4).random((400, n))) / np.arange(1, n + 1)
+    fallback = _fallback_spy(monkeypatch)
+    order = stats._order(x)
+    assert fallback == []
+    assert np.array_equal(order, np.argsort(x, axis=1, kind="stable"))
+
+
+def _inv_quadratic(row: np.ndarray) -> int:
+    # the O(n^2) oracle as one comparison matrix, for rows too long to loop
+    return int(np.count_nonzero(np.triu(row[:, None] > row[None, :], 1)))
+
+
+def _near_key_rows(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float rows, NaN rows and int64 rows whose order a key truncated by
+    ceil(log2 n) bits can get wrong, each at least 16 wide."""
+    x = np.log(rng.random((10, n))) / np.arange(1, n + 1)
+    up = lambda v: np.nextafter(v, np.inf)  # noqa: E731
+    x[1, 1], x[1, 2] = up(x[1, 0]), up(up(x[1, 0]))  # adjacent neighbours
+    x[2, n - 1], x[2, n // 2] = up(x[2, 0]), np.nextafter(x[2, 0], -np.inf)  # far apart
+    x[3, [1, n - 2]], x[3, [4, n - 1]] = -0.0, 0.0
+    x[4, 0], x[4, n - 1] = 0.0, -0.0
+    x[5, 3] = -np.inf  # lone infinities, untied
+    x[6, n - 3] = np.inf
+    x[7, [2, 9]] = -np.inf
+    x[8, ::3] = np.round(x[8, ::3], 1)  # many exact ties
+    x[9] = -0.0
+    nan = np.log(rng.random((4, n)))
+    nan[0, 5] = np.nan
+    nan[1, [0, n - 1]] = -np.nan, np.nan
+    nan[2, [1, 7]] = np.nan, -np.inf
+    nan[3, ::2] = np.nan
+    perms = np.argsort(rng.random((3, n)), axis=1).astype(np.int64)
+    ints = np.vstack([perms + 1, (1 << 53) + perms, (1 << 62) - 3 * perms,
+                      -(1 << 62) + (perms << 8), np.full((1, n), 1 << 60)])
+    return x, nan, ints
+
+
+@pytest.mark.parametrize("n", [16, 17, 31, 33, 2047, 2049, 4097])
+def test_order_and_inversions_past_the_truncated_key(monkeypatch, n):
+    # nextafter neighbours, -0.0 against +0.0, int64 past 2^53, rank rows and
+    # NaN rows: ranks are the stable argsort's and counts the oracle's, on
+    # 1 to 3 CPUs, one-row merge chunks and order blocks of three rows; a
+    # NaN row counts the inversions of its stable order, NaN last
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 1)
+    monkeypatch.setattr(stats, "_ORDER_KEYS", 3 * n)
+    x, nan, ints = _near_key_rows(n, np.random.default_rng(n))
+    ranks = stats.ranks_matrix(x)
+    for rows in (x, ints, ranks, nan):
+        stable = np.argsort(rows, axis=1, kind="stable")
+        want_ranks = np.argsort(stable, axis=1) + 1
+        want = [_inv_quadratic(r) for r in (want_ranks if rows is nan else rows)]
+        for cpus in (1, 2, 3):
+            _pool_spy(monkeypatch, cpus)
+            assert np.array_equal(stats.ranks_matrix(rows), want_ranks)
+            if rows is not nan or n > 16:  # rows of at most 16 compare as given
+                assert stats.inversions_batch(rows).tolist() == want
+    assert ranks[9].tolist() == list(range(1, n + 1))  # all -0.0: column order
 
 
 @pytest.mark.parametrize("n", range(2, 18))
@@ -417,6 +490,7 @@ def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
 
 def test_batch_single_row_and_single_column():
     assert stats.inversions_batch(np.array([[1]])).tolist() == [0]
+    assert stats.inversions_batch(np.zeros((3, 0))).tolist() == [0, 0, 0]
     assert stats.local_maxima_batch(np.array([[1, 2]])).tolist() == [0]
     assert stats.longest_alternating_batch(np.array([[1]])).tolist() == [1]
 
