@@ -17,31 +17,41 @@ streams[r], substream).random(k)``; only the cost differs.
 
 ``random(k)`` picks one of two ways to draw.  A narrow draw is stepped: PCG64
 step and XSL-RR output on all streams together, one step per column (PCG64 is
-a plain 128-bit LCG; O'Neill 2014), about 40 us per column.  A wide one is
-drawn row by row through numpy's own PCG64 (``random_rows``), about 4.5 us
-per row plus 5 ns per element.  Median ratios of stepped to row-by-row time
-(nine alternating timings, quartiles in brackets; 2-core x86_64, numpy 2.4):
+a plain 128-bit LCG; O'Neill 2014), about 15 us plus 20 ns per stream for
+each column (85-100 us at 4096 streams).  A wide one is drawn row by row
+through numpy's own PCG64 (``random_rows``), each stream's state written
+into the generator and read back through a view of its state words, about
+1.9 us per row plus 2.5 ns per element.  Median ratios of stepped to
+row-by-row time (nine alternating timings, quartiles in brackets; 2-core
+x86_64, numpy 2.4):
 
     rows   k: ratio
-    30     3: 0.73 (0.69-0.78)    5: 0.87 (0.83-0.87)    8: 1.09 (1.08-1.11)
-    300   40: 0.78 (0.76-0.78)   50: 0.93 (0.91-0.94)   60: 1.08 (1.07-1.10)
-    1000 100: 0.74 (0.73-0.82)  130: 0.98 (0.97-1.00)  160: 1.15 (1.13-1.17)
-    4096 200: 0.70 (0.69-0.71)  250: 0.86 (0.82-0.88)  300: 1.00 (0.96-1.04)
+    30     3: 0.78 (0.75-0.80)    4: 1.08 (1.04-1.09)    5: 1.28 (1.26-1.31)
+    300   20: 0.81 (0.81-0.84)   25: 1.03 (1.01-1.04)   30: 1.22 (1.22-1.23)
+    1000  50: 0.85 (0.83-0.86)   60: 1.02 (1.02-1.02)   70: 1.17 (1.16-1.17)
+    1500  70: 1.09 (0.94-1.15)   80: 1.13 (1.05-1.14)  100: 1.26 (1.21-1.46)
+    4096 100: 0.89 (0.82-0.93)  120: 1.03 (0.95-1.06)  140: 1.32 (1.25-1.34)
 
-So a draw is stepped when k is at most _STEPPED_MAX_WIDTH and the rows over
-_STEPPED_ROWS_PER_COLUMN.  Temporaries are a few dozen arrays of
-len(streams), so callers bound the number of streams in one block.
+The crossover follows the two costs: a column's fixed cost is that of about
+_STEPPED_ROWS_PER_COLUMN rows, and past _STEPPED_MAX_WIDTH columns the
+row-by-row draw wins at any number of rows.  So a draw is stepped when
+k * (_STEPPED_ROWS_PER_COLUMN + rows / _STEPPED_MAX_WIDTH) <= rows, which
+makes the widest stepped draw 2, 25, 62, 79 and 120 columns for the rows
+above.  Temporaries are a few dozen arrays of len(streams), so callers bound
+the number of streams in one block.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import secrets
 
 import numpy as np
 
 __all__ = ["StreamBlock", "make_generator", "fresh_seed"]
 
-_STEPPED_MAX_WIDTH = 250
-_STEPPED_ROWS_PER_COLUMN = 7
+_STEPPED_ROWS_PER_COLUMN = 10
+_STEPPED_MAX_WIDTH = 170
 
 
 def make_generator(
@@ -67,6 +77,7 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _M32 = np.uint64(0xFFFFFFFF)
+_M64 = 0xFFFFFFFFFFFFFFFF
 _U16, _U32 = np.uint32(16), np.uint64(32)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
@@ -204,7 +215,8 @@ class StreamBlock:
         """(len(self), k) uniforms on [0, 1), stepped or row by row by the
         crossover above.  ``out``, if given, is a float64 array of that shape
         to fill and return."""
-        if k <= min(_STEPPED_MAX_WIDTH, len(self) // _STEPPED_ROWS_PER_COLUMN):
+        rows, wide = len(self), _STEPPED_MAX_WIDTH
+        if k * (_STEPPED_ROWS_PER_COLUMN * wide + rows) <= rows * wide:
             return self._stepped(k, out)
         return self.random_rows(k, out)
 
@@ -224,10 +236,32 @@ class StreamBlock:
 
     def random_rows(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """The draws of ``random(k)``, made row by row by a numpy PCG64 set to
-        each stream's state: numpy's cost per element plus a few us per row."""
+        each stream's state: numpy's cost per element plus about 2 us per row.
+
+        Each stream's state is written into the generator, and read back
+        after its row, through ``_state_words``: a view of the generator's
+        own state words.  Where the probe ``_state_words_agree`` rejects that
+        view, the ``PCG64.state`` dict carries the state instead."""
         out = self._out(k, out)
         bits = np.random.PCG64()
-        gen, state = np.random.Generator(bits), bits.state
+        gen = np.random.Generator(bits)
+        view = _state_words(bits) if _state_words_agree() else None
+        if view is None:
+            return self._dict_rows(bits, gen, out)
+        hi, lo, inc_hi, inc_lo = self._state
+        words = np.stack((lo, hi, inc_lo, inc_hi), axis=1)
+        for row, state in zip(out, words):
+            view[:] = state
+            gen.random(out.shape[1], out=row)
+            state[:] = view
+        self._state = words[:, 1].copy(), words[:, 0].copy(), inc_hi, inc_lo
+        return out
+
+    def _dict_rows(self, bits: np.random.PCG64, gen: np.random.Generator,
+                   out: np.ndarray) -> np.ndarray:
+        """``random_rows`` through the ``PCG64.state`` dict, one set and one
+        read per row."""
+        state = bits.state
         hi, lo, inc_hi, inc_lo = (a.tolist() for a in self._state)
         for r, row in enumerate(out):
             state["state"] = {"state": hi[r] << 64 | lo[r], "inc": inc_hi[r] << 64 | inc_lo[r]}
@@ -244,6 +278,49 @@ class StreamBlock:
         if out.shape != shape or out.dtype != np.float64:
             raise ValueError(f"out must be a float64 array of shape {shape}")
         return out
+
+
+def _state_words(bits: np.random.PCG64) -> np.ndarray | None:
+    """A writable uint64 view of the 128-bit state and increment of ``bits``,
+    read as the words (state_lo, state_hi, inc_lo, inc_hi) where
+    ``_state_words_agree``.
+
+    ``bits.ctypes.state_address`` points at numpy's ``pcg64_state``, whose
+    first field points at the ``pcg64_random_t`` held inside the PCG64
+    object.  Either pointer is followed only if it lies inside the object,
+    so no read or write leaves it; None otherwise."""
+    base, end = id(bits), id(bits) + type(bits).__basicsize__
+    addr = bits.ctypes.state_address
+    if not base <= addr <= end - 8:
+        return None
+    ptr = ctypes.c_void_p.from_address(addr).value or 0
+    if not base <= ptr <= end - 32:
+        return None
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(ptr), np.uint64)
+
+
+def _split(state: int, inc: int) -> list[int]:
+    return [state & _M64, state >> 64, inc & _M64, inc >> 64]
+
+
+@functools.cache
+def _state_words_agree() -> bool:
+    """Whether ``_state_words`` reads a state set through the ``PCG64.state``
+    dict, and a state written through it reads back through the dict: a
+    probe of this numpy's layout and word order, once per process."""
+    bits = np.random.PCG64()
+    words = _state_words(bits)
+    if words is None:
+        return False
+    first = (0x0123456789ABCDEF_FEDCBA9876543210, 0x11111111_22222222_33333333_44444445)
+    second = (0xAAAAAAAA55555555_0F0F0F0F0F0F0F0F, 0x77777777_88888888_99999999_00000001)
+    state = bits.state
+    state["state"] = dict(zip(("state", "inc"), first))
+    bits.state = state
+    if words.tolist() != _split(*first):
+        return False
+    words[:] = _split(*second)
+    return tuple(bits.state["state"].values()) == second
 
 
 def fresh_seed() -> int:

@@ -5,7 +5,9 @@ log-score model (``models``: S_i = ln(U_i)/i).  A size-biased version W^s
 picks a pair (i, j) with probability proportional to P(S_i > S_j) = i/(i+j),
 forces that pair into inverted order (keeping the scores when they already
 are, else redrawing the two scores from their conditional law in closed
-form), and recounts.  The coupling satisfies
+form), and recounts.  The recount is O(n) per resampled row: a moved score
+changes its relation only to the entries whose scores lie between its old
+and new value (``_pair_change``).  The coupling satisfies
 E[W f(W)] = E[W] E[f(W^s)] and |W^s - W| <= 2n, which feeds a Wasserstein
 bound of order n^(-1/2) on the normalized W via Stein's method:
 
@@ -159,16 +161,27 @@ def _complete(z: np.ndarray, w: np.ndarray, idx: IndexDistribution, u: np.ndarra
 
 def _pair_change(z, a, b, old, new) -> np.ndarray:
     """Change in the inversion count of each row of ``z`` when its scores at
-    columns a < b go from ``old`` to ``new``, in O(n): both positions against
-    the rest of their row, and the pair (a, b) once."""
-    col = np.arange(z.shape[1])
-    others = (col != a[:, None]) & (col != b[:, None])
+    columns a < b go from ``old`` to ``new``, in O(n).
+
+    When position k moves from o to v, only entries with values between
+    lo = min(o, v) and hi = max(o, v) change their relation to k: each entry
+    after k on [lo, hi) gains sign(v - o), each entry before k on (lo, hi]
+    loses it.  The half-open ends count ties with o or v (-inf included)
+    exactly.  Both positions of the pair are left out of the masks, and the
+    pair (a, b) is counted once."""
+    n = z.shape[1]
+    col = np.arange(n, dtype=np.min_scalar_type(n))  # the mask compares 3x faster than int64
+    rows = np.arange(len(z))
     change = (new[:, 0] > new[:, 1]).astype(np.int64) - (old[:, 0] > old[:, 1])
-    for k, pos in enumerate((a, b)):
-        before = col < pos[:, None]
-        for v, sign in ((new[:, k, None], 1), (old[:, k, None], -1)):
-            inverted = np.where(before, z > v, z < v) & others
-            change += sign * np.count_nonzero(inverted, axis=1)
+    for k, (pos, other) in enumerate(((a, b), (b, a))):
+        o, v = old[:, k, None], new[:, k, None]
+        lo, hi = np.minimum(o, v), np.maximum(o, v)
+        after = col > pos[:, None].astype(col.dtype)
+        gain = (z >= lo) & (z < hi) & after
+        lose = (z > lo) & (z <= hi) & ~after
+        gain[rows, other] = lose[rows, other] = lose[rows, pos] = False
+        sign = (v > o).astype(np.int64) - (v < o)
+        change += sign[:, 0] * (np.count_nonzero(gain, axis=1) - np.count_nonzero(lose, axis=1))
     return change
 
 

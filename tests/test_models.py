@@ -376,6 +376,29 @@ def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
                 assert ran == paths
 
 
+def test_score_matrices_equal_on_the_dict_route(monkeypatch):
+    # row draws write each stream's state through a view of numpy's PCG64;
+    # with the layout probe failing they go through the PCG64.state dict,
+    # and every model's score matrix keeps its bits on either side of the
+    # stepped/row crossover and up to stream 2^64 - 1
+    native = []
+    real = StreamBlock.random_rows
+    monkeypatch.setattr(StreamBlock, "random_rows",
+                        lambda *a, **kw: native.append(a) or real(*a, **kw))
+    cases = ((6, 63, 0, False), (6, 62, 0, True), (100, 1500, 9, True),
+             (9, 40, 2 ** 64 - 40, True), (5, 300, 2 ** 64 - 300, False))
+    for n, reps, first, rows in cases:
+        native.clear()
+        viewed = [models.sample_score_matrix(spec, n, reps, seed=3, first_stream=first)
+                  for spec in _ALL_MODELS]
+        assert bool(native) == rows, (n, reps)
+        with monkeypatch.context() as m:
+            m.setattr(rng, "_state_words_agree", lambda: False)
+            for spec, want in zip(_ALL_MODELS, viewed):
+                got = models.sample_score_matrix(spec, n, reps, seed=3, first_stream=first)
+                assert np.array_equal(got, want), (spec.kind, n, reps)
+
+
 def test_first_stream_offset():
     spec = ModelSpec.inverse_unfair()
     a = models.sample_score_matrix(spec, 6, 4, seed=1, first_stream=2)

@@ -34,8 +34,8 @@ def test_fresh_seed_range():
 
 
 def test_stream_block_matches_make_generator():
-    # 2**32 and up take a two-word spawn key; 42 streams step 6 columns
-    streams = np.array([0, 1, 9, 2**32 - 1, 2**32, 2**40 + 3] * 7, dtype=np.uint64)
+    # 2**32 and up take a two-word spawn key; 66 streams step 6 columns
+    streams = np.array([0, 1, 9, 2**32 - 1, 2**32, 2**40 + 3] * 11, dtype=np.uint64)
     for seed in (0, 2**63 - 1):
         for substream in (None, 0, 1):
             block = make_generator(seed, streams, substream)
@@ -76,20 +76,50 @@ def test_random_rows_continue_every_stream():
 
 
 def test_random_steps_narrow_draws_and_rows_wide_ones(monkeypatch):
-    # stepped when k <= min(_STEPPED_MAX_WIDTH, rows // _STEPPED_ROWS_PER_COLUMN)
+    # stepped when k * (_STEPPED_ROWS_PER_COLUMN + rows / _STEPPED_MAX_WIDTH)
+    # <= rows; the measured routes of the benchmark's blocks are pinned, so a
+    # change to the constants cannot move them to the slower route unseen
     ran = []
     for path in ("_stepped", "random_rows"):
         real = getattr(StreamBlock, path)
         monkeypatch.setattr(StreamBlock, path,
                             lambda *a, real=real, path=path: ran.append(path) or real(*a))
-    wide = rng._STEPPED_MAX_WIDTH
-    rows = wide * rng._STEPPED_ROWS_PER_COLUMN
-    cases = ((42, 6, "_stepped"), (41, 6, "random_rows"),
-             (rows, wide, "_stepped"), (rows, wide + 1, "random_rows"))
+    cases = (
+        (63, 6, "_stepped"), (62, 6, "random_rows"),  # the edge of the rule
+        (4096, 120, "_stepped"), (4096, 121, "random_rows"),
+        # stein outer draws, couple_batch and clt rows
+        (1500, 100, "random_rows"), (300, 1000, "random_rows"), (400, 2000, "random_rows"),
+        # sample blocks, identity rows, 4-wide completions and n = 4 blocks
+        (4096, 100, "_stepped"), (3616, 100, "_stepped"), (4000, 30, "_stepped"),
+        (4096, 4, "_stepped"), (1500, 4, "_stepped"), (300, 4, "_stepped"),
+        (3904, 3, "_stepped"),
+    )
     for streams, k, path in cases:
         ran.clear()
         make_generator(1, np.arange(streams)).random(k)
         assert ran == [path], (streams, k)
+
+
+def test_row_draws_write_the_state_through_a_view(monkeypatch):
+    # this numpy passes the layout probe, so row draws take the view; with
+    # the probe failing, the PCG64.state dict gives the same bits
+    assert rng._state_words_agree()
+    bits = np.random.PCG64(3)
+    view = rng._state_words(bits)
+    state = bits.state["state"]
+    assert view.tolist() == [state["state"] % 2**64, state["state"] >> 64,
+                             state["inc"] % 2**64, state["inc"] >> 64]
+    streams = np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    viewed = make_generator(8, streams, 2)
+    got = np.hstack([viewed.random_rows(3), viewed.random_rows(200)])
+    monkeypatch.setattr(rng, "_state_words_agree", lambda: False)
+    dict_rows = []
+    real = StreamBlock._dict_rows
+    monkeypatch.setattr(StreamBlock, "_dict_rows", lambda *a: dict_rows.append(a) or real(*a))
+    dicted = make_generator(8, streams, 2)
+    assert np.array_equal(np.hstack([dicted.random_rows(3), dicted.random_rows(200)]), got)
+    assert all(np.array_equal(a, b) for a, b in zip(viewed._state, dicted._state))
+    assert len(dict_rows) == 2
 
 
 def test_stream_block_rejects_negative_keys():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlab import exact, sizebias
+from permlab import exact, rng, sizebias
 from permlab.models import ModelSpec, sample_score_matrix, sample_scores
 from permlab.rng import StreamBlock, make_generator
 from permlab.stats import inversions_batch
@@ -227,6 +227,33 @@ def test_recount_matches_full_count(n, monkeypatch):
     assert np.array_equal(w_s, inversions_batch(_completed_rows(z, i, j, pair_s)))
 
 
+def test_recount_counts_ties_with_the_pair_values():
+    # every row holds copies of the pair's old and new scores before a,
+    # between a and b and after b, so each entry of the pair ties with
+    # entries on both sides of it; -inf is an old score in some rows and a
+    # new one in others
+    g = np.random.default_rng(41)
+    n, reps = 14, 2000
+    rows = np.arange(reps)
+    z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 41)
+    a = g.integers(1, n - 4, reps)
+    b = g.integers(a + 2, n - 1)
+    new = -g.exponential(size=(reps, 2))
+    z[rows[0::4], a[0::4]] = -np.inf
+    new[1::4, 0] = -np.inf
+    z[rows[2::4], b[2::4]] = -np.inf
+    new[3::4, 1] = -np.inf
+    old = np.stack((z[rows, a], z[rows, b]), axis=1)
+    for value in (old[:, 0], old[:, 1], new[:, 0], new[:, 1]):
+        for lo, hi in ((0, a), (a + 1, b), (b + 1, n)):
+            z[rows, g.integers(lo, hi)] = value
+    assert np.array_equal(np.stack((z[rows, a], z[rows, b]), axis=1), old)
+    change = sizebias._pair_change(z, a, b, old, new)
+    z_s = z.copy()
+    z_s[rows, a], z_s[rows, b] = new[:, 0], new[:, 1]
+    assert np.array_equal(change, inversions_batch(z_s) - inversions_batch(z))
+
+
 def test_completion_streams_cross_blocks():
     # a 4097-row completion spans two stream blocks; row r holds the bits of
     # the generator (seed, first_stream + r, substream 1 + c), also where the
@@ -257,6 +284,28 @@ def test_completion_uniforms_on_native_rows(monkeypatch):
                          for r in range(20)])
         assert np.array_equal(u, want)
     assert len(native) == 2
+
+
+def test_coupling_equal_on_the_dict_route(monkeypatch):
+    # couple_batch and stein_bound keep their bits when row draws set the
+    # stream states through the PCG64.state dict instead of the state view:
+    # outer rows drawn row by row (n = 40, 100) and stepped (n = 6), with
+    # completions stepped, and streams ending at 2^64 - 1
+    calls = (
+        lambda: sizebias.couple_batch(40, 300, 11),
+        lambda: sizebias.couple_batch(6, 200, 11),
+        lambda: sizebias.couple_batch(30, 60, 11, first_stream=2 ** 64 - 60),
+        lambda: sizebias.stein_bound(100, 1500, 2, 12),
+    )
+    viewed = [call() for call in calls]
+    monkeypatch.setattr(rng, "_state_words_agree", lambda: False)
+    for call, want in zip(calls, viewed):
+        got = call()
+        if isinstance(want, dict):
+            assert want.keys() == got.keys()
+            assert all(np.array_equal(want[k], got[k]) for k in want)
+        else:
+            assert got == want
 
 
 def test_couple_draw_order():
