@@ -6,18 +6,19 @@ the Plackett-Luce law P(gamma = a) = prod_l k_{a_l} / (k_{a_1} + ... + k_{a_l}).
 Every exact law is one kernel for that product over the model's draw counts
 (``models._fixed_counts``).  With k_i = i it gives the building blocks
 
-* P(rho(i) < rho(j)) = j / (i + j),
-* P(rho(i1) < ... < rho(ik)) = prod_l  i_l / (i_1 + ... + i_l),
+* P(rho(i1) < ... < rho(ik)) = prod_l  i_l / (i_1 + ... + i_l)
+  (``prob_ordered_tuple``), whose pair case ``prob_ordered_tuple((i, j))``
+  is P(rho(i) < rho(j)) = j / (i + j),
 * P(gamma = a) = n! / prod_i (a_1 + ... + a_i),
 
 from which identity/reversal probabilities, full enumeration on small n and
 total-variation distances follow.  A law is num / den per row, prod k over
 int64 products of prefix sums; probabilities are its floats, or Fractions
-with ``exact=True``, and laws sum by one rule (``_total``).  Inversions and m-descents count the pairs i < j with
-rho(i) > rho(j) among all pairs or those with j - i <= m; ``_pair_sums``
-groups a pair set by s = i + j, so each mean is one O(n) sum, and it is the
-size-bias index table too.  ``closed_form_moments`` picks every statistic's
-moment formulas.
+with ``exact=True``, and laws sum by one rule (``_total``).  Inversions and
+m-descents count the pairs i < j with rho(i) > rho(j) among all pairs or
+those with j - i <= m; ``_pair_sums`` groups a pair set by s = i + j, so
+each mean is one O(n) sum, and it is the size-bias index table too.
+``closed_form_moments`` picks every statistic's moment formulas.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perm import Permutation, all_permutations, permutation_matrix, validate
+from .perm import all_permutations, permutation_matrix, validate
 from .models import ModelKind, ModelSpec, _fixed_counts, invert_rows
 from . import stats as _stats
 
@@ -38,7 +39,6 @@ __all__ = [
     "EnumerationLimit",
     "enumeration_limit",
     "ExactDistribution",
-    "prob_pair_less",
     "prob_ordered_tuple",
     "pmf_inverse_unfair",
     "pmf_unfair",
@@ -50,10 +50,8 @@ __all__ = [
     "tv_distance",
     "tv_model_vs_uniform",
     "tv_event_lower_bound",
-    "argmax_argmin_pmf",
     "mean_m_descents",
     "var_descents",
-    "cov_adjacent_descents",
     "asymptotic_mean_descents",
     "asymptotic_var_m_descents",
     "mean_inversions_exact",
@@ -132,15 +130,6 @@ def _law(spec: ModelSpec, perms: np.ndarray) -> tuple[int, np.ndarray]:
     is a finishing order, any other row a rank sequence, the inverse of one."""
     orders = perms if spec.kind is ModelKind.UNFAIR else invert_rows(perms)
     return _plackett_luce(orders, _fixed_counts(spec, perms.shape[1]))
-
-
-def prob_pair_less(i: int, j: int, exact: bool = False):
-    """P(rho(i) < rho(j)) = j / (i + j) for distinct player indices."""
-    if i < 1 or j < 1 or i == j:
-        raise ValueError(f"need distinct indices >= 1, got ({i}, {j})")
-    if exact:
-        return Fraction(j, i + j)
-    return j / (i + j)
 
 
 def prob_ordered_tuple(indices: Sequence[int], exact: bool = False):
@@ -224,12 +213,6 @@ class ExactDistribution:
     @property
     def is_exact(self) -> bool:
         return bool(self.probs) and isinstance(self.probs[0], Fraction)
-
-    def prob_of(self, outcome):
-        try:
-            return self.probs[self.outcomes.index(outcome)]
-        except ValueError:
-            return Fraction(0) if self.is_exact else 0.0
 
     def mean(self):
         self._need_numeric()
@@ -325,16 +308,6 @@ def tv_event_lower_bound(n: int) -> tuple[float, float, float]:
     return p_rho, p_pi, p_rho - p_pi
 
 
-def argmax_argmin_pmf(
-    n: int, model: "ModelKind | str | ModelSpec"
-) -> tuple[Permutation, Permutation]:
-    """Most and least likely permutations under a model (exact enumeration)."""
-    law = enumerate_law(n, model, exact=True)
-    best = max(range(len(law.outcomes)), key=lambda k: law.probs[k])
-    worst = min(range(len(law.outcomes)), key=lambda k: law.probs[k])
-    return Permutation(law.outcomes[best]), Permutation(law.outcomes[worst])
-
-
 # ---------------------------------------------------------------------------
 # closed-form moments
 
@@ -371,13 +344,6 @@ def mean_m_descents(n: int, m: int) -> float:
     q_hi = t - (t - q)
     e = (r - q_hi * s) - (q - q_hi) * s  # r - q s, exact while s < 2**26
     return math.fsum(q.tolist() + [float(k.sum()), float(np.sum(e / s))])
-
-
-def cov_adjacent_descents(i: int):
-    """Cov(descent at i, descent at i+1) = i/(6i+9) - p_i * p_{i+1}."""
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return i / (6 * i + 9) - (i / (2 * i + 1)) * ((i + 1) / (2 * i + 3))
 
 
 def var_descents(n: int) -> float:

@@ -38,12 +38,7 @@ __all__ = [
     "PhiSpec",
     "MarkovChainSpec",
     "ScoreVector",
-    "TieDetected",
     "sample_scores",
-    "ranks",
-    "sample_inverse_unfair",
-    "sample_unfair",
-    "sample_uniform",
     "sample_permutation",
     "sample_score_matrix",
     "sample_permutation_matrix",
@@ -65,10 +60,6 @@ def _integer(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} {x!r} is not an integer")
-
-
-class TieDetected(ValueError):
-    """Two scores in a user-supplied vector compare exactly equal."""
 
 
 class ModelKind(str, Enum):
@@ -288,33 +279,6 @@ def sample_scores(spec: ModelSpec, n: int, rng: np.random.Generator) -> ScoreVec
     if n < 1:
         raise ValueError("n must be >= 1")
     return ScoreVector(_scores(spec, n, rng))
-
-
-def ranks(scores: "ScoreVector | Sequence[float]") -> Permutation:
-    """Rank sequence of a score vector (1 = smallest score).
-
-    Raises TieDetected on exactly equal scores; the samplers break ties by
-    column instead (see ``sample_permutation``).
-    """
-    v = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores, dtype=float)
-    if np.unique(v).size != v.size:
-        raise TieDetected("score vector contains exactly equal entries")
-    return Permutation(tuple(int(x) for x in ranks_matrix(v[None, :])[0]))
-
-
-def sample_inverse_unfair(n: int, rng: np.random.Generator) -> Permutation:
-    """One inverse-unfair permutation: the rank sequence of best-of-i scores."""
-    return sample_permutation(ModelSpec.inverse_unfair(), n, rng)
-
-
-def sample_unfair(n: int, rng: np.random.Generator) -> Permutation:
-    """One unfair permutation: the inverse of an inverse-unfair draw."""
-    return sample_permutation(ModelSpec.unfair(), n, rng)
-
-
-def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
-    """One uniform permutation: the ranks of n iid uniforms."""
-    return sample_permutation(ModelSpec.uniform(), n, rng)
 
 
 def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Permutation:

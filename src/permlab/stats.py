@@ -2,13 +2,13 @@
 and rising structure, increasing-subsequence counts.
 
 Every statistic has one kernel, a ``*_batch`` form operating on a (reps, n)
-matrix, one permutation (or score vector) per row; the single-permutation
-function runs it on one row.  ``incsub`` is the exception: its exact
-Python-integer Fenwick count serves one permutation, and the batch form
-loops over rows.  Every other statistic reads one relation, x_i > x_j for
-i < j (a descending pair; any other pair ascends), so the batch forms read
-any rows, integer ranks or raw scores, with no flag saying which, and exact
-ties count as in the stable ranks, the earlier entry the smaller:
+matrix, one permutation (or score vector) per row; ``evaluate`` runs it on a
+batch of one, for every tag.  ``incsub``'s batch form ranks each row and
+counts it with an exact Python-integer Fenwick tree.  Every other statistic
+reads one relation, x_i > x_j for i < j (a descending pair; any other pair
+ascends), so the batch forms read any rows, integer ranks or raw scores,
+with no flag saying which, and exact ties count as in the stable ranks, the
+earlier entry the smaller:
 
 >>> x = np.array([[-1, -1, -2, -0.5, -0.5, -3]])
 >>> both = np.vstack([x, ranks_matrix(x)])
@@ -41,12 +41,8 @@ __all__ = [
     "StatisticKind",
     "parse_statistic",
     "inversions",
-    "anti_inversions",
     "m_descents",
-    "m_ascents",
     "local_maxima",
-    "longest_alternating",
-    "rising_sequences",
     "increasing_subsequences",
     "evaluate",
     "ranks_matrix",
@@ -128,11 +124,6 @@ def inversions(p) -> int:
     return int(inversions_batch(_row(p))[0])
 
 
-def anti_inversions(p) -> int:
-    """Number of pairs i < j with p(i) < p(j); complements inversions."""
-    return int(anti_inversions_batch(_row(p))[0])
-
-
 def m_descents(p, m: int) -> int:
     """Number of pairs (i, j) with 1 <= j - i <= m and p(i) > p(j).
 
@@ -141,35 +132,9 @@ def m_descents(p, m: int) -> int:
     return int(m_descents_batch(_row(p), m)[0])
 
 
-def m_ascents(p, m: int) -> int:
-    """Number of pairs (i, j) with 1 <= j - i <= m and p(i) < p(j)."""
-    return int(m_ascents_batch(_row(p), m)[0])
-
-
 def local_maxima(p) -> int:
     """Number of interior positions 1 < i < n with p(i-1) < p(i) > p(i+1)."""
     return int(local_maxima_batch(_row(p))[0])
-
-
-def longest_alternating(p, ascent_first: bool = False) -> int:
-    """Length of the longest alternating subsequence.
-
-    Default convention is descent-first: the subsequence satisfies
-    a1 > a2 < a3 > a4 ...  With ``ascent_first=True`` the first comparison
-    must be an ascent instead; the two differ by at most 1.  A single element
-    counts as alternating, so the identity permutation scores 1 (descent-first)
-    or 2 (ascent-first, n >= 2).
-    """
-    return int(longest_alternating_batch(_row(p), ascent_first)[0])
-
-
-def rising_sequences(p, m: int) -> int:
-    """Number of windows of m consecutive positions that increase.
-
-    Counts i <= n - m + 1 with p(i) < p(i+1) < ... < p(i+m-1); every position
-    is a window for m = 1.
-    """
-    return int(rising_sequences_batch(_row(p), m)[0])
 
 
 class _Fenwick:
@@ -196,12 +161,15 @@ def increasing_subsequences(p, m: int) -> int:
     """Number of strictly increasing subsequences of length exactly m.
 
     Exact count as a Python integer (arbitrary precision, so values up to
-    C(n, m) never overflow).  O(m n log n) via a Fenwick tree per length step.
+    C(n, m) never overflow).  O(m n log n) via a Fenwick tree per length step
+    over the values, so every entry must lie in 1..n.
     """
     e = as_entries(p)
     n = len(e)
     if not 1 <= m <= n:
         raise ValueError(f"m={m} out of range 1..{n}")
+    if min(e) < 1 or max(e) > n:
+        raise ValueError(f"entries must lie in 1..{n}")
     cur = [1] * n
     for _ in range(2, m + 1):
         fen = _Fenwick(n)
@@ -214,13 +182,7 @@ def increasing_subsequences(p, m: int) -> int:
 
 
 def evaluate(kind: StatisticKind, p) -> int:
-    """Evaluate a statistic selector on one permutation.
-
-    ``incsub`` keeps its exact Python-integer count; every other statistic is
-    its batch kernel on one row.
-    """
-    if kind.tag == "incsub":
-        return increasing_subsequences(p, kind.m)
+    """Evaluate a statistic selector on one permutation: a batch of one."""
     return int(evaluate_batch(kind, _row(p))[0])
 
 
@@ -393,15 +355,18 @@ def local_maxima_batch(x: np.ndarray) -> np.ndarray:
     return np.count_nonzero(~desc[:, :-1] & desc[:, 1:], axis=1).astype(np.int64)
 
 
-def longest_alternating_batch(x: np.ndarray, ascent_first: bool = False) -> np.ndarray:
+def longest_alternating_batch(x: np.ndarray) -> np.ndarray:
+    """Longest alternating subsequence, descent first: a1 > a2 < a3 > ...
+
+    A single element alternates, so the identity scores 1.
+    """
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
     if n == 1:
         return np.ones(reps, dtype=np.int64)
     desc = x[:, :-1] > x[:, 1:]
     blocks = 1 + np.count_nonzero(desc[:, 1:] != desc[:, :-1], axis=1)
-    first = ~desc[:, 0] if ascent_first else desc[:, 0]
-    return (blocks + first).astype(np.int64)
+    return (blocks + desc[:, 0]).astype(np.int64)
 
 
 def rising_sequences_batch(x: np.ndarray, m: int) -> np.ndarray:

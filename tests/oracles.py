@@ -51,8 +51,8 @@ def locmax_oracle(e) -> int:
     )
 
 
-def _alternates(seq, descent_first: bool) -> bool:
-    want_desc = descent_first
+def _alternates(seq) -> bool:
+    want_desc = True
     for a, b in zip(seq, seq[1:]):
         if want_desc and not a > b:
             return False
@@ -62,15 +62,16 @@ def _alternates(seq, descent_first: bool) -> bool:
     return True
 
 
-def las_oracle(e, ascent_first: bool = False) -> int:
-    """Longest alternating subsequence by exhaustive search (n <= ~10)."""
+def las_oracle(e) -> int:
+    """Longest alternating subsequence, descent first, by exhaustive search
+    (n <= ~10)."""
     e = list(e)
     n = len(e)
     best = 1
     for size in range(2, n + 1):
         found = False
         for comb in itertools.combinations(e, size):
-            if _alternates(comb, descent_first=not ascent_first):
+            if _alternates(comb):
                 best = size
                 found = True
                 break
@@ -178,12 +179,11 @@ def moment_oracle(n: int, stat, power: int = 1) -> Fraction:
     return total
 
 
-def las_dp_oracle(e, ascent_first: bool = False) -> int:
-    """Longest alternating subsequence by quadratic DP (any n).
+def las_dp_oracle(e) -> int:
+    """Longest alternating subsequence, descent first, by quadratic DP (any n).
 
     down[i]/up[i]: longest valid subsequence ending at i whose last step fell
-    or rose, 0 when none exists; a fresh pair may only open with the
-    convention's first direction.
+    or rose, 0 when none exists; a fresh pair may only open with a descent.
     """
     e = list(e)
     n = len(e)
@@ -192,13 +192,10 @@ def las_dp_oracle(e, ascent_first: bool = False) -> int:
     for i in range(n):
         for j in range(i):
             if e[j] > e[i]:
-                if not ascent_first:
-                    down[i] = max(down[i], 2)
+                down[i] = max(down[i], 2)
                 if up[j]:
                     down[i] = max(down[i], up[j] + 1)
             elif e[j] < e[i]:
-                if ascent_first:
-                    up[i] = max(up[i], 2)
                 if down[j]:
                     up[i] = max(up[i], down[j] + 1)
     return max([1] + down + up)

@@ -36,23 +36,23 @@ def trunc5(p: Fraction) -> str:
 # building-block probabilities
 
 def test_prob_pair_less():
-    assert exact.prob_pair_less(1, 2) == pytest.approx(2 / 3)
-    assert exact.prob_pair_less(2, 1) == pytest.approx(1 / 3)
-    assert exact.prob_pair_less(3, 5, exact=True) == Fraction(5, 8)
+    # P(rho(i) < rho(j)) = j/(i + j), the pair case of the ordered tuple
+    assert exact.prob_ordered_tuple((1, 2)) == pytest.approx(2 / 3)
+    assert exact.prob_ordered_tuple((2, 1)) == pytest.approx(1 / 3)
+    assert exact.prob_ordered_tuple((3, 5), exact=True) == Fraction(5, 8)
     with pytest.raises(ValueError):
-        exact.prob_pair_less(2, 2)
+        exact.prob_ordered_tuple((2, 2))
     with pytest.raises(ValueError):
-        exact.prob_pair_less(0, 1)
+        exact.prob_ordered_tuple((0, 1))
 
 
 def test_prob_pair_symmetry():
     for i in range(1, 8):
         for j in range(1, 8):
-            if i == j:
-                continue
-            assert exact.prob_pair_less(i, j, exact=True) + exact.prob_pair_less(
-                j, i, exact=True
-            ) == 1
+            if i != j:
+                pair = exact.prob_ordered_tuple((i, j), exact=True)
+                assert pair == Fraction(j, i + j)
+                assert pair + exact.prob_ordered_tuple((j, i), exact=True) == 1
 
 
 def test_prob_ordered_tuple():
@@ -144,20 +144,22 @@ def test_identity_reversal_probabilities():
     assert exact.prob_reversal(3, exact=True) == Fraction(8 * 6, 720)
     assert exact.prob_reversal(4, exact=True) == Fraction(16 * 24, 40320)
     for n in range(1, 7):
+        # lexicographic order: the identity first, the reversal last
         law = exact.enumerate_law(n, ModelKind.INVERSE_UNFAIR, exact=True)
-        ident = tuple(range(1, n + 1))
-        rev = tuple(range(n, 0, -1))
-        assert law.prob_of(ident) == exact.prob_identity(n, exact=True)
-        assert law.prob_of(rev) == exact.prob_reversal(n, exact=True)
+        assert law.outcomes[0] == tuple(range(1, n + 1))
+        assert law.outcomes[-1] == tuple(range(n, 0, -1))
+        assert law.probs[0] == exact.prob_identity(n, exact=True)
+        assert law.probs[-1] == exact.prob_reversal(n, exact=True)
 
 
 def test_argmax_argmin():
-    best, worst = exact.argmax_argmin_pmf(4, ModelKind.INVERSE_UNFAIR)
-    assert best == Permutation.identity(4)
-    assert worst == Permutation.reversal(4)
-    best, worst = exact.argmax_argmin_pmf(5, ModelKind.UNFAIR)
-    assert best == Permutation.identity(5)
-    assert worst == Permutation.reversal(5)
+    # the identity is the most likely permutation, the reversal the least
+    for n, model in ((4, ModelKind.INVERSE_UNFAIR), (5, ModelKind.UNFAIR)):
+        law = exact.enumerate_law(n, model, exact=True)
+        ranked = sorted(zip(law.probs, law.outcomes))
+        assert ranked[-1][1] == Permutation.identity(n).entries
+        assert ranked[0][1] == Permutation.reversal(n).entries
+        assert ranked[-2][0] < ranked[-1][0] and ranked[0][0] < ranked[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +363,6 @@ def test_var_descents_enumeration():
         second = moment_oracle(n, lambda t: m_desc(t, 1), power=2)
         want = float(second - mean ** 2)
         assert exact.var_descents(n) == pytest.approx(want, rel=1e-12)
-
-
-def test_cov_adjacent_descents_enumeration():
-    # Cov(descent at i, descent at i+1) within S_n for n = i + 2
-    for i in (1, 2, 3, 4):
-        n = i + 2
-
-        def at(t, pos):
-            return 1 if t[pos - 1] > t[pos] else 0
-
-        joint = moment_oracle(n, lambda t: at(t, i) * at(t, i + 1))
-        pi = moment_oracle(n, lambda t: at(t, i))
-        pj = moment_oracle(n, lambda t: at(t, i + 1))
-        want = float(joint - pi * pj)
-        assert exact.cov_adjacent_descents(i) == pytest.approx(want, rel=1e-12)
 
 
 def test_descent_probability_marginal():

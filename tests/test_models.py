@@ -10,7 +10,6 @@ from permlab.models import (
     ModelSpec,
     PhiSpec,
     ScoreVector,
-    TieDetected,
 )
 from permlab.perm import Permutation, all_permutations
 from permlab.rng import StreamBlock, make_generator
@@ -248,9 +247,9 @@ def test_max_of_k_uniforms():
 
 
 def test_ranks_tie_policy():
-    with pytest.raises(TieDetected):
-        models.ranks([0.5, 0.5, 0.1])
-    assert models.ranks([0.3, 0.1, 0.9]).entries == (2, 1, 3)
+    # one rule for scores: exact ties rank in column order, the earlier lower
+    assert ranks_matrix([[0.5, 0.5, 0.1]]).tolist() == [[2, 3, 1]]
+    assert ranks_matrix([[0.3, 0.1, 0.9]]).tolist() == [[2, 1, 3]]
 
 
 def test_sample_scores_shapes_and_range():
@@ -275,14 +274,14 @@ def test_later_players_score_higher_on_average():
 
 def test_sample_single_draws():
     rng = make_generator(4)
-    p = models.sample_inverse_unfair(8, rng)
+    p = models.sample_permutation(ModelSpec.inverse_unfair(), 8, rng)
     assert isinstance(p, Permutation) and p.n == 8
-    q = models.sample_unfair(8, make_generator(4))
+    q = models.sample_permutation(ModelSpec.unfair(), 8, make_generator(4))
     assert q == p.inverse()
-    u = models.sample_uniform(6, make_generator(5))
+    u = models.sample_permutation(ModelSpec.uniform(), 6, make_generator(5))
     assert sorted(u.entries) == [1, 2, 3, 4, 5, 6]
     with pytest.raises(ValueError):
-        models.sample_uniform(0, rng)
+        models.sample_permutation(ModelSpec.uniform(), 0, rng)
 
 
 def test_sample_permutation_dispatch():

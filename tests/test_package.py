@@ -1,4 +1,9 @@
-"""The package surface: ``permlab.__all__`` is its modules' ``__all__``s."""
+"""The package surface: ``permlab.__all__`` is its modules' ``__all__``s,
+and every name in it has a user outside the tests."""
+import ast
+import re
+from pathlib import Path
+
 import permlab
 from permlab import exact, models, montecarlo, perm, rng, sizebias, stats
 
@@ -26,3 +31,39 @@ def test_star_import_binds_every_public_name():
     assert namespace["verify_size_bias_identity"] is sizebias.verify_size_bias_identity
     assert namespace["InversionConstants"] is exact.InversionConstants
     assert set(namespace) - {"__builtins__"} == set(permlab.__all__)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _code_names() -> set[str]:
+    """Every ``Name`` and ``Attribute`` the package, demos and benchmark read,
+    and every function the benchmark traces by its path in ``SPANS``."""
+    seen = set()
+    for folder in ("src/permlab", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "SPANS":
+                    for _, paths in ast.literal_eval(node.value).values():
+                        seen.update(p.split(".")[-1] for p in paths)
+    return seen
+
+
+def _readme_names() -> set[str]:
+    """``pl.<name>`` calls and the identifiers of backticked spans in README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    seen = set(re.findall(r"\bpl\.(\w+)", text))
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        seen.update(re.findall(r"[A-Za-z_]\w*", span))
+    return seen
+
+
+def test_every_public_name_has_a_user_outside_tests():
+    # a name only tests call restates another or serves nothing
+    unused = set(permlab.__all__) - _code_names() - _readme_names()
+    assert sorted(unused) == []

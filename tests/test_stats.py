@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import permlab
 
 from permlab.perm import Permutation, all_permutations, inverse_entries
 from permlab import stats
@@ -15,6 +22,10 @@ from oracles import (
     m_desc_oracle,
     rising_oracle,
 )
+
+
+def _ev(sel, t):
+    return stats.evaluate(stats.parse_statistic(sel), t)
 
 
 def _random_perms(rng, count, n_max):
@@ -49,16 +60,13 @@ def test_kernels_match_oracles_exhaustive_s5():
     for n in range(1, 6):
         for t in all_permutations(n):
             assert stats.inversions(t) == inv_oracle(t)
-            assert stats.anti_inversions(t) == ainv_oracle(t)
+            assert _ev("ainv", t) == ainv_oracle(t)
             assert stats.local_maxima(t) == locmax_oracle(t)
-            assert stats.longest_alternating(t) == las_oracle(t)
-            assert stats.longest_alternating(t, ascent_first=True) == las_oracle(
-                t, ascent_first=True
-            )
+            assert _ev("las", t) == las_oracle(t)
             for m in range(1, n + 1):
                 assert stats.m_descents(t, m) == m_desc_oracle(t, m)
-                assert stats.m_ascents(t, m) == m_asc_oracle(t, m)
-                assert stats.rising_sequences(t, m) == rising_oracle(t, m)
+                assert _ev(f"asc:{m}", t) == m_asc_oracle(t, m)
+                assert _ev(f"rising:{m}", t) == rising_oracle(t, m)
                 assert stats.increasing_subsequences(t, m) == incsub_oracle(t, m)
 
 
@@ -69,9 +77,9 @@ def test_kernels_match_oracles_random():
         assert stats.inversions(t) == inv_oracle(t)
         m = int(rng.integers(1, n + 1))
         assert stats.m_descents(t, m) == m_desc_oracle(t, m)
-        assert stats.m_ascents(t, m) == m_asc_oracle(t, m)
+        assert _ev(f"asc:{m}", t) == m_asc_oracle(t, m)
         assert stats.local_maxima(t) == locmax_oracle(t)
-        assert stats.rising_sequences(t, m) == rising_oracle(t, m)
+        assert _ev(f"rising:{m}", t) == rising_oracle(t, m)
         assert stats.increasing_subsequences(t, min(m, 6)) == incsub_dp_oracle(
             t, min(m, 6)
         )
@@ -87,21 +95,20 @@ def test_inversions_large_random():
 
 def test_las_convention_cases():
     # descent-first: the identity has no descent to start with
-    assert stats.longest_alternating((1, 2, 3, 4)) == 1
-    assert stats.longest_alternating((1, 2, 3, 4), ascent_first=True) == 2
-    assert stats.longest_alternating((4, 3, 2, 1)) == 2
-    assert stats.longest_alternating((1,)) == 1
-    assert stats.longest_alternating((2, 1)) == 2
-    assert stats.longest_alternating((1, 2)) == 1
+    assert _ev("las", (1, 2, 3, 4)) == 1
+    assert _ev("las", (4, 3, 2, 1)) == 2
+    assert _ev("las", (1,)) == 1
+    assert _ev("las", (2, 1)) == 2
+    assert _ev("las", (1, 2)) == 1
     # 4 > 1 < 5 > 2 < 6 > 3 alternates fully
-    assert stats.longest_alternating((4, 1, 5, 2, 6, 3)) == 6
+    assert _ev("las", (4, 1, 5, 2, 6, 3)) == 6
 
 
 def test_las_mean_formula_small_n():
     # exhaustive mean over S_n is (4n + 1)/6 for n >= 2 (uniform average)
     for n in (2, 3, 4, 5, 6):
-        vals = [stats.longest_alternating(t) for t in all_permutations(n)]
-        mean = sum(vals) / len(vals)
+        vals = stats.longest_alternating_batch(_stack_perms(all_permutations(n)))
+        mean = vals.mean()
         assert mean == pytest.approx((4 * n + 1) / 6, abs=1e-12)
 
 
@@ -132,7 +139,7 @@ def test_desc_asc_pair_identity():
     for t in all_permutations(5):
         for m in range(1, 5):
             pairs = sum(min(m, 5 - i) for i in range(1, 5))
-            assert stats.m_descents(t, m) + stats.m_ascents(t, m) == pairs
+            assert stats.m_descents(t, m) + _ev(f"asc:{m}", t) == pairs
 
 
 def test_inv_invariant_under_inverse():
@@ -170,13 +177,35 @@ def test_incsub_no_overflow():
 
 def test_range_errors():
     with pytest.raises(ValueError):
-        stats.rising_sequences((2, 1, 3), 4)
+        _ev("rising:4", (2, 1, 3))
     with pytest.raises(ValueError):
-        stats.rising_sequences((2, 1, 3), 0)
+        stats.rising_sequences_batch(np.array([[2, 1, 3]]), 0)
     with pytest.raises(ValueError):
         stats.increasing_subsequences((2, 1, 3), 0)
     with pytest.raises(ValueError):
         stats.m_descents((2, 1, 3), 0)
+
+
+def test_incsub_on_entries_outside_1_to_n_ends():
+    # run apart with a time limit, so a Fenwick loop that never ends fails
+    # the test instead of hanging the suite: evaluate ranks the row first,
+    # and the exact count refuses entries it cannot index
+    code = """if True:
+        from permlab import stats
+        assert stats.evaluate(stats.parse_statistic("incsub:2"), (0, 1)) == 1
+        assert stats.evaluate(stats.parse_statistic("incsub:2"), (5, 9, 7)) == 2
+        for bad in ((0, 1), (1, 3), (-2, 1, 2)):
+            try:
+                stats.increasing_subsequences(bad, 2)
+            except ValueError:
+                continue
+            raise AssertionError(bad)
+    """
+    src = str(Path(permlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_evaluate_dispatch():
@@ -192,46 +221,26 @@ def test_evaluate_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# batch kernels vs single kernels
+# batch kernels vs single kernels and brute force
 
 def _stack_perms(perms):
     return np.asarray([list(t) for t in perms], dtype=np.int64)
 
 
 def test_batch_matches_single_exhaustive():
+    # every kernel on all of S_5 at once: row for row its batch of one and
+    # the oracle's value
     perms = list(all_permutations(5))
     x = _stack_perms(perms)
-    assert np.array_equal(
-        stats.inversions_batch(x),
-        [stats.inversions(t) for t in perms],
-    )
-    assert np.array_equal(
-        stats.anti_inversions_batch(x),
-        [stats.anti_inversions(t) for t in perms],
-    )
+    oracles = {"inv": inv_oracle, "ainv": ainv_oracle, "locmax": locmax_oracle,
+               "las": las_oracle}
     for m in (1, 2, 3, 4):
-        assert np.array_equal(
-            stats.m_descents_batch(x, m),
-            [stats.m_descents(t, m) for t in perms],
-        )
-        assert np.array_equal(
-            stats.m_ascents_batch(x, m), [stats.m_ascents(t, m) for t in perms]
-        )
-        assert np.array_equal(
-            stats.rising_sequences_batch(x, m),
-            [stats.rising_sequences(t, m) for t in perms],
-        )
-    assert np.array_equal(
-        stats.local_maxima_batch(x), [stats.local_maxima(t) for t in perms]
-    )
-    assert np.array_equal(
-        stats.longest_alternating_batch(x),
-        [stats.longest_alternating(t) for t in perms],
-    )
-    assert np.array_equal(
-        stats.longest_alternating_batch(x, ascent_first=True),
-        [stats.longest_alternating(t, ascent_first=True) for t in perms],
-    )
+        oracles[f"desc:{m}"] = lambda t, m=m: m_desc_oracle(t, m)
+        oracles[f"asc:{m}"] = lambda t, m=m: m_asc_oracle(t, m)
+        oracles[f"rising:{m}"] = lambda t, m=m: rising_oracle(t, m)
+    for sel, oracle in oracles.items():
+        got = stats.evaluate_batch(stats.parse_statistic(sel), x).tolist()
+        assert got == [_ev(sel, t) for t in perms] == [oracle(t) for t in perms], sel
 
 
 def test_batch_on_scores_equals_batch_on_ranks():
