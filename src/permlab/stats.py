@@ -25,6 +25,8 @@ n = 5, 170 us at n = 100 and 0.6 ms at n = 2000; a row of a batch (20,000
 rows, 400 at n = 2000) about 0.05, 2.2 and 58 us (2-core x86_64).  Its
 O(n^2) oracle is in the tests.  It alone runs on threads, up to one per CPU
 wherever it is called from, with the same counts for any thread count.
+Ranks of 512 or more rows of at most 16 count the same pairs per entry, with
+no sort: 0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.
 """
 from __future__ import annotations
 
@@ -58,6 +60,8 @@ __all__ = [
 
 _MERGE_KEYS = 1 << 18  # padded keys per chunk of the merge count, >= 1 row
 _ORDER_KEYS = 1 << 16  # int64 keys per block of the stable order
+_SCATTER_KEYS = 1 << 15  # entries per block of an inverse scatter
+_PAIRWISE_ROWS = 512  # rows of at most 16 are ranked pair by pair from this many
 _LOW63 = 0x7FFF_FFFF_FFFF_FFFF
 _NEG_INF_KEY = -0x7FF0_0000_0000_0001  # order key of -inf; a NaN's is below or above
 _POS_INF_KEY = 0x7FF0_0000_0000_0000
@@ -190,11 +194,46 @@ def evaluate(kind: StatisticKind, p) -> int:
 # batch statistics on (reps, n) matrices
 
 def ranks_matrix(x: np.ndarray) -> np.ndarray:
-    """Row-wise ranks (1 = smallest) with ties broken by column index."""
+    """Row-wise ranks (1 = smallest) with ties broken by column index.
+
+    A NaN ranks above every number, NaNs in column order, as in the stable
+    argsort.  From ``_PAIRWISE_ROWS`` rows of at most 16 numbers (kinds f, i,
+    u) and no NaN, each rank counts the entries below it pair by pair; other
+    rows scatter the inverse of ``_order``.  Median us, sort / pairwise:
+        n  rows:   1      64     256     512    1024     8000     20000
+        2        9/17   10/14   17/15   26/17   46/21   288/71   729/135
+        4        8/25   18/35   34/40   50/45   87/54   609/146  2245/328
+        16      14/127  32/137 122/158 252/194 490/246 3915/976 12267/3822
+    """
     x = np.atleast_2d(np.asarray(x))
-    r = np.empty(x.shape, dtype=np.int64)
-    np.put_along_axis(r, _order(x), np.arange(1, x.shape[1] + 1)[None, :], axis=1)
-    return r
+    reps, n = x.shape
+    if 0 < n <= 16 and reps >= _PAIRWISE_ROWS and x.dtype.kind in "fiu":
+        if not np.isnan(x).any():
+            return _pairwise_ranks(x)
+    return _inverse_rows(_order(x))
+
+
+def _pairwise_ranks(x: np.ndarray) -> np.ndarray:
+    reps, n = x.shape
+    # rank of x_i: 1 + i - #{j < i: x_j > x_i} + #{j > i: x_j < x_i}, in uint8
+    r = np.tile(np.arange(1, n + 1, dtype=np.uint8)[:, None, None], (1, reps, 1))
+    for d, gt in _descents_by_distance(x, n):
+        r[:n - d] += gt
+        r[d:] -= gt
+    return np.ascontiguousarray(r[..., 0].T, dtype=np.int64)
+
+
+def _inverse_rows(order: np.ndarray, base: int = 0) -> np.ndarray:
+    """out[r, order[r, c] - base] = c + 1, the inverses of permutations of
+    base..n - 1 + base, scattered through a flat index in cache-sized blocks."""
+    reps, n = order.shape
+    out = np.empty((reps, n), dtype=np.int64)
+    step = max(1, _SCATTER_KEYS // max(n, 1))
+    for a in range(0, reps, step):
+        block = order[a:a + step]
+        rows = np.arange(a, a + len(block)) * n - base
+        out.reshape(-1)[np.add(block, rows[:, None], dtype=np.intp)] = np.arange(1, n + 1)
+    return out
 
 
 def _order(x: np.ndarray) -> np.ndarray:
@@ -249,16 +288,20 @@ def _descending_pairs(x: np.ndarray, m: int, first: int = 1) -> np.ndarray:
                 for d in range(first, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
 
 
-def _block_inversions(x: np.ndarray, w: int) -> np.ndarray:
-    """Per row, the inverted pairs inside each block of w <= 16 columns.
-
-    The block positions go to the leading axis, so every compare runs over
-    one contiguous array; a block holds at most 120 pairs, so uint8 sums.
-    """
+def _descents_by_distance(x: np.ndarray, w: int):
+    """(d, x_i > x_{i+d} in each block of w <= 16 columns) for d = 1..w-1, with
+    the block positions leading, so every compare runs over contiguous rows."""
     t = np.ascontiguousarray(np.moveaxis(x.reshape(len(x), -1, w), 2, 0))
-    count = np.zeros(t.shape[1:], dtype=np.uint8)
     for d in range(1, w):
-        count += np.add.reduce(t[:w - d] > t[d:], axis=0, dtype=np.uint8)
+        yield d, t[:w - d] > t[d:]
+
+
+def _block_inversions(x: np.ndarray, w: int) -> np.ndarray:
+    """Per row, the inverted pairs inside each block of w <= 16 columns; a
+    block holds at most 120 pairs, so uint8 sums."""
+    count = np.zeros((len(x), x.shape[1] // w), dtype=np.uint8)
+    for _, gt in _descents_by_distance(x, w):
+        count += np.add.reduce(gt, axis=0, dtype=np.uint8)
     return count.sum(axis=1, dtype=np.int64)
 
 

@@ -140,6 +140,40 @@ def test_markov_walk_matches_searchsorted_reference():
         assert block[r].tolist() == _walk_reference(chain, make_generator(9, 5 + r).random(29))
 
 
+def _edge_chain(k: int, rng) -> MarkovChainSpec:
+    """k states, about a third of the moves of probability zero, and a last
+    row summing to 1 - 1e-13."""
+    t = rng.random((k, k)) * (rng.random((k, k)) > 0.35)
+    t[np.arange(k), (np.arange(k) + 1) % k] += 0.25  # no row of zeros
+    t /= t.sum(axis=1, keepdims=True)
+    t[-1] *= 1 - 1e-13
+    return MarkovChainSpec((1,) + tuple(range(3, k + 2)), t)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 32])
+def test_markov_walk_matches_reference_on_edge_chains(k):
+    # blocks of streams, a single Generator (0-d walk) and fixed uniforms
+    # that hit the cumulative sums exactly, 0 and a value above the short
+    # last row
+    rng = np.random.default_rng(k)
+    chain = _edge_chain(k, rng)
+    n = 7
+    for rows in (1, 5, 300):
+        streams = np.arange(100, 100 + rows)
+        want = [_walk_reference(chain, u) for u in make_generator(2, streams).random(n - 1)]
+        assert chain.walk(n, make_generator(2, streams)).tolist() == want, rows
+    for s in (0, 1, 2):
+        assert chain.walk(n, make_generator(2, s)).tolist() == _walk_reference(
+            chain, make_generator(2, s).random(n - 1))
+    cum = np.cumsum(chain.transitions, axis=1)
+    edges = np.concatenate([cum.ravel(), [0.0, 1.0 - 1e-14, 0.5]])
+    fixed = rng.choice(edges, size=(300, n - 1))
+    want = [_walk_reference(chain, u) for u in fixed]
+    assert chain.walk(n, _FixedUniforms(fixed)).tolist() == want
+    assert chain.walk(n, _FixedUniforms(fixed[:3])).tolist() == want[:3]
+    assert chain.walk(n, _FixedUniforms(fixed[0])).tolist() == want[0]
+
+
 def test_phi_config(tmp_path):
     assert models.phi_from_config("one").name == "one"
     assert models.phi_from_config("identity")(9) == 9
@@ -431,7 +465,12 @@ def test_unfair_rows_are_inverted_ranks_on_tied_scores(monkeypatch):
 
 def test_invert_rows():
     rho = np.array([[2, 3, 1], [1, 2, 3]])
-    assert models.invert_rows(rho).tolist() == [[3, 1, 2], [1, 2, 3]]
+    for dtype in (np.int64, np.int32, np.uint64, np.uint8):
+        assert models.invert_rows(rho.astype(dtype)).tolist() == [[3, 1, 2], [1, 2, 3]]
+    # an entry past n or below 1 would scatter into a neighbouring row
+    for bad in ([[1, 4, 2], [3, 1, 2]], [[2, 3, 1], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="permutations of 1..3"):
+            models.invert_rows(np.array(bad))
 
 
 def test_phi_one_is_uniform_law():

@@ -11,6 +11,7 @@ ALLOWED = {
     ("cli", "models", "_BLOCK_ROWS"),
     ("cli", "montecarlo", "_check_budget"),
     ("exact", "models", "_fixed_counts"),
+    ("models", "stats", "_inverse_rows"),
     ("montecarlo", "models", "_fixed_counts"),
     ("sizebias", "exact", "_pair_sums"),
     ("sizebias", "models", "_log_scores"),

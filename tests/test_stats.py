@@ -273,6 +273,91 @@ def test_ranks_matrix_values_and_ties():
     assert r.tolist() == [[2, 3, 1]]
 
 
+def _stable_ranks(x: np.ndarray) -> np.ndarray:
+    return np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
+
+
+def _edge_rows(n: int, rng) -> list:
+    """(rows, pairwise) of every dtype ``ranks_matrix`` takes: float rows
+    with exact ties, -0.0 against +0.0 and infinities, the same with NaN,
+    int64 past 2^53, uint64 past 2^63, bool and object rows;
+    ``_PAIRWISE_ROWS`` of each, so a float or integer block with no NaN is
+    ranked pair by pair where n <= 16."""
+    rows = stats._PAIRWISE_ROWS
+    x = np.log(rng.random((rows, n)))
+    x[:20] = np.floor(x[:20] * 2)  # exact ties
+    if n:
+        x[20, ::2], x[21] = -0.0, -0.0
+        x[22, 1::2] = 0.0
+        x[23, ::3], x[24, -1] = -np.inf, np.inf
+        x[25] = -np.inf
+        x[26, 0], x[27, -1] = np.inf, -np.inf
+    nan = x.copy()
+    if n:
+        nan[:4, 0], nan[4:8, -1], nan[8, :], nan[9, ::2] = np.nan, np.nan, np.nan, np.nan
+        nan[10, [0, -1]] = -np.nan, -np.inf
+    perms = np.argsort(rng.random((rows, n)), axis=1)
+    ints = (1 << 53) + perms  # one apart past 2^53: ties as float64
+    ints[:rows // 2] = (1 << 62) - 3 * perms[:rows // 2]
+    ints[-3:] = 1 << 60
+    uints = np.uint64(2 ** 64 - 1) - perms.astype(np.uint64)
+    uints[:5] = 2 ** 63
+    small = n <= 16
+    return [(x, small), (nan, False), (ints, small), (uints, small),
+            (rng.random((rows, n)) < 0.5, False), (ints.astype(object), False)]
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_pairwise_ranks_equal_the_stable_argsort(monkeypatch, n):
+    # on both sides of the route rule: _PAIRWISE_ROWS rows of at most 16
+    # rank pair by pair, one row fewer sorts; a block holding a NaN sorts,
+    # NaN above every number and NaNs in column order
+    pairwise = []
+    real = stats._pairwise_ranks
+    monkeypatch.setattr(stats, "_pairwise_ranks", lambda x: pairwise.append(x) or real(x))
+    for rows, pair_route in _edge_rows(n, np.random.default_rng(n)):
+        for block in (rows, rows[1:]):
+            pairwise.clear()
+            got = stats.ranks_matrix(block)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, _stable_ranks(block)), (n, block.dtype)
+            assert len(pairwise) == (pair_route and n > 0 and block is rows), (n, block.dtype)
+
+
+def test_ranks_route_pairwise_on_many_short_rows(monkeypatch):
+    # the measured routes are pinned, so a change to the rule cannot move a
+    # shape to the slower route unseen: n = 4 fidelity rows pairwise, one
+    # row of sample_permutation and every row past 16 by the sort
+    ran = []
+    for name in ("_pairwise_ranks", "_order"):
+        real = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda x, real=real, name=name: ran.append(name) or real(x))
+    cases = (
+        (8000, 4, "_pairwise_ranks"), (4096, 4, "_pairwise_ranks"),
+        (20000, 16, "_pairwise_ranks"), (512, 16, "_pairwise_ranks"),
+        (512, 1, "_pairwise_ranks"),
+        (511, 16, "_order"), (511, 2, "_order"), (1, 4, "_order"), (1, 16, "_order"),
+        (8000, 17, "_order"), (20000, 100, "_order"), (400, 2000, "_order"), (8000, 0, "_order"),
+    )
+    for rows, n, route in cases:
+        ran.clear()
+        stats.ranks_matrix(np.random.default_rng(rows).random((rows, n)))
+        assert ran == [route], (rows, n)
+
+
+def test_inverse_scatter_blocks(monkeypatch):
+    # blocks of one row, of three rows and past the last row give the
+    # inverse of every row, from 0-based and from 1-based rows
+    rng = np.random.default_rng(5)
+    order = np.argsort(rng.random((10, 7)), axis=1)
+    want = np.argsort(order, axis=1) + 1
+    for keys in (1, 21, 22, 1 << 15):
+        monkeypatch.setattr(stats, "_SCATTER_KEYS", keys)
+        assert np.array_equal(stats._inverse_rows(order), want)
+        assert np.array_equal(stats._inverse_rows(order + 1, 1), want)
+    assert stats._inverse_rows(np.empty((3, 0), dtype=np.int64)).shape == (3, 0)
+
+
 def test_inversions_batch_chunking(monkeypatch):
     # 37 columns pad to 64 keys, so chunks of 7 * 64 keys hold 7 rows
     rng = np.random.default_rng(3)
