@@ -12,8 +12,7 @@ from permlab import (
     all_permutations,
     enumerate_law,
     inverse_entries,
-    pmf_inverse_unfair,
-    pmf_unfair,
+    pmf,
     prob_identity,
     prob_reversal,
 )
@@ -43,7 +42,7 @@ def main() -> None:
     bad = sum(
         1
         for p in all_permutations(5)
-        if pmf_inverse_unfair(p, exact=True) != pmf_unfair(inverse_entries(p), exact=True)
+        if pmf(p, "inverse-unfair", exact=True) != pmf(inverse_entries(p), "unfair", exact=True)
     )
     print(f"  mismatches over S_5: {bad}")
 

@@ -9,7 +9,7 @@ import numpy as np
 from permlab import (
     ModelKind,
     ModelSpec,
-    inversion_constants,
+    closed_form_moments,
     ks_to_normal,
     parse_statistic,
     standardized_sample,
@@ -20,10 +20,10 @@ SEED = 424242
 
 
 def main() -> None:
-    consts = inversion_constants()
-    print(f"mean/n^2 -> {consts.mean_coeff:.9f}   var/n^3 -> {consts.var_coeff:.9f}")
-
     kind = parse_statistic("inv")
+    consts = closed_form_moments(kind, 1)
+    print(f"mean/n^2 -> {consts['mean_coeff']:.9f}   var/n^3 -> {consts['var_coeff']:.9f}")
+
     spec = ModelSpec(ModelKind.INVERSE_UNFAIR)
     print(f"\n{'n':>6} {'mean/n^2':>10} {'var/n^3':>10} {'KS':>8} {'W1':>8}")
     for n in (250, 1000, 4000):

@@ -18,7 +18,8 @@ with ``exact=True``, and laws sum by one rule (``_total``).  Inversions and
 m-descents count the pairs i < j with rho(i) > rho(j) among all pairs or
 those with j - i <= m; ``_pair_sums`` groups a pair set by s = i + j, so
 each mean is one O(n) sum, and it is the size-bias index table too.
-``closed_form_moments`` picks every statistic's moment formulas.
+``pmf`` is the one pmf entry, and ``closed_form_moments`` the one moment
+table: it holds every moment formula, exact and leading-order.
 """
 from __future__ import annotations
 
@@ -40,8 +41,6 @@ __all__ = [
     "enumeration_limit",
     "ExactDistribution",
     "prob_ordered_tuple",
-    "pmf_inverse_unfair",
-    "pmf_unfair",
     "pmf",
     "prob_identity",
     "prob_reversal",
@@ -52,11 +51,7 @@ __all__ = [
     "tv_event_lower_bound",
     "mean_m_descents",
     "var_descents",
-    "asymptotic_mean_descents",
-    "asymptotic_var_m_descents",
     "mean_inversions_exact",
-    "InversionConstants",
-    "inversion_constants",
     "moment_ratio_descents",
     "UnknownClosedForm",
     "closed_form_moments",
@@ -144,16 +139,6 @@ def prob_ordered_tuple(indices: Sequence[int], exact: bool = False):
     if any(i < 1 for i in idx) or len(set(idx)) != len(idx):
         raise ValueError(f"indices must be distinct and >= 1: {idx}")
     return _probs(*_plackett_luce(np.arange(1, len(idx) + 1)[None, :], idx), exact)[0]
-
-
-def pmf_inverse_unfair(p, exact: bool = False):
-    """P(rho_n = p): probability that the rank sequence equals ``p``."""
-    return pmf(p, ModelKind.INVERSE_UNFAIR, exact=exact)
-
-
-def pmf_unfair(p, exact: bool = False):
-    """P(gamma_n = p) = n! / prod_i (p(1) + ... + p(i))."""
-    return pmf(p, ModelKind.UNFAIR, exact=exact)
 
 
 def pmf(p, model: "ModelKind | str | ModelSpec", exact: bool = False):
@@ -304,7 +289,8 @@ def tv_event_lower_bound(n: int) -> tuple[float, float, float]:
         raise ValueError("the bound needs n >= 3 (so that floor(ln n) >= 1)")
     big_l = math.floor(math.log(n))
     p_pi = 1.0 / (big_l + 1)
-    p_rho = n / (n + big_l * (big_l + 1) / 2)
+    # L(L+1) is even: n / (integer) rounds once and stays finite past 2^1024
+    p_rho = n / (n + big_l * (big_l + 1) // 2)
     return p_rho, p_pi, p_rho - p_pi
 
 
@@ -362,48 +348,12 @@ def var_descents(n: int) -> float:
     return bern - (2.0 / 3.0) * cross
 
 
-def asymptotic_mean_descents(n: int) -> float:
-    """Leading asymptotics n/2 - ln(n)/4 of the m = 1 descent mean."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n / 2 - math.log(n) / 4
-
-
-def asymptotic_var_m_descents(n: int, m: int) -> float:
-    """Leading asymptotics (6nm + 4m^3 + 3m^2 - m)/72 of the m-descent
-    variance."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    return (6 * n * m + 4 * m ** 3 + 3 * m ** 2 - m) / 72
-
-
 def mean_inversions_exact(n: int) -> float:
     """E[Inv(rho_n)] = sum over pairs i < j of i/(i+j), in O(n): the
     m-descent mean with every pair in the window."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return mean_m_descents(n, n)
-
-
-@dataclass(frozen=True)
-class InversionConstants:
-    """Leading coefficients: E[Inv] ~ mean_coeff n^2, Var[Inv] ~ var_coeff n^3."""
-
-    mean_coeff: float
-    var_coeff: float
-
-
-def inversion_constants() -> InversionConstants:
-    ln2 = math.log(2.0)
-    mean_coeff = (1.0 - ln2) / 2.0
-    var_coeff = (
-        1.0 / 3.0
-        - math.pi ** 2 / 18.0
-        + 2.0 * ln2 / 3.0
-        - math.log(3.0) / 2.0
-        + 2.0 * ln2 ** 2 / 3.0
-    )
-    return InversionConstants(mean_coeff, var_coeff)
 
 
 def moment_ratio_descents(n: int) -> float:
@@ -417,24 +367,35 @@ def moment_ratio_descents(n: int) -> float:
     return mean_m_descents(n, 1) / ((n - 1) / 2.0)
 
 
+# leading coefficients E[Inv] ~ _INV_MEAN_COEFF n^2 and Var[Inv] ~ _INV_VAR_COEFF n^3
+_INV_MEAN_COEFF = (1.0 - math.log(2.0)) / 2.0
+_INV_VAR_COEFF = (1.0 / 3.0 - math.pi ** 2 / 18.0 + 2.0 * math.log(2.0) / 3.0
+                  - math.log(3.0) / 2.0 + 2.0 * math.log(2.0) ** 2 / 3.0)
+
+
 def closed_form_moments(kind: _stats.StatisticKind, n: int) -> dict:
-    """Moments of ``inv`` or ``desc:m`` under the rank sequence: the exact
-    ``mean``, a ``variance`` of ``variance_mode`` exact (desc:1) or asymptotic,
-    and ``mean_asymptotic`` where a leading form is pinned.  ``desc:m`` with
-    m >= n - 1 counts every pair, so for m >= 2 it has the ``inv`` moments."""
-    if kind.tag == "desc" and kind.m == 1:
-        return {"mean": mean_m_descents(n, 1), "mean_asymptotic": asymptotic_mean_descents(n),
-                "variance": var_descents(n), "variance_mode": "exact",
-                "variance_asymptotic": asymptotic_var_m_descents(n, 1)}
-    if kind.tag == "desc" and kind.m >= n - 1:
+    """Every moment formula of ``inv`` and ``desc:m`` under the rank sequence.
+
+    The exact ``mean``; a ``variance`` of ``variance_mode`` exact (desc:1) or
+    asymptotic; ``mean_asymptotic`` where a leading form is pinned: n/2 -
+    ln(n)/4 for desc:1, ``mean_coeff`` n^2 for inv.  The leading m-descent
+    variance is (6nm + 4m^3 + 3m^2 - m)/72 and the inversion one ``var_coeff``
+    n^3.  ``desc:m`` with m >= n - 1 counts every pair, so for m >= 2 it has
+    the ``inv`` moments."""
+    if kind.tag == "desc" and kind.m >= max(2, n - 1):
         return closed_form_moments(_stats.StatisticKind("inv"), n)
     if kind.tag == "desc":
-        return {"mean": mean_m_descents(n, kind.m),
-                "variance": asymptotic_var_m_descents(n, kind.m), "variance_mode": "asymptotic"}
+        m, mean = kind.m, mean_m_descents(n, kind.m)
+        variance_asymptotic = (6 * n * m + 4 * m ** 3 + 3 * m ** 2 - m) / 72
+        if m > 1:
+            return {"mean": mean, "variance": variance_asymptotic, "variance_mode": "asymptotic"}
+        return {"mean": mean, "mean_asymptotic": n / 2 - math.log(n) / 4,
+                "variance": var_descents(n), "variance_mode": "exact",
+                "variance_asymptotic": variance_asymptotic}
     if kind.tag == "inv":
-        c = inversion_constants()
-        return {"mean": mean_inversions_exact(n), "mean_asymptotic": c.mean_coeff * n ** 2,
-                "variance": c.var_coeff * n ** 3, "variance_mode": "asymptotic",
-                "variance_asymptotic": c.var_coeff * n ** 3,
-                "mean_coeff": c.mean_coeff, "var_coeff": c.var_coeff}
+        variance = _INV_VAR_COEFF * n ** 3
+        return {"mean": mean_inversions_exact(n), "mean_asymptotic": _INV_MEAN_COEFF * n ** 2,
+                "variance": variance, "variance_mode": "asymptotic",
+                "variance_asymptotic": variance,
+                "mean_coeff": _INV_MEAN_COEFF, "var_coeff": _INV_VAR_COEFF}
     raise UnknownClosedForm(f"no closed-form moments for statistic {kind}")

@@ -92,14 +92,6 @@ class PhiSpec:
         return int(k)
 
     @classmethod
-    def one(cls) -> "PhiSpec":
-        return cls(_phi_rule("one"), "one")
-
-    @classmethod
-    def identity(cls) -> "PhiSpec":
-        return cls(_phi_rule("identity"), "identity")
-
-    @classmethod
     def from_table(cls, table: dict[int, int], default: "int | str" = "identity") -> "PhiSpec":
         """Explicit (i, phi(i)) pairs; ``default`` covers i beyond the table.
 
@@ -388,10 +380,15 @@ def _permutation_rows(spec: ModelSpec, scores: np.ndarray) -> np.ndarray:
 def invert_rows(perms: np.ndarray) -> np.ndarray:
     """Row-wise permutation inverses of a one-line matrix."""
     n = perms.shape[1]
+    refused = f"rows must be permutations of 1..{n}"
     # an entry outside 1..n would scatter into a neighbouring row
     if perms.size and (perms.min() < 1 or perms.max() > n):
-        raise ValueError(f"rows must be permutations of 1..{n}")
-    return _inverse_rows(perms, 1)
+        raise ValueError(refused)
+    # n entries in 1..n fill all n zeroed slots of a row exactly when none repeats
+    out = _inverse_rows(perms, 1, np.zeros(perms.shape, dtype=np.int64))
+    if not out.all():
+        raise ValueError(refused)
+    return out
 
 
 # ---------------------------------------------------------------------------

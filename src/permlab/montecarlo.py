@@ -14,6 +14,7 @@ document.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -223,6 +224,9 @@ def moment_ratio_mc(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    overflow = f"moments of order k = {k} overflow float64; ratio undefined"
+    if k > sys.float_info.max:  # numpy takes the power's order as a float64
+        raise ValueError(overflow)
     _check_budget(n, 2 * reps)
     a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers)
     b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers)
@@ -239,5 +243,5 @@ def moment_ratio_mc(
     except OverflowError:
         se = math.inf
     if not all(map(math.isfinite, (mean_a, mean_b, var_a, var_b, se))):
-        raise ValueError(f"moments of order k = {k} overflow float64; ratio undefined")
+        raise ValueError(overflow)
     return MomentRatioReport(ratio=ratio, se=se, model_moment=mean_a, uniform_moment=mean_b)

@@ -81,15 +81,6 @@ class Permutation:
         return len(self.entries)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reversal(cls, n: int) -> "Permutation":
-        """The order-reversing permutation (n, n-1, ..., 1)."""
-        return cls(tuple(range(n, 0, -1)))
-
-    @classmethod
     def from_string(cls, text: str) -> "Permutation":
         """Parse comma-separated one-line notation, e.g. ``"4,3,1,2"``."""
         parts = [s.strip() for s in text.split(",") if s.strip() != ""]
@@ -117,10 +108,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         """The inverse permutation: inverse()(p(i)) == i."""
         return Permutation(inverse_entries(self.entries))
-
-    def array(self) -> np.ndarray:
-        """Entries as a 1-d int64 numpy array (a fresh copy)."""
-        return np.asarray(self.entries, dtype=np.int64)
 
 
 def inverse_entries(entries: Sequence[int]) -> tuple[int, ...]:

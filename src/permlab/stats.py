@@ -223,11 +223,12 @@ def _pairwise_ranks(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r[..., 0].T, dtype=np.int64)
 
 
-def _inverse_rows(order: np.ndarray, base: int = 0) -> np.ndarray:
+def _inverse_rows(order: np.ndarray, base: int = 0, out: "np.ndarray | None" = None) -> np.ndarray:
     """out[r, order[r, c] - base] = c + 1, the inverses of permutations of
-    base..n - 1 + base, scattered through a flat index in cache-sized blocks."""
+    base..n - 1 + base, scattered through a flat index in cache-sized blocks
+    into ``out`` (a fresh uninitialised int64 matrix by default)."""
     reps, n = order.shape
-    out = np.empty((reps, n), dtype=np.int64)
+    out = np.empty((reps, n), dtype=np.int64) if out is None else out
     step = max(1, _SCATTER_KEYS // max(n, 1))
     for a in range(0, reps, step):
         block = order[a:a + step]

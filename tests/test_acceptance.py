@@ -93,18 +93,18 @@ def test_criterion_02_closed_form_identities():
         rev = ident[::-1]
         cf_id = 2.0**n / math.factorial(n + 1)
         cf_rev = 2.0**n * math.factorial(n) / math.factorial(2 * n)
-        worst = max(worst, abs(exact.pmf_inverse_unfair(ident) - cf_id))
-        worst = max(worst, abs(exact.pmf_inverse_unfair(rev) - cf_rev))
+        worst = max(worst, abs(exact.pmf(ident, "inverse-unfair") - cf_id))
+        worst = max(worst, abs(exact.pmf(rev, "inverse-unfair") - cf_rev))
         assert exact.prob_identity(n) == pytest.approx(cf_id, abs=1e-15)
         assert exact.prob_reversal(n) == pytest.approx(cf_rev, abs=1e-15)
     exact_ok = True
     for n in range(1, 9):
         ident = list(range(1, n + 1))
         rev = ident[::-1]
-        exact_ok &= exact.pmf_inverse_unfair(ident, exact=True) == Fraction(
+        exact_ok &= exact.pmf(ident, "inverse-unfair", exact=True) == Fraction(
             2**n, math.factorial(n + 1)
         )
-        exact_ok &= exact.pmf_inverse_unfair(rev, exact=True) == Fraction(
+        exact_ok &= exact.pmf(rev, "inverse-unfair", exact=True) == Fraction(
             2**n * math.factorial(n), math.factorial(2 * n)
         )
     ok = worst <= 1e-12 and exact_ok
@@ -119,9 +119,9 @@ def test_criterion_03_duality():
     for n in range(1, 8):
         for p in all_permutations(n):
             q = inverse_entries(p)
-            worst = max(worst, abs(exact.pmf_inverse_unfair(p) - exact.pmf_unfair(q)))
-            exact_ok &= exact.pmf_inverse_unfair(p, exact=True) == exact.pmf_unfair(
-                q, exact=True
+            worst = max(worst, abs(exact.pmf(p, "inverse-unfair") - exact.pmf(q, "unfair")))
+            exact_ok &= exact.pmf(p, "inverse-unfair", exact=True) == exact.pmf(
+                q, "unfair", exact=True
             )
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and exact_ok and elapsed < 10.0

@@ -793,8 +793,9 @@ def _edge_grid(tmp_path):
     yield ["stats", "--stat", "incsub:50", "--perm", "10,9,8,7,6,5,4,3,2,1"]
     for cmd in ("clt", "ratio"):
         yield [cmd, "--stat", "incsub:50", "--n", "10", "--reps", "5", *seed]
-    for k in ("0", "160", "2000"):  # k-th powers past float64 are refused
+    for k in ("0", "160", "2000", str(10 ** 400)):  # k-th powers past float64 are refused
         yield ["ratio", "--stat", "inv", "--n", "5", "--reps", "5", "--k", k, *seed]
+    yield ["tv", "--n", str(2 ** 1024)]  # past the float range, the bound is still a float
     # n past the moment table cap, inside the sampling budget
     yield ["moments", "--stat", "inv", "--n", str(10 ** 8)]
     yield ["clt", "--stat", "inv", "--n", str(10 ** 8), "--reps", "2", *seed]

@@ -88,8 +88,8 @@ def test_prob_ordered_tuple_log_route_matches_exact():
 
 def test_pmf_matches_oracles_s4():
     for t in all_permutations(4):
-        assert exact.pmf_inverse_unfair(t, exact=True) == rank_pmf_oracle(t)
-        assert exact.pmf_unfair(t, exact=True) == finish_pmf_oracle(t)
+        assert exact.pmf(t, "inverse-unfair", exact=True) == rank_pmf_oracle(t)
+        assert exact.pmf(t, "unfair", exact=True) == finish_pmf_oracle(t)
 
 
 def test_pmf_duality_exact():
@@ -97,14 +97,14 @@ def test_pmf_duality_exact():
     # pmfs must agree through inversion; both code paths are exercised
     for n in range(1, 7):
         for t in all_permutations(n):
-            assert exact.pmf_unfair(t, exact=True) == exact.pmf_inverse_unfair(
-                inverse_entries(t), exact=True
+            assert exact.pmf(t, "unfair", exact=True) == exact.pmf(
+                inverse_entries(t), "inverse-unfair", exact=True
             )
 
 
 def test_pmf_float_route():
     p = Permutation((1, 2, 4, 3))
-    assert exact.pmf_inverse_unfair(p) == pytest.approx(4 / 35, rel=1e-14)
+    assert exact.pmf(p, "inverse-unfair") == pytest.approx(4 / 35, rel=1e-14)
     assert exact.pmf(p, "uniform") == pytest.approx(1 / 24)
     assert exact.pmf(p, ModelKind.UNFAIR, exact=True) == finish_pmf_oracle((1, 2, 4, 3))
     chain = models.MarkovChainSpec((1,), [[1.0]])
@@ -157,8 +157,8 @@ def test_argmax_argmin():
     for n, model in ((4, ModelKind.INVERSE_UNFAIR), (5, ModelKind.UNFAIR)):
         law = exact.enumerate_law(n, model, exact=True)
         ranked = sorted(zip(law.probs, law.outcomes))
-        assert ranked[-1][1] == Permutation.identity(n).entries
-        assert ranked[0][1] == Permutation.reversal(n).entries
+        assert ranked[-1][1] == tuple(range(1, n + 1))
+        assert ranked[0][1] == tuple(range(n, 0, -1))
         assert ranked[-2][0] < ranked[-1][0] and ranked[0][0] < ranked[1][0]
 
 
@@ -183,10 +183,9 @@ def test_enumeration_cap(monkeypatch):
 
 def test_phi_laws_match_the_named_models():
     for n in range(1, 7):
-        identity = exact.enumerate_law(n, ModelSpec.phi_draw(PhiSpec.identity()), exact=True)
-        one = exact.enumerate_law(n, ModelSpec.phi_draw(PhiSpec.one()), exact=True)
-        assert identity == exact.enumerate_law(n, ModelKind.INVERSE_UNFAIR, exact=True)
-        assert one == exact.enumerate_law(n, ModelKind.UNIFORM, exact=True)
+        for rule, model in (("identity", ModelKind.INVERSE_UNFAIR), ("one", ModelKind.UNIFORM)):
+            phi_law = exact.enumerate_law(n, ModelSpec.phi_draw(phi_from_config(rule)), exact=True)
+            assert phi_law == exact.enumerate_law(n, model, exact=True)
 
 
 def test_phi_law_matches_plackett_luce_oracle():
@@ -375,23 +374,16 @@ def test_descent_probability_marginal():
 
 def test_asymptotic_mean_descents():
     n = 10 ** 4
-    assert exact.mean_m_descents(n, 1) == pytest.approx(4997.2066, abs=5e-4)
-    assert exact.asymptotic_mean_descents(n) == pytest.approx(
-        n / 2 - math.log(n) / 4, rel=1e-15
-    )
+    table = exact.closed_form_moments(stats.parse_statistic("desc:1"), n)
+    assert table["mean"] == pytest.approx(4997.2066, abs=5e-4)
     # the exact and asymptotic means agree to o(1) corrections
-    assert abs(exact.mean_m_descents(n, 1) - exact.asymptotic_mean_descents(n)) < 0.5
+    assert abs(table["mean"] - table["mean_asymptotic"]) < 0.5
 
 
 def test_asymptotic_var_m_descents():
-    assert exact.asymptotic_var_m_descents(100, 1) == pytest.approx(
-        (600 + 4 + 3 - 1) / 72
-    )
     # m = 1 asymptotics approach n/12 like the exact variance does
-    n = 10 ** 5
-    assert exact.asymptotic_var_m_descents(n, 1) / exact.var_descents(n) == pytest.approx(
-        1.0, abs=2e-3
-    )
+    table = exact.closed_form_moments(stats.parse_statistic("desc:1"), 10 ** 5)
+    assert table["variance_asymptotic"] / table["variance"] == pytest.approx(1.0, abs=2e-3)
 
 
 def test_mean_inversions_enumeration():
@@ -414,15 +406,40 @@ def test_mean_inversions_small_values():
 
 
 def test_inversion_constants():
-    c = exact.inversion_constants()
-    assert c.mean_coeff == pytest.approx((1 - math.log(2)) / 2, rel=1e-15)
-    assert c.mean_coeff == pytest.approx(0.1534264, abs=1e-7)
-    assert c.var_coeff == pytest.approx(0.018116, abs=5e-7)
     # the exact mean approaches mean_coeff * n^2
-    n = 4000
-    assert exact.mean_inversions_exact(n) / (c.mean_coeff * n ** 2) == pytest.approx(
-        1.0, abs=2e-3
-    )
+    table = exact.closed_form_moments(stats.parse_statistic("inv"), 4000)
+    assert table["mean_coeff"] == pytest.approx(0.1534264, abs=1e-7)
+    assert table["var_coeff"] == pytest.approx(0.018116, abs=5e-7)
+    assert table["mean"] / table["mean_asymptotic"] == pytest.approx(1.0, abs=2e-3)
+
+
+# the leading forms, written out: n/2 - ln(n)/4, (6nm + 4m^3 + 3m^2 - m)/72
+# and the inversion coefficients of mean_coeff n^2 and var_coeff n^3
+LN2 = math.log(2.0)
+INV_MEAN_COEFF = (1.0 - LN2) / 2.0
+INV_VAR_COEFF = (1.0 / 3.0 - math.pi ** 2 / 18.0 + 2.0 * LN2 / 3.0 - math.log(3.0) / 2.0
+                 + 2.0 * LN2 ** 2 / 3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 2000, 20000])
+@pytest.mark.parametrize("stat", ["inv", "desc:1", "desc:2", "desc:3", "desc:8"])
+def test_moment_table_keeps_its_bits(stat, n):
+    m = n if stat == "inv" else int(stat.split(":")[1])  # inv: every pair in the window
+    var_m = (6 * n * m + 4 * m ** 3 + 3 * m ** 2 - m) / 72
+    if stat == "inv" or m >= max(2, n - 1):  # every pair counts: the inversion moments
+        want = {"mean": exact.mean_inversions_exact(n), "mean_asymptotic": INV_MEAN_COEFF * n ** 2,
+                "variance": INV_VAR_COEFF * n ** 3, "variance_mode": "asymptotic",
+                "variance_asymptotic": INV_VAR_COEFF * n ** 3,
+                "mean_coeff": INV_MEAN_COEFF, "var_coeff": INV_VAR_COEFF}
+    elif m == 1:
+        want = {"mean": exact.mean_m_descents(n, 1), "mean_asymptotic": n / 2 - math.log(n) / 4,
+                "variance": exact.var_descents(n), "variance_mode": "exact",
+                "variance_asymptotic": var_m}
+    else:
+        want = {"mean": exact.mean_m_descents(n, m), "variance": var_m,
+                "variance_mode": "asymptotic"}
+    got = exact.closed_form_moments(stats.parse_statistic(stat), n)
+    assert list(got.items()) == list(want.items())  # keys in order, values to the bit
 
 
 def test_moment_ratio_descents():

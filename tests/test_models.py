@@ -35,8 +35,8 @@ def test_model_spec_requirements():
 
 
 def test_phi_spec():
-    assert PhiSpec.one()(17) == 1
-    assert PhiSpec.identity()(17) == 17
+    assert models.phi_from_config("one")(17) == 1
+    assert models.phi_from_config("identity")(17) == 17
     phi = PhiSpec.from_table({1: 5, 3: 2}, default="identity")
     assert (phi(1), phi(2), phi(3)) == (5, 2, 2)
     phi = PhiSpec.from_table({2: 9}, default=4)
@@ -471,12 +471,20 @@ def test_invert_rows():
     for bad in ([[1, 4, 2], [3, 1, 2]], [[2, 3, 1], [0, 1, 2]]):
         with pytest.raises(ValueError, match="permutations of 1..3"):
             models.invert_rows(np.array(bad))
+    # a repeated entry leaves a slot of its row unwritten
+    for n in (3, 17, 100):
+        good = np.arange(1, n + 1)
+        for i, j in ((0, 1), (n - 1, 0), (n // 2, n - 1)):
+            bad = good.copy()
+            bad[i] = good[j]
+            with pytest.raises(ValueError, match=f"permutations of 1..{n}"):
+                models.invert_rows(np.stack([good[::-1], bad]))
 
 
 def test_phi_one_is_uniform_law():
     # best-of-1 scores are iid uniforms, so the rank sequence is uniform;
     # compare empirical frequencies on S_3 against 1/6
-    spec = ModelSpec.phi_draw(PhiSpec.one())
+    spec = ModelSpec.phi_draw(models.phi_from_config("one"))
     mat = models.sample_permutation_matrix(spec, 3, 60_000, seed=77)
     _, counts = np.unique(mat, axis=0, return_counts=True)
     freqs = counts / mat.shape[0]
@@ -487,7 +495,7 @@ def test_phi_one_is_uniform_law():
 def test_phi_identity_matches_inverse_unfair_law():
     # phi = identity must reproduce the rank-sequence law exactly (same
     # draw counts); with equal seeds the matrices agree bit for bit
-    spec = ModelSpec.phi_draw(PhiSpec.identity())
+    spec = ModelSpec.phi_draw(models.phi_from_config("identity"))
     a = models.sample_permutation_matrix(spec, 10, 50, seed=8)
     b = models.sample_permutation_matrix(ModelSpec.inverse_unfair(), 10, 50, seed=8)
     assert np.array_equal(a, b)

@@ -90,21 +90,20 @@ def test_centering_modes():
     n = 50
     exact_c, scale = montecarlo._center_and_scale(kind, n, montecarlo.Centering.EXACT_MEAN)
     assert exact_c == pytest.approx(exact.mean_inversions_exact(n))
-    assert scale == pytest.approx(
-        math.sqrt(exact.inversion_constants().var_coeff * n ** 3)
-    )
+    table = exact.closed_form_moments(kind, n)
+    assert scale == pytest.approx(math.sqrt(table["var_coeff"] * n ** 3))
     asym_c, scale2 = montecarlo._center_and_scale(kind, n, montecarlo.Centering.ASYMPTOTIC)
-    assert asym_c == pytest.approx(exact.inversion_constants().mean_coeff * n ** 2)
+    assert asym_c == pytest.approx(table["mean_coeff"] * n ** 2)
     assert scale2 == scale
     kd = parse_statistic("desc:1")
     c1, s1 = montecarlo._center_and_scale(kd, n, montecarlo.Centering.EXACT_MEAN)
     assert c1 == pytest.approx(exact.mean_m_descents(n, 1))
     assert s1 == pytest.approx(math.sqrt(exact.var_descents(n)))
     c2, _ = montecarlo._center_and_scale(kd, n, montecarlo.Centering.ASYMPTOTIC)
-    assert c2 == pytest.approx(exact.asymptotic_mean_descents(n))
+    assert c2 == pytest.approx(n / 2 - math.log(n) / 4)
     k3 = parse_statistic("desc:3")
     _, s3 = montecarlo._center_and_scale(k3, n, montecarlo.Centering.EXACT_MEAN)
-    assert s3 == pytest.approx(math.sqrt(exact.asymptotic_var_m_descents(n, 3)))
+    assert s3 == pytest.approx(math.sqrt((6 * n * 3 + 4 * 3 ** 3 + 3 * 3 ** 2 - 3) / 72))
     with pytest.raises(montecarlo.UnknownClosedForm):
         montecarlo._center_and_scale(k3, n, montecarlo.Centering.ASYMPTOTIC)
     with pytest.raises(montecarlo.UnknownClosedForm):
@@ -209,10 +208,10 @@ def test_moment_ratio_second_moment():
 
 
 def test_phi_model_through_standardized_sample():
-    from permlab.models import PhiSpec
+    from permlab.models import phi_from_config
 
     kind = parse_statistic("inv")
-    spec = ModelSpec.phi_draw(PhiSpec.identity())
+    spec = ModelSpec.phi_draw(phi_from_config("identity"))
     s = montecarlo.standardized_sample(kind, spec, 80, 1500, seed=31)
     t = montecarlo.standardized_sample(
         kind, ModelSpec.inverse_unfair(), 80, 1500, seed=31
@@ -221,7 +220,7 @@ def test_phi_model_through_standardized_sample():
 
 
 def test_standardized_sample_takes_only_models_its_closed_forms_describe():
-    from permlab.models import MarkovChainSpec, PhiSpec
+    from permlab.models import MarkovChainSpec, PhiSpec, phi_from_config
 
     # a phi table with phi(i) = i on 1..30 only is inverse-unfair at n = 30
     n, inv, desc1 = 30, parse_statistic("inv"), parse_statistic("desc:1")
@@ -229,7 +228,7 @@ def test_standardized_sample_takes_only_models_its_closed_forms_describe():
     chain = MarkovChainSpec((1,), np.ones((1, 1)))
     taken = [(inv, ModelSpec.unfair()), (parse_statistic("desc:29"), ModelSpec.unfair()),
              (desc1, counts_i), (desc1, ModelSpec.inverse_unfair())]
-    refused = [(inv, ModelSpec.uniform()), (inv, ModelSpec.phi_draw(PhiSpec.one())),
+    refused = [(inv, ModelSpec.uniform()), (inv, ModelSpec.phi_draw(phi_from_config("one"))),
                (inv, ModelSpec.markov_draw(chain)), (desc1, ModelSpec.unfair()),
                (parse_statistic("desc:28"), ModelSpec.unfair())]
     for kind, spec in taken:

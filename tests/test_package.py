@@ -29,7 +29,7 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from permlab import *", namespace)
     assert namespace["verify_size_bias_identity"] is sizebias.verify_size_bias_identity
-    assert namespace["InversionConstants"] is exact.InversionConstants
+    assert namespace["ExactDistribution"] is exact.ExactDistribution
     assert set(namespace) - {"__builtins__"} == set(permlab.__all__)
 
 
@@ -38,7 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _code_names() -> set[str]:
     """Every ``Name`` and ``Attribute`` the package, demos and benchmark read,
-    and every function the benchmark traces by its path in ``SPANS``."""
+    each ``Attribute`` also as ``owner.attr`` (``pl.ModelSpec.unfair`` gives
+    ``ModelSpec.unfair``), and every function the benchmark traces by its path
+    in ``SPANS``."""
     seen = set()
     for folder in ("src/permlab", "demos", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -46,7 +48,8 @@ def _code_names() -> set[str]:
                 if isinstance(node, ast.Name):
                     seen.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
+                    owner = getattr(node.value, "attr", getattr(node.value, "id", ""))
+                    seen.update((node.attr, f"{owner}.{node.attr}"))
                 elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "SPANS":
                     for _, paths in ast.literal_eval(node.value).values():
                         seen.update(p.split(".")[-1] for p in paths)
@@ -54,9 +57,11 @@ def _code_names() -> set[str]:
 
 
 def _readme_names() -> set[str]:
-    """``pl.<name>`` calls and the identifiers of backticked spans in README."""
+    """``pl.<name>`` calls, every dotted ``owner.attr`` pair and the
+    identifiers of backticked spans in README."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     seen = set(re.findall(r"\bpl\.(\w+)", text))
+    seen.update(map(".".join, re.findall(r"(?=\b([A-Za-z_]\w*)\.([A-Za-z_]\w*))", text)))
     prose = re.sub(r"```.*?```", "", text, flags=re.S)
     for span in re.findall(r"`([^`\n]+)`", prose):
         seen.update(re.findall(r"[A-Za-z_]\w*", span))
@@ -67,3 +72,13 @@ def test_every_public_name_has_a_user_outside_tests():
     # a name only tests call restates another or serves nothing
     unused = set(permlab.__all__) - _code_names() - _readme_names()
     assert sorted(unused) == []
+
+
+def test_every_public_constructor_has_a_user_outside_tests():
+    # an alternative constructor only tests call restates the class's own
+    used = _code_names() | _readme_names()
+    constructors = {f"{name}.{attr}" for module in MODULES for name in module.__all__
+                    if isinstance(getattr(module, name), type)
+                    for attr, value in vars(getattr(module, name)).items()
+                    if isinstance(value, classmethod) and not attr.startswith("_")}
+    assert sorted(constructors - used) == []

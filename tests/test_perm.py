@@ -53,12 +53,6 @@ def test_call_iter_len():
         p(4)
 
 
-def test_identity_reversal():
-    assert Permutation.identity(4).entries == (1, 2, 3, 4)
-    assert Permutation.reversal(4).entries == (4, 3, 2, 1)
-    assert Permutation.identity(1) == Permutation.reversal(1)
-
-
 def test_inverse():
     p = Permutation((4, 3, 1, 2))
     q = p.inverse()
@@ -87,14 +81,6 @@ def test_hashable_frozen():
     assert p in {p}
     with pytest.raises(Exception):
         p.entries = (1, 2)
-
-
-def test_array_is_copy():
-    p = Permutation((2, 1, 3))
-    a = p.array()
-    assert a.dtype == np.int64
-    a[0] = 99
-    assert p.entries == (2, 1, 3)
 
 
 def test_as_entries():
