@@ -393,8 +393,8 @@ def closed_form_moments(kind: _stats.StatisticKind, n: int) -> dict:
                 "variance": var_descents(n), "variance_mode": "exact",
                 "variance_asymptotic": variance_asymptotic}
     if kind.tag == "inv":
-        variance = _INV_VAR_COEFF * n ** 3
-        return {"mean": mean_inversions_exact(n), "mean_asymptotic": _INV_MEAN_COEFF * n ** 2,
+        mean, variance = mean_inversions_exact(n), _INV_VAR_COEFF * n ** 3  # the mean caps n first
+        return {"mean": mean, "mean_asymptotic": _INV_MEAN_COEFF * n ** 2,
                 "variance": variance, "variance_mode": "asymptotic",
                 "variance_asymptotic": variance,
                 "mean_coeff": _INV_MEAN_COEFF, "var_coeff": _INV_VAR_COEFF}

@@ -6,39 +6,39 @@ Given (seed, stream[, substream]) the byte stream is fixed, so every run is
 bit-reproducible on any platform: replica r of a Monte Carlo run always draws
 from stream r, however its rows are split into blocks, chunks and threads.
 
-Many streams are drawn together.  Building one ``Generator`` costs
-20-27 us, which dominates when each replica needs only a few draws.
+Many streams are drawn together.  Building one ``Generator`` costs about
+11 us, which dominates when each replica needs only a few draws.
 ``make_generator`` given an array of stream indices returns a
 ``StreamBlock`` instead, which runs SeedSequence's hashing and PCG64's
 seeding as uint32/uint64 array arithmetic, one array element per stream
-(about 0.2 ms for 4096 streams).  Row r of ``make_generator(seed, streams,
+(about 0.17 ms for 4096 streams).  Row r of ``make_generator(seed, streams,
 substream).random(k)`` holds exactly the bits of ``make_generator(seed,
 streams[r], substream).random(k)``; only the cost differs.
 
 ``random(k)`` picks one of two ways to draw.  A narrow draw is stepped: PCG64
 step and XSL-RR output on all streams together, one step per column (PCG64 is
-a plain 128-bit LCG; O'Neill 2014), about 15 us plus 20 ns per stream for
-each column (85-100 us at 4096 streams).  A wide one is drawn row by row
+a plain 128-bit LCG; O'Neill 2014), about 14 us plus 11 ns per stream for
+each column (60 us at 4096 streams).  A wide one is drawn row by row
 through numpy's own PCG64 (``random_rows``), each stream's state written
 into the generator and read back through a view of its state words, about
 1.9 us per row plus 2.5 ns per element.  Median ratios of stepped to
-row-by-row time (nine alternating timings, quartiles in brackets; 2-core
-x86_64, numpy 2.4):
+row-by-row time, both filling a given ``out`` (nine alternating timings,
+quartiles in brackets; 2-core x86_64, numpy 2.4):
 
     rows   k: ratio
-    30     3: 0.78 (0.75-0.80)    4: 1.08 (1.04-1.09)    5: 1.28 (1.26-1.31)
-    300   20: 0.81 (0.81-0.84)   25: 1.03 (1.01-1.04)   30: 1.22 (1.22-1.23)
-    1000  50: 0.85 (0.83-0.86)   60: 1.02 (1.02-1.02)   70: 1.17 (1.16-1.17)
-    1500  70: 1.09 (0.94-1.15)   80: 1.13 (1.05-1.14)  100: 1.26 (1.21-1.46)
-    4096 100: 0.89 (0.82-0.93)  120: 1.03 (0.95-1.06)  140: 1.32 (1.25-1.34)
+    30     4: 0.80 (0.80-0.82)    5: 0.96 (0.93-1.00)    6: 1.18 (1.16-1.22)
+    300   25: 0.74 (0.69-0.76)   30: 0.95 (0.90-0.98)   35: 1.06 (0.99-1.12)
+    1000  70: 0.86 (0.84-0.90)   80: 1.01 (0.98-1.04)   90: 1.10 (1.06-1.13)
+    1500  80: 0.79 (0.77-0.81)  100: 0.96 (0.93-0.98)  110: 1.08 (1.06-1.13)
+    4096 120: 0.79 (0.79-0.80)  140: 0.89 (0.81-0.92)  160: 1.04 (1.02-1.08)
 
 The crossover follows the two costs: a column's fixed cost is that of about
 _STEPPED_ROWS_PER_COLUMN rows, and past _STEPPED_MAX_WIDTH columns the
 row-by-row draw wins at any number of rows.  So a draw is stepped when
 k * (_STEPPED_ROWS_PER_COLUMN + rows / _STEPPED_MAX_WIDTH) <= rows, which
-makes the widest stepped draw 2, 25, 62, 79 and 120 columns for the rows
-above.  Temporaries are a few dozen arrays of len(streams), so callers bound
-the number of streams in one block.
+makes the widest stepped draw 4, 34, 79, 97 and 137 columns for the rows
+above.  Temporaries are a few dozen arrays of len(streams) and one of the
+draw's size, so callers bound the number of streams in one block.
 """
 from __future__ import annotations
 
@@ -50,8 +50,8 @@ import numpy as np
 
 __all__ = ["StreamBlock", "make_generator", "fresh_seed"]
 
-_STEPPED_ROWS_PER_COLUMN = 10
-_STEPPED_MAX_WIDTH = 170
+_STEPPED_ROWS_PER_COLUMN = 7
+_STEPPED_MAX_WIDTH = 180
 
 
 def make_generator(
@@ -73,12 +73,12 @@ def make_generator(
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _M32 = np.uint64(0xFFFFFFFF)
 _M64 = 0xFFFFFFFFFFFFFFFF
-_U16, _U32 = np.uint32(16), np.uint64(32)
+_U32 = np.uint64(32)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO0 = np.uint64(_PCG_MULT & 0xFFFFFFFF)
@@ -90,62 +90,62 @@ def _words(x: int) -> list[int]:
     x = int(x)
     if x < 0:
         raise ValueError(f"seed and stream keys must be non-negative, got {x}")
-    out = [x & 0xFFFFFFFF]
-    while x > 0xFFFFFFFF:
-        x >>= 32
-        out.append(x & 0xFFFFFFFF)
-    return out
+    return [x >> b & 0xFFFFFFFF for b in range(0, max(x.bit_length(), 1), 32)]
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[np.uint32]:
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> tuple[int, ...]:
     """SeedSequence's running hash constant: init, init*mult, ... (count+1)."""
-    out = [np.uint32(init)]
-    for _ in range(count):
-        init = (init * mult) & 0xFFFFFFFF
-        out.append(np.uint32(init))
-    return out
+    return tuple(init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(count + 1))
 
 
-def _seed_pool(seed: int, key_cols: list) -> list:
-    """SeedSequence's entropy pool, one uint32 array (or scalar) per word.
-
-    ``key_cols`` are the spawn-key words; each may be an array over rows.
-    """
+def _seed_pool(seed: int, key_cols: list) -> np.ndarray:
+    """SeedSequence's entropy pool, a (4, rows) uint32 array.  ``key_cols``
+    are the spawn-key words, each a uint32 array over rows or an int.  The
+    seed's words are hashed in Python ints; then each key word mixes into all
+    four pool words at once."""
     run = _words(seed)
-    entropy = [np.uint32(w) for w in run + [0] * (_POOL_SIZE - len(run))] + key_cols
-    tail = len(entropy) - _POOL_SIZE
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * tail)
+    run += [0] * (_POOL_SIZE - len(run))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + len(key_cols)))
+    column = np.array(consts, np.uint32)[:, None]
     pairs = zip(consts, consts[1:])
 
     def hashmix(v):
         xor, mul = next(pairs)
-        v = (v ^ xor) * mul
-        return v ^ (v >> _U16)
+        v = (v ^ xor) * mul & 0xFFFFFFFF
+        return v ^ (v >> 16)
 
     def mix(x, y):
-        r = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return r ^ (r >> _U16)
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & 0xFFFFFFFF
+        return r ^ (r >> 16)
 
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
+    pool = [hashmix(w) for w in run[:_POOL_SIZE]]
+    for src, w in enumerate(run):  # the pool's own words, then the seed's rest
         for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src] if src < _POOL_SIZE else w))
+    pool = np.array(pool, np.uint32)[:, None]
+    at = _POOL_SIZE * len(run)
+    for w in key_cols:  # the same steps on uint32 arrays, which wrap
+        v = (w ^ column[at:at + _POOL_SIZE]) * column[at + 1:at + _POOL_SIZE + 1]
+        r = _MIX_MULT_L * pool - _MIX_MULT_R * (v ^ (v >> 16))
+        pool = r ^ (r >> 16)
+        at += _POOL_SIZE
     return pool
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state * MULT + inc on 128-bit states held as uint64 (hi, lo) arrays."""
+    """state * MULT + inc on 128-bit states held as uint64 (hi, lo) arrays:
+    the low word is the wrapping product lo * MULT_LO, and only the high word
+    of that product is built from 32-bit halves."""
     a0, a1 = lo & _M32, lo >> _U32
-    p00, p01 = a0 * _MULT_LO0, a0 * _MULT_LO1
-    p10, p11 = a1 * _MULT_LO0, a1 * _MULT_LO1
-    mid = (p00 >> _U32) + (p01 & _M32) + (p10 & _M32)
-    new_hi = p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    new_hi += hi * _MULT_LO + lo * _MULT_HI + inc_hi
-    new_lo = (p00 & _M32) | (mid << _U32)
+    u = a1 * _MULT_LO0 + (a0 * _MULT_LO0 >> _U32)
+    v = a0 * _MULT_LO1 + (u & _M32)
+    new_hi = a1 * _MULT_LO1 + (u >> _U32) + (v >> _U32)
+    new_hi += hi * _MULT_LO
+    new_hi += lo * _MULT_HI
+    new_hi += inc_hi
+    new_lo = lo * _MULT_LO
     new_lo += inc_lo
     new_hi += new_lo < inc_lo
     return new_hi, new_lo
@@ -158,23 +158,19 @@ def _seeded_state(seed: int, streams: np.ndarray, substream: int | None) -> tupl
     if streams.size and streams.max() > _M32:  # a two-word spawn key
         key.append((streams >> _U32).astype(np.uint32))
     if substream is not None:
-        key += [np.uint32(w) for w in _words(substream)]
+        key += _words(substream)
     pool = _seed_pool(seed, key)
-    # generate_state(4, uint64): eight uint32 words cycling over the pool
-    h = _hash_consts(_INIT_B, _MULT_B, 8)
-    w32 = []
-    for i in range(8):
-        v = (pool[i % _POOL_SIZE] ^ h[i]) * h[i + 1]
-        w32.append(np.broadcast_to(v ^ (v >> _U16), streams.shape).astype(np.uint64))
-    s_hi, s_lo, i_hi, i_lo = (w32[2 * j] | (w32[2 * j + 1] << _U32) for j in range(4))
+    # generate_state(4, uint64): eight uint32 words cycling twice over the pool
+    h = np.array(_hash_consts(_INIT_B, _MULT_B, 8), np.uint32)[:, None]
+    v = (pool ^ h[:8].reshape(2, 4, 1)) * h[1:].reshape(2, 4, 1)
+    w = (v ^ (v >> 16)).reshape(8, -1).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = w[::2] | (w[1::2] << _U32)
     # pcg_setseq_128_srandom_r: inc = (initseq << 1) | 1, then two steps
     inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
     inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
-    hi, lo = inc_hi.copy(), inc_lo.copy()  # one step from state 0
-    lo += s_lo
-    hi += s_hi + (lo < s_lo)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
+    lo = inc_lo + s_lo  # one step from state 0
+    hi = inc_hi + s_hi + (lo < s_lo)
+    return (*_pcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 class StreamBlock:
@@ -198,15 +194,14 @@ class StreamBlock:
             raise ValueError("stream indices must be non-negative integers below 2**64")
         streams = raw.astype(np.uint64)
         wide = streams > _M32
-        with np.errstate(over="ignore"):
-            if wide.any() and not wide.all():
-                self._state = tuple(np.empty(streams.size, np.uint64) for _ in range(4))
-                for rows in (wide, ~wide):
-                    part = _seeded_state(seed, streams[rows], substream)
-                    for dst, src in zip(self._state, part):
-                        dst[rows] = src
-            else:
-                self._state = _seeded_state(seed, streams, substream)
+        if wide.any() and not wide.all():
+            self._state = tuple(np.empty(streams.size, np.uint64) for _ in range(4))
+            for rows in (wide, ~wide):
+                part = _seeded_state(seed, streams[rows], substream)
+                for dst, src in zip(self._state, part):
+                    dst[rows] = src
+        else:
+            self._state = _seeded_state(seed, streams, substream)
 
     def __len__(self) -> int:
         return self._state[0].size
@@ -221,16 +216,19 @@ class StreamBlock:
         return self.random_rows(k, out)
 
     def _stepped(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The draws of ``random(k)``, one step of every stream per column."""
+        """The draws of ``random(k)``, one step of every stream per column.
+        Column j's output words fill row j of one buffer, turned into floats
+        in one pass at the end."""
         out = self._out(k, out)
         hi, lo, inc_hi, inc_lo = self._state
-        with np.errstate(over="ignore"):
-            for j in range(out.shape[1]):
-                hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-                x = hi ^ lo  # XSL-RR output
-                rot = hi >> np.uint64(58)
-                x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-                out[:, j] = (x >> np.uint64(11)) * 2.0 ** -53
+        words = np.empty((out.shape[1], len(self)), np.uint64)
+        for x in words:
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            rot = hi >> np.uint64(58)
+            np.bitwise_xor(hi, lo, out=x)  # XSL-RR output; numpy's x << 64 is 0
+            np.bitwise_or(x >> rot, x << (np.uint64(64) - rot), out=x)
+        words >>= np.uint64(11)
+        np.multiply(words.T, 2.0 ** -53, out=out)
         self._state = hi, lo, inc_hi, inc_lo
         return out
 

@@ -172,6 +172,7 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
     n = z.shape[1]
     col = np.arange(n, dtype=np.min_scalar_type(n))  # the mask compares 3x faster than int64
     rows = np.arange(len(z))
+    ones = np.ones(n, np.float32 if n < 2 ** 24 else np.float64)  # mask @ ones counts exactly
     change = (new[:, 0] > new[:, 1]).astype(np.int64) - (old[:, 0] > old[:, 1])
     for k, (pos, other) in enumerate(((a, b), (b, a))):
         o, v = old[:, k, None], new[:, k, None]
@@ -181,7 +182,7 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
         lose = (z > lo) & (z <= hi) & ~after
         gain[rows, other] = lose[rows, other] = lose[rows, pos] = False
         sign = (v > o).astype(np.int64) - (v < o)
-        change += sign[:, 0] * (np.count_nonzero(gain, axis=1) - np.count_nonzero(lose, axis=1))
+        change += sign[:, 0] * (gain @ ones - lose @ ones).astype(np.int64)
     return change
 
 

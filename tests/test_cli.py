@@ -798,6 +798,7 @@ def _edge_grid(tmp_path):
     yield ["tv", "--n", str(2 ** 1024)]  # past the float range, the bound is still a float
     # n past the moment table cap, inside the sampling budget
     yield ["moments", "--stat", "inv", "--n", str(10 ** 8)]
+    yield ["moments", "--stat", "inv", "--n", str(10 ** 400)]  # past float64, refused as one line
     yield ["clt", "--stat", "inv", "--n", str(10 ** 8), "--reps", "2", *seed]
     yield ["sizebias", "--check", "identity", "--n", str(10 ** 8), "--reps", "2", *seed]
     yield ["sizebias", "--check", "bound", "--n", str(10 ** 8), "--outer", "2", "--inner", "1",

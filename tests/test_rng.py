@@ -56,6 +56,24 @@ def test_stream_block_matches_make_generator():
         assert np.array_equal(make_generator(5, listed).random(4), want)
 
 
+def test_stream_block_matches_make_generator_on_long_keys():
+    # seeds of three, five (one word past the pool) and seven words, and
+    # substreams of two and four words, on one- and two-word streams
+    streams = np.array([0, 7, 2**32 - 1, 2**32, 2**64 - 1] * 3, dtype=np.uint64)
+    for seed in (2**64 + 1, 2**128 + 3, 2**200 + 11):
+        for substream in (None, 2**40, 2**100):
+            block = make_generator(seed, streams, substream)
+            got = np.hstack([block.random(4), block.random_rows(2), block.random(1)])
+            want = np.array(
+                [make_generator(seed, int(s), substream).random(7) for s in streams]
+            )
+            assert np.array_equal(got, want)
+    for substream in (None, 2**100):
+        empty = make_generator(2**128 + 3, np.array([], dtype=np.uint64), substream)
+        assert len(empty) == 0
+        assert empty.random(3).shape == (0, 3) and empty.random_rows(2).shape == (0, 2)
+
+
 def test_random_rows_continue_every_stream():
     # row-by-row draws hold random()'s bits and continue the streams, mixed
     # with stepped draws, under a substream too, across 2^32 and up to the
@@ -85,8 +103,8 @@ def test_random_steps_narrow_draws_and_rows_wide_ones(monkeypatch):
         monkeypatch.setattr(StreamBlock, path,
                             lambda *a, real=real, path=path: ran.append(path) or real(*a))
     cases = (
-        (63, 6, "_stepped"), (62, 6, "random_rows"),  # the edge of the rule
-        (4096, 120, "_stepped"), (4096, 121, "random_rows"),
+        (44, 6, "_stepped"), (43, 6, "random_rows"),  # the edge of the rule
+        (4096, 137, "_stepped"), (4096, 138, "random_rows"),
         # stein outer draws, couple_batch and clt rows
         (1500, 100, "random_rows"), (300, 1000, "random_rows"), (400, 2000, "random_rows"),
         # sample blocks, identity rows, 4-wide completions and n = 4 blocks
