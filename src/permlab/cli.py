@@ -242,8 +242,8 @@ def _add_seed_threads(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="root seed; generated and reported when omitted")
     sp.add_argument("--threads", type=int, default=1,
-                    help="checked (>= 1) but selects nothing: inversion counts run on "
-                         "up to one thread per CPU, with identical results on any host")
+                    help="checked (>= 1) but selects nothing: large inversion counts use up "
+                         "to one thread per CPU, with identical results on any host")
 
 
 def _add_model(sp, default: str = "inverse-unfair") -> None:

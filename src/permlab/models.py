@@ -341,8 +341,8 @@ def sample_score_matrix(
 ) -> np.ndarray:
     """(reps, n) log-score matrix; row r comes from stream first_stream + r.
 
-    Rows are drawn on the calling thread (inversion counts run on up to one
-    thread per CPU, wherever called); ``workers`` is checked to be at least
+    Rows are drawn on the calling thread (large inversion counts use up to
+    one thread per CPU, ``stats``); ``workers`` is checked to be at least
     1 but selects nothing, so the result is the same for any value.
     """
     if n < 1 or reps < 1:

@@ -4,8 +4,8 @@ Replica r of every run draws from stream r of the root seed (disjoint blocks
 when a run needs two models), and reductions are numpy pairwise sums over the
 replica-indexed value array.  Replicas are sampled on the calling thread in
 row chunks of at most ``_CHUNK_ELEMENTS`` scores, so a run holds one chunk of
-scores plus one value per replica.  Inversion counts run on up to one
-thread per CPU, wherever called; ``workers`` is checked but selects nothing.
+scores plus one value per replica.  Large inversion counts use up to one
+thread per CPU (``stats``); ``workers`` is checked but selects nothing.
 Empirical normality is measured against the standard normal with a
 Kolmogorov-Smirnov distance and an order-statistic Wasserstein-1 distance;
 both carry an MC noise floor of order reps^(-1/2) that the acceptance tests

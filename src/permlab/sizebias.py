@@ -20,7 +20,7 @@ Streams: outer replica r reads stream r, as in every models batch
 c of that replica reads 4 uniforms from (stream r, substream 1 + c), all
 rows of the completion in the stream blocks of ``models``: 2 for the index
 pair, then 2 for the conditional pair, used or not.  Everything runs on the
-calling thread but the inversion counts (up to one thread per CPU, ``stats``).
+calling thread but large inversion counts (up to one thread per CPU, ``stats``).
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Golden hashes: the integer outputs of the samplers, of two statistics on
+"""Golden hashes: the integer outputs of the samplers, of statistics on
 their rows and of the size-bias coupling, pinned to sha256 hashes.
 
 A kernel rewrite that is meant to give the same bits must leave every hash
@@ -56,6 +56,15 @@ ROWS = {
     ("markov", 2000, 17): "87fda04b3315e472fd0b032e39820f05b84fb10221359d8c89977ec8d6ed074b",
     ("markov", 20000, 100): "e26d2cce54c1a1bbca44d18d30f0c92d39d02c8e050c03c8c0e27334f51ea724",
 }
+# sha256 of inv and desc:3 on inverse-unfair score rows, then on their
+# permutation rows, each on every row and on the first row alone: the widths
+# of the pairwise inversion count, and one row each beside it
+SHORT = {
+    (4000, 17): "ebd7543d2c429fa85a3aa244fb6dfaf8245989a909fa1dc043a249fa0f100e79",
+    (4000, 30): "7906947b4292cfaef12d28cc3787064c564507c49b0fb2a72e6c4c3ba5891714",
+    (1500, 64): "10b555585e5bd6404f415272ad1d4b7605aa55129243e441906ee171f6d722d4",
+    (1500, 100): "05179687498cf0e015575efd4b21b9896785893ff5d1ed71fa816fe80ad808b6",
+}
 # sha256 of couple_batch(1000, 300)'s w, w_s, i and j
 COUPLING = "787ad0d537c3423ca62f08678de7ca7c997f4cb56b7f32e33f9c87c8d5131d75"
 
@@ -76,6 +85,16 @@ def test_sampled_rows_and_their_statistics_keep_their_bits(kind):
         inv = evaluate_batch(parse_statistic("inv"), rows)
         locmax = evaluate_batch(parse_statistic("locmax"), rows)
         assert _sha256(rows, inv, locmax) == want, (kind, reps, n)
+
+
+@pytest.mark.parametrize("reps, n", list(SHORT))
+def test_short_row_counts_keep_their_bits(reps, n):
+    spec = pl.ModelSpec.inverse_unfair()
+    scores = pl.sample_score_matrix(spec, n, reps, SEED)
+    perms = pl.sample_permutation_matrix(spec, n, reps, SEED)
+    counts = [evaluate_batch(parse_statistic(sel), rows)
+              for rows in (scores, perms, scores[:1], perms[:1]) for sel in ("inv", "desc:3")]
+    assert _sha256(*counts) == SHORT[reps, n]
 
 
 def test_coupled_draws_keep_their_bits():

@@ -359,9 +359,10 @@ def test_inverse_scatter_blocks(monkeypatch):
 
 
 def test_inversions_batch_chunking(monkeypatch):
-    # 37 columns pad to 64 keys, so chunks of 7 * 64 keys hold 7 rows
+    # 101 columns, past the pairwise count, pad to 128 keys, so chunks of
+    # 7 * 128 keys hold 7 rows
     rng = np.random.default_rng(3)
-    x = rng.random((64, 37))
+    x = rng.random((64, 101))
     full = stats.inversions_batch(x)
     chunk_rows = []
     merge = stats._inversions_chunk
@@ -371,7 +372,7 @@ def test_inversions_batch_chunking(monkeypatch):
         return merge(y)
 
     monkeypatch.setattr(stats, "_inversions_chunk", counted)
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 7)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # one thread, full chunks
     chunked = stats.inversions_batch(x)
     assert np.array_equal(full, chunked)
@@ -447,8 +448,8 @@ def _near_key_rows(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def test_order_and_inversions_past_the_truncated_key(monkeypatch, n):
     # nextafter neighbours, -0.0 against +0.0, int64 past 2^53, rank rows and
     # NaN rows: ranks are the stable argsort's and counts the oracle's, on
-    # 1 to 3 CPUs, one-row merge chunks and order blocks of three rows; a
-    # NaN row counts the inversions of its stable order, NaN last
+    # 1 to 3 CPUs, one-row chunks and order blocks of three rows; a NaN row
+    # counts the inversions of its stable order, NaN last, at every n
     monkeypatch.setattr(stats, "_MERGE_KEYS", 1)
     monkeypatch.setattr(stats, "_ORDER_KEYS", 3 * n)
     x, nan, ints = _near_key_rows(n, np.random.default_rng(n))
@@ -460,8 +461,7 @@ def test_order_and_inversions_past_the_truncated_key(monkeypatch, n):
         for cpus in (1, 2, 3):
             _pool_spy(monkeypatch, cpus)
             assert np.array_equal(stats.ranks_matrix(rows), want_ranks)
-            if rows is not nan or n > 16:  # rows of at most 16 compare as given
-                assert stats.inversions_batch(rows).tolist() == want
+            assert stats.inversions_batch(rows).tolist() == want
     assert ranks[9].tolist() == list(range(1, n + 1))  # all -0.0: column order
 
 
@@ -492,11 +492,12 @@ def _pool_spy(monkeypatch, cpus):
 
 
 def test_inversions_batch_equal_for_any_thread_count(monkeypatch):
-    # chunks of 2 to 7 rows at n = 37 (64 keys): score rows, rank rows and
-    # tied rows (exact ties, two -inf) count the same on 1, 2 and 3 threads
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
+    # chunks of 2 to 7 rows at n = 101 (128 keys), past the pairwise count:
+    # score rows, rank rows and tied rows (exact ties, two -inf) count the
+    # same on 1, 2 and 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 7)
     rng = np.random.default_rng(11)
-    x = rng.random((50, 37))
+    x = rng.random((50, 101))
     x[10:20] = np.floor(x[10:20] * 5)
     x[30, [2, 9]] = -np.inf
     ranks = stats.ranks_matrix(x)
@@ -546,13 +547,14 @@ def test_inversions_chunks_bound_keys_in_flight(monkeypatch):
 
 def test_inversions_batch_under_stress(monkeypatch):
     # more threads than cores, one-row chunks and a short switch interval:
-    # every chunk still lands in its own rows, within a time bound
+    # every chunk still lands in its own rows, within a time bound; 101
+    # columns take the merge count
     import sys
     import threading
 
-    x = np.random.default_rng(9).random((300, 60))
+    x = np.random.default_rng(9).random((300, 101))
     want = [inv_oracle(row.tolist()) for row in x]
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 64)
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 128)
     pools = _pool_spy(monkeypatch, 16)
     got = {}
     interval = sys.getswitchinterval()
@@ -567,16 +569,17 @@ def test_inversions_batch_under_stress(monkeypatch):
 
 
 def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
-    # the size-bias checks count their inversions through the same kernel
+    # the size-bias checks count their inversions through the same kernel,
+    # by the merge count at n = 101
     from permlab import sizebias
 
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 32 * 30)  # 10-row chunks on 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 30)  # 10-row chunks on 3 threads
     got = {}
     for cpus in (1, 3):
         pools = _pool_spy(monkeypatch, cpus)
-        draws = sizebias.couple_batch(30, 90, 5)
-        bound = sizebias.stein_bound(30, 200, 16, 6)
-        ident = sizebias.verify_size_bias_identity(30, "square", 50, 7)
+        draws = sizebias.couple_batch(101, 90, 5)
+        bound = sizebias.stein_bound(101, 200, 16, 6)
+        ident = sizebias.verify_size_bias_identity(101, "square", 50, 7)
         got[cpus] = ({k: v.tobytes() for k, v in draws.items()}, bound, ident)
         assert bool(pools) == (cpus > 1)
     assert got[1] == got[3]
@@ -651,6 +654,83 @@ def test_inversions_batch_past_2_16_padded_columns():
     x = np.random.default_rng(7).random((2, 70_000))
     x[1, ::2] = np.floor(x[1, ::2] * 50)
     assert stats.inversions_batch(x).tolist() == [_inv_by_halving(row) for row in x]
+
+
+_ROUTE_EDGES = [16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1,
+                stats._PAIRWISE_WIDE, stats._PAIRWISE_WIDE + 1]
+
+
+@pytest.mark.parametrize("n", _ROUTE_EDGES)
+def test_inversions_at_the_route_edges(n):
+    # _PAIRWISE_ROWS rows and one fewer, on both sides of the width rules:
+    # exact ties, -0.0 against +0.0, infinities, NaN, int64 past 2^53,
+    # uint64 past 2^63, bool and object rows count as the oracle on their
+    # stable ranks, NaN last, and as their ranks_matrix rows; rows with no
+    # NaN count as the oracle on the row itself
+    for rows, _ in _edge_rows(n, np.random.default_rng(n)):
+        nan = rows.dtype.kind == "f" and bool(np.isnan(rows).any())
+        want = [inv_oracle(r) for r in (_stable_ranks(rows) if nan else rows).tolist()]
+        for block, w in ((rows, want), (rows[1:], want[1:])):
+            assert stats.inversions_batch(block).tolist() == w, (n, rows.dtype, len(block))
+            assert stats.inversions_batch(stats.ranks_matrix(block)).tolist() == w
+
+
+def test_nan_counts_as_in_the_ranks_at_every_width():
+    # a NaN ranks above every number, so a leading NaN is n - 1 inversions
+    # and the widest window counts them too, pairwise or merged
+    assert stats.inversions_batch(np.array([[np.nan, 1.0, 2.0]])).tolist() == [2]
+    for n in (3, 16, 17, 40, 101):
+        x = np.arange(n, dtype=float)[None, :]
+        x[0, 0] = np.nan
+        assert stats.inversions_batch(x).tolist() == [n - 1]
+        assert stats.m_descents_batch(x, n - 1).tolist() == [n - 1]
+        many = np.repeat(x, stats._PAIRWISE_ROWS, axis=0)
+        assert stats.inversions_batch(many).tolist() == [n - 1] * len(many)
+
+
+def test_pairwise_route_starts_no_pool(monkeypatch):
+    # the measured routes are pinned, on 3 CPUs: rows of at most
+    # _PAIRWISE_COLS, and _PAIRWISE_ROWS to _MERGE_KEYS // n rows of at most
+    # _PAIRWISE_WIDE, count pair by pair with no merge chunk, and with no
+    # pool while the batch is one block; one row of 33, a NaN block, too
+    # few or too many wide rows and longer rows merge
+    merged = []
+    real = stats._inversions_chunk
+    monkeypatch.setattr(stats, "_inversions_chunk", lambda x: merged.append(len(x)) or real(x))
+    rows, wide, block = stats._PAIRWISE_ROWS, stats._PAIRWISE_WIDE, stats._MERGE_KEYS
+    cases = (
+        (4000, 30, "calling thread"), (1500, 100, "calling thread"),
+        (1, 17, "calling thread"), (1, 32, "calling thread"), (rows, wide, "calling thread"),
+        (block // wide, wide, "calling thread"), (block // 32, 32, "calling thread"),
+        (block // 32 + 1, 32, "thread chunks"), (3 * block // 16, 16, "thread chunks"),
+        (1, 33, "merge"), (rows - 1, wide, "merge"), (block // wide + 1, wide, "merge"),
+        (rows, wide + 1, "merge"), (3, 2000, "merge"),
+    )
+    for reps, n, route in cases:
+        x = np.random.default_rng(reps).random((reps, n))
+        for block_rows, want in ((x, route), (np.where(x < 0.5, x, np.nan), "merge")):
+            merged.clear()
+            pools = _pool_spy(monkeypatch, 3)
+            got = stats.inversions_batch(block_rows)
+            assert bool(merged) == (want == "merge"), (reps, n, want)
+            if want != "merge":
+                assert pools == ([3] if want == "thread chunks" else []), (reps, n)
+                assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(x)))
+
+
+@pytest.mark.parametrize("n", [2, 17, stats._PAIRWISE_WIDE, stats._PAIRWISE_WIDE + 1])
+def test_short_row_descents_count_in_blocks(monkeypatch, n):
+    # columns-first counts of 32 rows or more in blocks of three rows, and
+    # row by row counts of 31 rows or of rows past _PAIRWISE_WIDE, give the
+    # oracle's m-descents, ties as given
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 3 * n)
+    rng = np.random.default_rng(n)
+    x = rng.random((32, n))
+    x[:4] = np.floor(x[:4] * 3)
+    for m in sorted({1, 3, max(1, (n - 1) // 2)}):
+        want = [m_desc_oracle(r, m) for r in x.tolist()]
+        assert stats.m_descents_batch(x, m).tolist() == want, m
+        assert stats.m_descents_batch(x[1:], m).tolist() == want[1:], m
 
 
 def test_mean_inversions_exact_is_the_rounded_fraction_sum():
