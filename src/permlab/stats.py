@@ -18,21 +18,19 @@ earlier entry the smaller:
 One counter sums descending pairs at distances 1..m, or for m >= n / 2 the
 inversions less those at the n - 1 - m distances past m; ascents are the
 window's pairs less its descents, so ``asc:m`` with m >= n - 1 is ``ainv``.
-It counts 32 or more rows of at most 100 columns first.  Inversions of rows
-of at most 32, and of 512 to 2^18 / n rows of at most 100, are that count;
-other rows take an O(n log n) padded merge sort of int32 keys, their stable
-argsort, which rank rows pay too (Inv(p) = Inv(p^-1)).  Merges, and pairwise
-counts past 2^18 entries, run on up to one thread per CPU, with the same
-counts for any thread count.  A call on one row costs about 70 us at n = 17,
-150 us at n = 100 and 0.6 ms at n = 2000; a row of a batch about 0.22 us at
-n = 30 (4,000 rows), 2.2 at 100 (1,500) and 58 at 2000 (400) (2-core
-x86_64).  Its O(n^2) oracle is in the tests.  Ranks of 512 or more rows of
-at most 16 count the same pairs per entry, with no sort: 0.15 ms for 8,000
-rows of 4 against 0.6 ms sorted.  A NaN ranks above every number, so
-``ranks_matrix`` and the inversion count (``inv``, ``ainv``, ``desc:m`` and
-``asc:m`` with m >= n - 1) read a row holding one as ranked; ``desc:m`` and
-``asc:m`` with 2m < n, ``locmax``, ``las`` and ``rising`` read ``>``, false
-on every pair holding a NaN.
+It counts 512 or more rows of at most 32 columns first.  Inversions of rows
+of at most 32 are that count; longer rows take an O(n log n) padded merge
+sort of int32 keys, their stable argsort, which rank rows pay too (Inv(p) =
+Inv(p^-1)).  A row of a batch costs about 0.3 us at n = 30 (4,000 rows), 2.2
+at 100 (20,000) and 60 at 2000 (400) (2-core x86_64).  Its O(n^2) oracle is
+in the tests.  Merges, and pairwise counts past 2^18 entries, run on up to
+one thread per CPU, with the same counts for any thread count.  Ranks of 512
+or more rows of at most 16 count the same pairs per entry, with no sort:
+0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.  A NaN ranks above every
+number, so ``ranks_matrix`` and the inversion count (``inv``, ``ainv``,
+``desc:m`` and ``asc:m`` with m >= n - 1) read a row holding one as ranked;
+``desc:m`` and ``asc:m`` with 2m < n, ``locmax``, ``las`` and ``rising``
+read ``>``, false on every pair holding a NaN.
 """
 from __future__ import annotations
 
@@ -67,9 +65,8 @@ __all__ = [
 _MERGE_KEYS = 1 << 18  # keys per chunk of a count (padded if merged), >= 1 row
 _ORDER_KEYS = 1 << 16  # int64 keys per block of the stable order
 _SCATTER_KEYS = 1 << 15  # entries per block of an inverse scatter
-_PAIRWISE_ROWS = 512  # rows of at most 16 are ranked pair by pair from this many
-_PAIRWISE_COLS = 32  # inversions of rows of at most this many count pair by pair,
-_PAIRWISE_WIDE = 100  # and of rows of at most this many in _PAIRWISE_ROWS to 2^18 / n rows
+_PAIRWISE_ROWS = 512  # from this many rows, ranks (n <= 16) and descents go pair by pair
+_PAIRWISE_COLS = 32  # inversions and descents of rows of at most this many count pair by pair
 _LOW63 = 0x7FFF_FFFF_FFFF_FFFF
 _NEG_INF_KEY = -0x7FF0_0000_0000_0001  # order key of -inf; a NaN's is below or above
 _POS_INF_KEY = 0x7FF0_0000_0000_0000
@@ -291,12 +288,11 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
 
 
 def _descending_pairs(x: np.ndarray, m: int, first: int = 1) -> np.ndarray:
-    """Per row, the count of x_i > x_{i+d}, first <= d <= m.  Columns first
-    (desc:3 at 4,000 x 30: 0.25 against 0.79 ms) but in fewer than 32 rows
-    (one row of 17: 23 against 17 us) or past 100 (400 x 2000: 4.0 against 4.2)."""
+    """Per row, the count of x_i > x_{i+d}, first <= d <= m; columns first from
+    ``_PAIRWISE_ROWS`` rows (desc:3 at 30 columns ties at 32 rows, wins from 64)."""
     n = x.shape[1]
     last = min(m, n - 1)
-    if n <= _PAIRWISE_WIDE and len(x) >= 32 and first <= last:
+    if n <= _PAIRWISE_COLS and len(x) >= _PAIRWISE_ROWS and first <= last:
         return _in_chunks(x, lambda y: _block_descents(y, n, first, last), n, 1)
     return sum((np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1)
                 for d in range(first, last + 1)), np.zeros(len(x), dtype=np.int64))
@@ -311,9 +307,8 @@ def _descents_by_distance(x: np.ndarray, w: int, first: int = 1, last: int | Non
 
 
 def _block_descents(x: np.ndarray, w: int, first: int = 1, last: int | None = None) -> np.ndarray:
-    """Per row, the pairs x_i > x_{i+d}, first <= d <= last (w - 1), inside
-    each block of w <= 256 columns: uint8 sums per distance (w - d <= 255),
-    and per block (120 pairs) up to w = 16, else uint16 (32,640)."""
+    """Per row, the pairs x_i > x_{i+d}, first <= d <= last (w - 1), in each
+    block of w <= 256 columns: uint8 sums per distance, uint16 past w = 16."""
     count = np.zeros((len(x), x.shape[1] // w), dtype=np.uint8 if w <= 16 else np.uint16)
     for _, gt in _descents_by_distance(x, w, first, last):
         count += np.add.reduce(gt, axis=0, dtype=np.uint8)
@@ -323,29 +318,23 @@ def _block_descents(x: np.ndarray, w: int, first: int = 1, last: int | None = No
 def inversions_batch(x: np.ndarray) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix.
 
-    Any rows, ranks or scores.  Rows of at most ``_PAIRWISE_COLS``, and
-    ``_PAIRWISE_ROWS`` to ``_MERGE_KEYS // n`` rows of at most
-    ``_PAIRWISE_WIDE``, of kind b, i, u or f, count their descending pairs,
-    a uint8 reduce per distance (n - d <= 255) into uint16 row totals; a
-    chunk holding a NaN merges.  Median us, merge / pairwise (2-core x86_64):
+    Any rows, ranks or scores.  Rows of kind b, i, u or f at most
+    ``_PAIRWISE_COLS`` wide sum uint8 descending pairs per distance, on the
+    calling thread up to ``_MERGE_KEYS`` entries; wider rows gain only in
+    hundreds of rows, and lose at n = 128 (median us, merge / pairwise):
         n  rows:    1        64       512      1024       4000
         17       121/67   146/74   328/103   549/138   2577/498
         32       114/118  147/139  380/240   791/383   3036/1042
         48       152/176  210/225  725/443  1325/674   4007/2304
         100      162/381  293/565 1414/1367 2728/2164  9323/9717
         128      157/455  324/810 1589/2131 2748/3337  8523/17864
-    One block of ``_MERGE_KEYS`` entries counts on the calling thread (1,500
-    x 100 took 2.5 ms, 4.5 in thread chunks), more in thread chunks (50,000
-    x 16: 3.6 against 5.7 ms), where the merge still wins at n = 100 (20,000
-    rows: 33.7 against 38.5 ms).  Other rows merge-sort their stable
-    argsort, NaN last, as ``ranks_matrix`` ranks.
-
-    The merge: bottom-up merge sort
-    of each row, padded to size = n rounded up to a power of two: at each
-    block width every inverted pair is counted exactly once, at the level
-    where its positions first share a block.  Keys are int32 up to size
-    2^30.  Chunks of ``_MERGE_KEYS // CPUs`` padded keys together stay near
-    the 4 MB L2 cache, on up to one thread per CPU, each writing its own rows.
+    Other rows, and rows holding a NaN, merge-sort their stable argsort, NaN
+    last, as ``ranks_matrix`` ranks: bottom-up merge sort of each row, padded
+    to size = n rounded up to a power of two: at each block width every
+    inverted pair is counted exactly once, at the level where its positions
+    first share a block.  Keys are int32 up to size 2^30.  Chunks of
+    ``_MERGE_KEYS // CPUs`` padded keys together stay near the 4 MB L2 cache,
+    on up to one thread per CPU, each writing its own rows.
     Median ms on score rows by keys per chunk, one thread (2 cores, AVX-512),
     median of three runs; on 2 CPUs a chunk holds 2^17 keys:
         rows x n     2^16  2^17  2^18  2^19  2^20  2^21
@@ -356,23 +345,20 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
-    if n <= _PAIRWISE_COLS or n <= _PAIRWISE_WIDE and _PAIRWISE_ROWS <= reps <= _MERGE_KEYS // n:
-        if x.dtype.kind in "biuf":
-            threads = 1 if reps * n <= _MERGE_KEYS else os.cpu_count() or 1
-            return _in_chunks(x, _pairwise_inversions, max(n, 1), threads)
-    return _in_chunks(x, _inversions_chunk, 1 << max(n - 1, 0).bit_length(), os.cpu_count() or 1)
-
-
-def _pairwise_inversions(x: np.ndarray) -> np.ndarray:
-    # a NaN merges, so its row counts as its ranks; min carries one, faster than isnan
-    if x.dtype.kind == "f" and x.size and np.isnan(x.min()):
-        return _inversions_chunk(x)
-    return _block_descents(x, max(x.shape[1], 1))
+    threads, size = os.cpu_count() or 1, 1 << max(n - 1, 0).bit_length()
+    if x.dtype.kind not in "biuf" or n > _PAIRWISE_COLS:
+        return _in_chunks(x, _inversions_chunk, size, threads)
+    nan = x.dtype.kind == "f" and x.size and np.isnan(x.min())  # faster than isnan(x).any()
+    out = _in_chunks(x, lambda y: _block_descents(y, max(n, 1)), max(n, 1),
+                     1 if reps * n <= _MERGE_KEYS else threads)
+    if nan:  # rows holding a NaN merge, so they count as their ranks
+        rows = np.isnan(x).any(axis=1)
+        out[rows] = _in_chunks(x[rows], _inversions_chunk, size, threads)
+    return out
 
 
 def _in_chunks(x: np.ndarray, kernel, keys: int, threads: int) -> np.ndarray:
-    """The kernel's row counts over chunks of ``_MERGE_KEYS // threads`` keys,
-    ``keys`` a row, on up to ``threads`` threads, each writing its own rows."""
+    """The kernel's row counts in chunks of ``_MERGE_KEYS // threads`` keys, ``keys`` a row."""
     out = np.empty(len(x), dtype=np.int64)
     chunk = max(1, (_MERGE_KEYS // threads) // keys)
     starts = range(0, len(x), chunk)

@@ -57,8 +57,8 @@ ROWS = {
     ("markov", 20000, 100): "e26d2cce54c1a1bbca44d18d30f0c92d39d02c8e050c03c8c0e27334f51ea724",
 }
 # sha256 of inv and desc:3 on inverse-unfair score rows, then on their
-# permutation rows, each on every row and on the first row alone: the widths
-# of the pairwise inversion count, and one row each beside it
+# permutation rows, each on every row and on the first row alone: widths on
+# both sides of the pairwise inversion count (at most 32 columns)
 SHORT = {
     (4000, 17): "ebd7543d2c429fa85a3aa244fb6dfaf8245989a909fa1dc043a249fa0f100e79",
     (4000, 30): "7906947b4292cfaef12d28cc3787064c564507c49b0fb2a72e6c4c3ba5891714",

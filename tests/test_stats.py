@@ -359,10 +359,9 @@ def test_inverse_scatter_blocks(monkeypatch):
 
 
 def test_inversions_batch_chunking(monkeypatch):
-    # 101 columns, past the pairwise count, pad to 128 keys, so chunks of
-    # 7 * 128 keys hold 7 rows
+    # 37 columns pad to 64 keys, so chunks of 7 * 64 keys hold 7 rows
     rng = np.random.default_rng(3)
-    x = rng.random((64, 101))
+    x = rng.random((64, 37))
     full = stats.inversions_batch(x)
     chunk_rows = []
     merge = stats._inversions_chunk
@@ -372,7 +371,7 @@ def test_inversions_batch_chunking(monkeypatch):
         return merge(y)
 
     monkeypatch.setattr(stats, "_inversions_chunk", counted)
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 7)
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 1)  # one thread, full chunks
     chunked = stats.inversions_batch(x)
     assert np.array_equal(full, chunked)
@@ -492,12 +491,11 @@ def _pool_spy(monkeypatch, cpus):
 
 
 def test_inversions_batch_equal_for_any_thread_count(monkeypatch):
-    # chunks of 2 to 7 rows at n = 101 (128 keys), past the pairwise count:
-    # score rows, rank rows and tied rows (exact ties, two -inf) count the
-    # same on 1, 2 and 3 threads
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 7)
+    # chunks of 2 to 7 rows at n = 37 (64 keys): score rows, rank rows and
+    # tied rows (exact ties, two -inf) count the same on 1, 2 and 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 64 * 7)
     rng = np.random.default_rng(11)
-    x = rng.random((50, 101))
+    x = rng.random((50, 37))
     x[10:20] = np.floor(x[10:20] * 5)
     x[30, [2, 9]] = -np.inf
     ranks = stats.ranks_matrix(x)
@@ -547,14 +545,13 @@ def test_inversions_chunks_bound_keys_in_flight(monkeypatch):
 
 def test_inversions_batch_under_stress(monkeypatch):
     # more threads than cores, one-row chunks and a short switch interval:
-    # every chunk still lands in its own rows, within a time bound; 101
-    # columns take the merge count
+    # every chunk still lands in its own rows, within a time bound
     import sys
     import threading
 
-    x = np.random.default_rng(9).random((300, 101))
+    x = np.random.default_rng(9).random((300, 60))
     want = [inv_oracle(row.tolist()) for row in x]
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 128)
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 16 * 64)
     pools = _pool_spy(monkeypatch, 16)
     got = {}
     interval = sys.getswitchinterval()
@@ -569,17 +566,16 @@ def test_inversions_batch_under_stress(monkeypatch):
 
 
 def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
-    # the size-bias checks count their inversions through the same kernel,
-    # by the merge count at n = 101
+    # the size-bias checks count their inversions through the same kernel
     from permlab import sizebias
 
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 128 * 30)  # 10-row chunks on 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 32 * 30)  # 10-row chunks on 3 threads
     got = {}
     for cpus in (1, 3):
         pools = _pool_spy(monkeypatch, cpus)
-        draws = sizebias.couple_batch(101, 90, 5)
-        bound = sizebias.stein_bound(101, 200, 16, 6)
-        ident = sizebias.verify_size_bias_identity(101, "square", 50, 7)
+        draws = sizebias.couple_batch(30, 90, 5)
+        bound = sizebias.stein_bound(30, 200, 16, 6)
+        ident = sizebias.verify_size_bias_identity(30, "square", 50, 7)
         got[cpus] = ({k: v.tobytes() for k, v in draws.items()}, bound, ident)
         assert bool(pools) == (cpus > 1)
     assert got[1] == got[3]
@@ -656,13 +652,9 @@ def test_inversions_batch_past_2_16_padded_columns():
     assert stats.inversions_batch(x).tolist() == [_inv_by_halving(row) for row in x]
 
 
-_ROUTE_EDGES = [16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1,
-                stats._PAIRWISE_WIDE, stats._PAIRWISE_WIDE + 1]
-
-
-@pytest.mark.parametrize("n", _ROUTE_EDGES)
+@pytest.mark.parametrize("n", [16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
 def test_inversions_at_the_route_edges(n):
-    # _PAIRWISE_ROWS rows and one fewer, on both sides of the width rules:
+    # _PAIRWISE_ROWS rows and one fewer, on both sides of the width rule:
     # exact ties, -0.0 against +0.0, infinities, NaN, int64 past 2^53,
     # uint64 past 2^63, bool and object rows count as the oracle on their
     # stable ranks, NaN last, and as their ranks_matrix rows; rows with no
@@ -679,7 +671,7 @@ def test_nan_counts_as_in_the_ranks_at_every_width():
     # a NaN ranks above every number, so a leading NaN is n - 1 inversions
     # and the widest window counts them too, pairwise or merged
     assert stats.inversions_batch(np.array([[np.nan, 1.0, 2.0]])).tolist() == [2]
-    for n in (3, 16, 17, 40, 101):
+    for n in (3, 16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1):
         x = np.arange(n, dtype=float)[None, :]
         x[0, 0] = np.nan
         assert stats.inversions_batch(x).tolist() == [n - 1]
@@ -690,42 +682,41 @@ def test_nan_counts_as_in_the_ranks_at_every_width():
 
 def test_pairwise_route_starts_no_pool(monkeypatch):
     # the measured routes are pinned, on 3 CPUs: rows of at most
-    # _PAIRWISE_COLS, and _PAIRWISE_ROWS to _MERGE_KEYS // n rows of at most
-    # _PAIRWISE_WIDE, count pair by pair with no merge chunk, and with no
-    # pool while the batch is one block; one row of 33, a NaN block, too
-    # few or too many wide rows and longer rows merge
+    # _PAIRWISE_COLS count pair by pair with no merge chunk but for the rows
+    # holding a NaN, and with no pool while the batch is one block of
+    # _MERGE_KEYS entries; longer rows merge
     merged = []
     real = stats._inversions_chunk
     monkeypatch.setattr(stats, "_inversions_chunk", lambda x: merged.append(len(x)) or real(x))
-    rows, wide, block = stats._PAIRWISE_ROWS, stats._PAIRWISE_WIDE, stats._MERGE_KEYS
+    block = stats._MERGE_KEYS
     cases = (
-        (4000, 30, "calling thread"), (1500, 100, "calling thread"),
-        (1, 17, "calling thread"), (1, 32, "calling thread"), (rows, wide, "calling thread"),
-        (block // wide, wide, "calling thread"), (block // 32, 32, "calling thread"),
-        (block // 32 + 1, 32, "thread chunks"), (3 * block // 16, 16, "thread chunks"),
-        (1, 33, "merge"), (rows - 1, wide, "merge"), (block // wide + 1, wide, "merge"),
-        (rows, wide + 1, "merge"), (3, 2000, "merge"),
+        (4000, 30, "calling thread"), (1, 17, "calling thread"), (1, 32, "calling thread"),
+        (block // 32, 32, "calling thread"), (block // 32 + 1, 32, "thread chunks"),
+        (3 * block // 16, 16, "thread chunks"),
+        (1, 33, "merge"), (1500, 100, "merge"), (3, 2000, "merge"),
     )
     for reps, n, route in cases:
         x = np.random.default_rng(reps).random((reps, n))
-        for block_rows, want in ((x, route), (np.where(x < 0.5, x, np.nan), "merge")):
+        one = x.copy()
+        one[-1, 0] = np.nan
+        for rows in (x, one):
             merged.clear()
             pools = _pool_spy(monkeypatch, 3)
-            got = stats.inversions_batch(block_rows)
-            assert bool(merged) == (want == "merge"), (reps, n, want)
-            if want != "merge":
-                assert pools == ([3] if want == "thread chunks" else []), (reps, n)
-                assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(x)))
+            got = stats.inversions_batch(rows)
+            assert sum(merged) == (reps if route == "merge" else int(rows is one)), (reps, n)
+            if route != "merge":
+                assert pools == ([3] if route == "thread chunks" else []), (reps, n)
+            assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(rows)))
 
 
-@pytest.mark.parametrize("n", [2, 17, stats._PAIRWISE_WIDE, stats._PAIRWISE_WIDE + 1])
+@pytest.mark.parametrize("n", [2, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
 def test_short_row_descents_count_in_blocks(monkeypatch, n):
-    # columns-first counts of 32 rows or more in blocks of three rows, and
-    # row by row counts of 31 rows or of rows past _PAIRWISE_WIDE, give the
-    # oracle's m-descents, ties as given
+    # columns-first counts of _PAIRWISE_ROWS rows in blocks of three rows,
+    # and row by row counts of one row fewer or of rows past _PAIRWISE_COLS,
+    # give the oracle's m-descents, ties as given
     monkeypatch.setattr(stats, "_MERGE_KEYS", 3 * n)
     rng = np.random.default_rng(n)
-    x = rng.random((32, n))
+    x = rng.random((stats._PAIRWISE_ROWS, n))
     x[:4] = np.floor(x[:4] * 3)
     for m in sorted({1, 3, max(1, (n - 1) // 2)}):
         want = [m_desc_oracle(r, m) for r in x.tolist()]
