@@ -7,13 +7,14 @@ returns its results.  ``main`` then emits exactly one RunRecord, a JSON object
 with the command, every parsed argument as params (the seed drawn, the
 statistic normalized), the results, the package version and the runtime: on
 stdout for scalar commands, on stderr after the CSV rows of table commands,
-so data and diagnostics never mix.  A refused run prints one ``error:`` line,
-exits 1 and emits no record.
+so data and diagnostics never mix.  A refused run, a bad argument included,
+prints one ``error:`` line, exits 1 and emits no record.
 
-``sample`` and ``pmf`` write their table bodies by block, each block gathered
-as bytes from numpy tables and written as one str, byte for byte what the
-csv module writes: the joined permutation field is quoted, and bare at n = 1
-where it holds no comma.
+``sample`` and ``pmf`` write their table bodies by block of at most 2^20
+values, each block gathered as bytes from numpy tables and written as one
+str, byte for byte what the csv module writes: the joined permutation field
+is quoted, and bare at n = 1 where it holds no comma.  CSV ``sample`` draws
+each block just before writing it.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ from .models import (
 from .perm import Permutation
 from .rng import fresh_seed
 from .stats import evaluate, parse_statistic
+
+_JSON_ENTRIES = 10 ** 7  # sample --format json holds the matrix: about 52 bytes an entry
 
 
 def _record(args, results: dict, t0: float) -> dict:
@@ -92,41 +95,69 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind)
 
 
-def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
-    """Write row r of ``mat`` (values 0..n) to stdout as the csv module would:
-    a first field lead + the row's values joined by "," + close, then
-    cells[ids[r]] (str or bytes), the rest of the line.  csv quotes a field
-    only where it holds a comma, so one-value rows go bare.  ",<v>" by value
-    and close + cell by id are 1-D zero-padded fixed-width bytes tables; each
-    block of rows takes from both once, viewed as uint8, drops the zero bytes
-    with ``bytes.translate`` and is written as one str.  Blocks hold at most
-    2^20 values."""
-    rows, n = mat.shape
+def _rows_per_block(n: int) -> int:
+    """Rows of n values in one table block: at most 2^20 values, at least one row."""
+    return max(1, min(_BLOCK_ROWS, 2 ** 20 // n))
+
+
+def _row_writer(n: int, lead: str, close: str, cells):
+    """A function write(block, ids) that writes row r of ``block`` (n values
+    in 0..n) to stdout as the csv module would: a first field lead + the
+    row's values joined by "," + close, then cells[ids[r]] (str or bytes), the
+    rest of the line.  csv quotes a field only where it holds a comma, so
+    one-value rows go bare.  ",<v>" by value and close + cell by id are 1-D
+    zero-padded fixed-width bytes tables, built once here; each block takes
+    from both once, viewed as uint8, drops the zero bytes with
+    ``bytes.translate`` and is written as one str."""
     quote = '"' if n > 1 else ""
     values = np.array([f",{v}" for v in range(n + 1)], dtype="S")
     cells = np.char.add((close + quote).encode(), np.asarray(cells, dtype="S"))
     head = np.frombuffer((quote + lead).encode(), dtype=np.uint8)
-    step = max(1, min(_BLOCK_ROWS, 2 ** 20 // n))
-    for a in range(0, rows, step):
-        block, k = mat[a:a + step], min(step, rows - a)
+
+    def write(block, ids) -> None:
+        k = len(block)
         line = np.concatenate([np.broadcast_to(head, (k, head.size)),
                                values.take(block).view(np.uint8),
-                               cells.take(ids[a:a + step]).view(np.uint8).reshape(k, -1)], axis=1)
+                               cells.take(ids).view(np.uint8).reshape(k, -1)], axis=1)
         line[:, head.size] = 0  # the first value takes no comma
         sys.stdout.write(line.tobytes().translate(None, b"\0").decode("ascii"))
+
+    return write
+
+
+def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
+    """Write the rows of ``mat`` by ``_row_writer``, in blocks of at most
+    2^20 values."""
+    n = mat.shape[1]
+    write, step = _row_writer(n, lead, close, cells), _rows_per_block(n)
+    for a in range(0, len(mat), step):
+        write(mat[a:a + step], ids[a:a + step])
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns its results, after writing any table body
 
 def cmd_sample(args) -> dict:
+    """CSV rows are drawn, ranked and written one block at a time: rows a..b
+    come from streams a..b, so the bytes are the whole matrix's, and memory
+    does not grow with --reps.  Every refusal fires before the first block
+    is written.  JSON holds the whole matrix, so it is capped lower."""
     spec = _model_spec(args)
-    montecarlo._check_budget(args.n, args.reps)
-    mat = sample_permutation_matrix(spec, args.n, args.reps, args.seed, workers=args.threads)
+    n, reps = args.n, args.reps
+    montecarlo._check_budget(n, reps)
     if args.format == "json":
+        if n * reps > _JSON_ENTRIES:
+            raise ValueError(f"{reps} rows of n = {n}: {n * reps} entries exceed the JSON cap "
+                             f"{_JSON_ENTRIES}; use --format csv")
+        mat = sample_permutation_matrix(spec, n, reps, args.seed, workers=args.threads)
         return {"permutations": mat.tolist()}
-    _write_rows(mat, "", "", ["\r\n"], np.zeros(len(mat), dtype=np.intp))
-    return {"rows": int(mat.shape[0])}
+    write, step = _row_writer(n, "", "", ["\r\n"]), _rows_per_block(n)
+    ids = np.zeros(step, dtype=np.intp)
+    for a in range(0, reps, step):
+        mat = sample_permutation_matrix(spec, n, min(step, reps - a), args.seed,
+                                        first_stream=a, workers=args.threads)
+        write(mat, ids[:len(mat)])
+    return {"rows": reps}
 
 
 def cmd_pmf(args) -> dict:
@@ -257,8 +288,17 @@ def _add_model(sp, default: str = "inverse-unfair") -> None:
                     help="JSON config with states/transitions for --model markov")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with a ValueError, which ``main`` prints as one
+    ``error:`` line with exit 1, where argparse prints its usage and exits 2.
+    Subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="permlab",
         description="Unfair and inverse-unfair random permutations: sampling, "
                     "exact laws, statistics, CLT checks and size-bias bounds.",
@@ -334,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         if hasattr(args, "seed") and args.seed is None:  # reported in params
             args.seed = fresh_seed()
         if hasattr(args, "stat"):

@@ -372,9 +372,11 @@ def sample_permutation_matrix(
 
 
 def _permutation_rows(spec: ModelSpec, scores: np.ndarray) -> np.ndarray:
-    """The one-line rows of score rows, as ``sample_permutation_matrix`` says."""
+    """The one-line rows of score rows, as ``sample_permutation_matrix`` says.
+    Ranks are permutations by construction, so their inverse skips
+    ``invert_rows``' checks."""
     rho = ranks_matrix(scores)
-    return invert_rows(rho) if spec.kind is ModelKind.UNFAIR else rho
+    return _inverse_rows(rho, 1) if spec.kind is ModelKind.UNFAIR else rho
 
 
 def invert_rows(perms: np.ndarray) -> np.ndarray:

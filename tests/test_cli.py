@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -82,8 +83,10 @@ def test_pmf_unfair_differs(capsys):
 
 
 def test_pmf_rejects_markov(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["pmf", "--model", "markov", "--n", "3"])
+    code, out, err = run_cli(["pmf", "--model", "markov", "--n", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --model: invalid choice: 'markov'")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("model", ["uniform", "unfair", "inverse-unfair"])
@@ -265,14 +268,26 @@ def _model_argvs(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
 def test_sample_csv_bytes(capsys, monkeypatch, tmp_path, n):
-    # blocks of 3 rows cross block edges at every digit width; the oracle is
-    # csv.writer on one joined field per row, quoted, bare at n = 1 where the
-    # row holds no comma
+    # blocks of 3 rows cross block edges at every digit width, drawn block by
+    # block from streams 0, 3 and 6 and formatted from tables built once; the
+    # oracle is csv.writer on one joined field per row of the whole JSON
+    # matrix, quoted, bare at n = 1 where the row holds no comma
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    sample, row_writer, drawn = cli.sample_permutation_matrix, cli._row_writer, []
+
+    def spy(spec, n, reps, seed, first_stream=0, workers=1):
+        drawn.append((first_stream, reps))
+        return sample(spec, n, reps, seed, first_stream, workers)
+
+    monkeypatch.setattr(cli, "sample_permutation_matrix", spy)
+    monkeypatch.setattr(cli, "_row_writer", lambda *args: drawn.append("tables")
+                        or row_writer(*args))
     for model in _model_argvs(tmp_path):
         argv = ["sample", *model, "--n", str(n), "--reps", "7", "--seed", "5"]
         code, out, _ = run_cli(argv, capsys)
+        assert drawn == ["tables", (0, 3), (3, 3), (6, 1)], model
         perms = record_of(run_cli(argv + ["--format", "json"], capsys)[1])["results"]
+        drawn.clear()
         want = io.StringIO()
         writer = csv.writer(want)
         for row in perms["permutations"]:
@@ -298,6 +313,53 @@ def test_wide_rows_are_written_in_bounded_blocks(monkeypatch):
     row = 2 + len(",".join(map(str, range(1, n + 1)))) + 2
     assert sizes == [5 * row] * 4
     assert peak < 48 * 2 ** 20
+
+
+@pytest.mark.parametrize("model", ["unfair", "markov"])
+def test_csv_sample_memory_does_not_grow_with_reps(monkeypatch, tmp_path, model):
+    # CSV sample holds one block at a time: 16 blocks trace the peak of 4,
+    # where a whole matrix traces four times as much (blocks of 256 rows
+    # keep the test short; 1048-row blocks, the 2^20 entries of n = 1000,
+    # trace 32 MB at either reps)
+    import tracemalloc
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 256)
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"states": [1, 3], "transitions": [[0.5, 0.5], [0.0, 1.0]]}))
+    config = ["--chain", str(chain)] if model == "markov" else []
+    null = SimpleNamespace(write=len)
+    monkeypatch.setattr(sys, "stdout", null)
+    monkeypatch.setattr(sys, "stderr", null)
+    step, peaks = cli._rows_per_block(1000), []
+    for reps in (4 * step, 16 * step):
+        tracemalloc.start()
+        code = cli.main(["sample", "--model", model, *config, "--n", "1000",
+                         "--reps", str(reps), "--seed", "1"])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_sample_json_cap_refused_before_allocation(capsys, monkeypatch):
+    # JSON holds the whole matrix, so it admits at most _JSON_ENTRIES entries
+    drawn = []
+
+    def stub(spec, n, reps, seed, first_stream=0, workers=1):
+        drawn.append(n * reps)
+        return np.ones((1, 1), dtype=np.int64)
+
+    monkeypatch.setattr(cli, "sample_permutation_matrix", stub)
+    cap = cli._JSON_ENTRIES
+    code, out, _ = run_cli(["sample", "--n", "10", "--reps", str(cap // 10), "--format", "json"],
+                           capsys)
+    assert code == 0 and drawn == [cap]
+    code, out, err = run_cli(["sample", "--n", "1", "--reps", str(cap + 1), "--format", "json"],
+                             capsys)
+    assert (code, out, drawn) == (1, "", [cap])
+    assert err == f"error: {cap + 1} rows of n = 1: {cap + 1} entries exceed the JSON cap " \
+                  f"{cap}; use --format csv\n"
 
 
 def test_sample_generates_seed(capsys):
@@ -620,9 +682,18 @@ def test_sizebias_unknown_check(capsys):
     assert err == "error: unknown check 'nonsense'\n"
 
 
-def test_sizebias_has_no_threads_option():
-    with pytest.raises(SystemExit):
-        cli.main(["sizebias", "--n", "5", "--threads", "2"])
+def test_sizebias_has_no_threads_option(capsys):
+    code, out, err = run_cli(["sizebias", "--n", "5", "--threads", "2"], capsys)
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --threads 2\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    # parser refusals are one error line with exit 1 (the edge grid); help
+    # is no refusal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0 and "usage: permlab" in capsys.readouterr().out
 
 
 def test_entry_point_subprocess():
@@ -748,11 +819,43 @@ def test_memory_error_is_a_one_line_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+# a small run of each subcommand, to which one integer option is appended
+_BASE_ARGV = {
+    "sample": ["sample", "--n", "5", "--reps", "3", "--seed", "1"],
+    "pmf": ["pmf", "--n", "3"],
+    "tv": ["tv", "--n", "3"],
+    "stats": ["stats", "--stat", "inv", "--perm", "2,1"],
+    "moments": ["moments", "--stat", "inv", "--n", "5"],
+    "clt": ["clt", "--stat", "inv", "--n", "20", "--reps", "10", "--seed", "1"],
+    "ratio": ["ratio", "--stat", "inv", "--n", "5", "--reps", "5", "--seed", "1"],
+    "sizebias": ["sizebias", "--n", "10", "--reps", "20", "--outer", "20", "--inner", "1",
+                 "--seed", "1"],
+}
+
+
+def _int_option_argvs():
+    """Every integer option of every subcommand, read from the parser, over
+    -1, 0 and values that are not integers, on the subcommand's small run."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_BASE_ARGV)
+    for command, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.type is int:
+                for value in ("-1", "0", "1e3", "nan", ""):
+                    yield [*_BASE_ARGV[command], action.option_strings[0], value]
+
+
 def _edge_grid(tmp_path):
-    """argv of every subcommand over edge values: n of 0, 1, 2 and 10^12,
-    reps of 0, 1 and 10^12, windows past n, a NaN threshold and transition,
-    bad thread counts and every model, each refused before a large allocation
-    or small."""
+    """argv of every subcommand over edge values: every integer option at
+    -1, 0 and non-integers, n of 0, 1, 2 and 10^12, reps of 0, 1 and 10^12,
+    windows past n, a NaN threshold and transition, bad thread counts, the
+    JSON cap and every model, each refused before a large allocation or
+    small."""
+    yield from _int_option_argvs()
+    yield ["sample", "--n", "1", "--reps", str(cli._JSON_ENTRIES + 1), "--format", "json"]
+    # parser refusals: no subcommand, a required option missing, an unknown one
+    yield from ([], ["clt", "--n", "5", "--reps", "5"], ["tv", "--n", "3", "--nope"])
     models = _model_argvs(tmp_path) + [["--model", "markov"]]
     wide = f"desc:{10 ** 30}"
     seed = ["--seed", "1"]

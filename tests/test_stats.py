@@ -680,6 +680,21 @@ def test_nan_counts_as_in_the_ranks_at_every_width():
         assert stats.inversions_batch(many).tolist() == [n - 1] * len(many)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 33])
+def test_wide_windows_count_a_nan_row_as_its_ranks(n):
+    # desc:m and asc:m with 2m >= n subtract pairs past m from the ranked
+    # inversion count, so a row holding a NaN counts every pair as its ranks
+    # do; rows with no NaN in the same batch keep their own count
+    rng = np.random.default_rng(n)
+    x = rng.random((8, n))
+    x[0, 0], x[1, -1], x[2, n // 2], x[3, ::2] = np.nan, np.nan, np.nan, np.nan
+    for m in range((n + 1) // 2, n + 1):
+        ranks = stats.ranks_matrix(x)
+        assert stats.m_descents_batch(x, m).tolist() == stats.m_descents_batch(ranks, m).tolist()
+        assert stats.m_ascents_batch(x, m).tolist() == stats.m_ascents_batch(ranks, m).tolist()
+    assert stats.m_descents_batch(np.array([[np.nan, 1, 2, 3]]), 2).tolist() == [2]
+
+
 def test_pairwise_route_starts_no_pool(monkeypatch):
     # the measured routes are pinned, on 3 CPUs: rows of at most
     # _PAIRWISE_COLS count pair by pair with no merge chunk but for the rows
