@@ -24,8 +24,6 @@ table: it holds every moment formula, exact and leading-order.
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,7 +36,6 @@ from . import stats as _stats
 
 __all__ = [
     "EnumerationLimit",
-    "enumeration_limit",
     "ExactDistribution",
     "prob_ordered_tuple",
     "pmf",
@@ -57,8 +54,7 @@ __all__ = [
     "closed_form_moments",
 ]
 
-_DEFAULT_ENUM_LIMIT = 8
-_HARD_ENUM_LIMIT = 10
+_ENUM_LIMIT = 8  # largest n enumerated (40,320 outcomes): pmf --n 10 took 8.5 s and 1.2 GB
 
 
 class EnumerationLimit(ValueError):
@@ -67,19 +63,6 @@ class EnumerationLimit(ValueError):
 
 class UnknownClosedForm(ValueError):
     """No closed-form moment for the requested statistic (or centering)."""
-
-
-def enumeration_limit() -> int:
-    """Enumeration cap: default 8, PERMLAB_ENUM_LIMIT overrides, hard max 10."""
-    raw = os.environ.get("PERMLAB_ENUM_LIMIT")
-    if raw is None:
-        return _DEFAULT_ENUM_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer PERMLAB_ENUM_LIMIT={raw!r}")
-        return _DEFAULT_ENUM_LIMIT
-    return max(1, min(value, _HARD_ENUM_LIMIT))
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +200,14 @@ class ExactDistribution:
 def _check_enum(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    limit = enumeration_limit()
-    if n > limit:
-        raise EnumerationLimit(f"n={n} exceeds the enumeration cap {limit}")
-    if n >= 9:
-        warnings.warn(f"enumerating S_{n} holds {math.factorial(n)} outcomes in memory")
+    if n > _ENUM_LIMIT:
+        raise EnumerationLimit(f"n={n} exceeds the enumeration cap {_ENUM_LIMIT}")
 
 
 def enumerate_law(
     n: int, model: "ModelKind | str | ModelSpec", exact: bool = False
 ) -> ExactDistribution:
-    """The full law over S_n in lexicographic order (n capped, see
-    enumeration_limit)."""
+    """The full law over S_n in lexicographic order, for n up to 8."""
     probs = _probs(*_law_table(n, model)[1:], exact)
     return ExactDistribution(tuple(all_permutations(n)), tuple(probs), ("perm", n))
 

@@ -104,13 +104,9 @@ def estimate(
     """Sample mean and variance of a statistic over independent replicas."""
     _check_budget(n, reps)
     values = _values(kind, spec, n, reps, seed, 0, workers)
-    mean = float(np.mean(values))
-    variance = float(np.var(values, ddof=1)) if reps > 1 else 0.0
-    return EstimateReport(
-        mean=mean,
-        variance=variance,
-        se_mean=math.sqrt(variance / reps) if reps > 1 else float("nan"),
-    )
+    variance = float(np.var(values, ddof=1)) if reps > 1 else math.nan  # one value has none
+    return EstimateReport(mean=float(np.mean(values)), variance=variance,
+                          se_mean=math.sqrt(variance / reps))
 
 
 def _center_and_scale(kind: StatisticKind, n: int, centering: Centering) -> tuple[float, float]:
@@ -135,7 +131,7 @@ class StandardizedSample:
 
     @property
     def sample_variance(self) -> float:
-        return float(np.var(self.values, ddof=1)) if self.values.size > 1 else 0.0
+        return float(np.var(self.values, ddof=1)) if self.values.size > 1 else math.nan
 
     def raw_mean(self) -> float:
         return self.sample_mean * self.scale + self.center
@@ -218,9 +214,9 @@ def moment_ratio_mc(
 
     The two models use disjoint stream blocks of the same root seed (rank
     model: streams 0..reps-1, uniform: reps..2reps-1) and reps draws each; the
-    standard error is the independent-ratio delta method.  Raises
-    ValueError where a k-th power, a moment, a variance or the standard error
-    is not a finite float64.
+    standard error is the independent-ratio delta method, so reps must be at
+    least 2.  Raises ValueError where a k-th power, a moment, a variance or
+    the standard error is not a finite float64.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -228,13 +224,14 @@ def moment_ratio_mc(
     if k > sys.float_info.max:  # numpy takes the power's order as a float64
         raise ValueError(overflow)
     _check_budget(n, 2 * reps)
+    if reps < 2:
+        raise ValueError("ratio needs reps >= 2: one value has no sample variance")
     a = _values(kind, ModelSpec.inverse_unfair(), n, reps, seed, 0, workers)
     b = _values(kind, ModelSpec.uniform(), n, reps, seed, reps, workers)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         a, b = a ** k, b ** k
         mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-        var_a = float(np.var(a, ddof=1)) / reps if reps > 1 else 0.0
-        var_b = float(np.var(b, ddof=1)) / reps if reps > 1 else 0.0
+        var_a, var_b = float(np.var(a, ddof=1)) / reps, float(np.var(b, ddof=1)) / reps
     if mean_b == 0.0:
         raise ValueError("uniform moment is zero; ratio undefined")
     ratio = mean_a / mean_b

@@ -172,7 +172,9 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
     n = z.shape[1]
     col = np.arange(n, dtype=np.min_scalar_type(n))  # the mask compares 3x faster than int64
     rows = np.arange(len(z))
-    ones = np.ones(n, np.float32 if n < 2 ** 24 else np.float64)  # mask @ ones counts exactly
+    # mask @ ones counts exactly in float32: n <= 10^6 < 2^24, as every caller
+    # builds index_distribution(n) first, whose _pair_sums refuses larger n
+    ones = np.ones(n, np.float32)
     change = (new[:, 0] > new[:, 1]).astype(np.int64) - (old[:, 0] > old[:, 1])
     for k, (pos, other) in enumerate(((a, b), (b, a))):
         o, v = old[:, k, None], new[:, k, None]

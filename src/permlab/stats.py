@@ -18,19 +18,18 @@ earlier entry the smaller:
 One counter sums descending pairs at distances 1..m, or for m >= n / 2 the
 inversions less those at the n - 1 - m distances past m; ascents are the
 window's pairs less its descents, so ``asc:m`` with m >= n - 1 is ``ainv``.
-It counts 512 or more rows of at most 32 columns first.  Inversions of rows
-of at most 32 are that count; longer rows take an O(n log n) padded merge
-sort of int32 keys, their stable argsort, which rank rows pay too (Inv(p) =
-Inv(p^-1)).  A row of a batch costs about 0.3 us at n = 30 (4,000 rows), 2.2
-at 100 (20,000) and 60 at 2000 (400) (2-core x86_64).  Its O(n^2) oracle is
-in the tests.  Merges, and pairwise counts past 2^18 entries, run on up to
-one thread per CPU, with the same counts for any thread count.  Ranks of 512
-or more rows of at most 16 count the same pairs per entry, with no sort:
-0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.  A NaN ranks above every
-number, so ``ranks_matrix`` and the inversion count (``inv``, ``ainv``,
-``desc:m`` and ``asc:m`` with 2m >= n) read a row holding one as ranked;
-``desc:m`` and ``asc:m`` with 2m < n, ``locmax``, ``las`` and ``rising``
-read ``>``, false on every pair holding a NaN.
+Inversions of rows of at most 32 are that count; longer rows take an
+O(n log n) padded merge sort of int32 keys, their stable argsort, which rank
+rows pay too (Inv(p) = Inv(p^-1)).  A row of a batch costs about 0.3 us at
+n = 30 (4,000 rows), 2.2 at 100 (20,000) and 60 at 2000 (400) (2-core
+x86_64).  Its O(n^2) oracle is in the tests.  Merges run on up to one thread
+per CPU, with the same counts for any thread count; pair counts run on the
+calling thread.  Ranks of rows of at most 16 count the same pairs per
+entry, with no sort: 0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.  A
+NaN ranks above every number, so ``ranks_matrix`` and the inversion count
+(``inv``, ``ainv``, ``desc:m`` and ``asc:m`` with 2m >= n) read a row
+holding one as ranked; ``desc:m`` and ``asc:m`` with 2m < n, ``locmax``,
+``las`` and ``rising`` read ``>``, false on every pair holding a NaN.
 """
 from __future__ import annotations
 
@@ -65,8 +64,7 @@ __all__ = [
 _MERGE_KEYS = 1 << 18  # keys per chunk of a count (padded if merged), >= 1 row
 _ORDER_KEYS = 1 << 16  # int64 keys per block of the stable order
 _SCATTER_KEYS = 1 << 15  # entries per block of an inverse scatter
-_PAIRWISE_ROWS = 512  # from this many rows, ranks (n <= 16) and descents go pair by pair
-_PAIRWISE_COLS = 32  # inversions and descents of rows of at most this many count pair by pair
+_PAIRWISE_COLS = 32  # inversions of rows of at most this many count pair by pair
 _LOW63 = 0x7FFF_FFFF_FFFF_FFFF
 _NEG_INF_KEY = -0x7FF0_0000_0000_0001  # order key of -inf; a NaN's is below or above
 _POS_INF_KEY = 0x7FF0_0000_0000_0000
@@ -202,19 +200,14 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
     """Row-wise ranks (1 = smallest) with ties broken by column index.
 
     A NaN ranks above every number, NaNs in column order, as in the stable
-    argsort.  From ``_PAIRWISE_ROWS`` rows of at most 16 numbers (kinds f, i,
-    u) and no NaN, each rank counts the entries below it pair by pair; other
-    rows scatter the inverse of ``_order``.  Median us, sort / pairwise:
-        n  rows:   1      64     256     512    1024     8000     20000
-        2        9/17   10/14   17/15   26/17   46/21   288/71   729/135
-        4        8/25   18/35   34/40   50/45   87/54   609/146  2245/328
-        16      14/127  32/137 122/158 252/194 490/246 3915/976 12267/3822
+    argsort.  In rows of at most 16 numbers (kinds f, i, u) with no NaN in
+    the block, each rank counts the entries below it pair by pair; other
+    rows scatter the inverse of ``_order``.
     """
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
-    if 0 < n <= 16 and reps >= _PAIRWISE_ROWS and x.dtype.kind in "fiu":
-        if not np.isnan(x).any():
-            return _pairwise_ranks(x)
+    n = x.shape[1]
+    if 0 < n <= 16 and x.dtype.kind in "fiu" and not np.isnan(x).any():
+        return _pairwise_ranks(x)
     return _inverse_rows(_order(x))
 
 
@@ -288,29 +281,25 @@ def _stable_order(x: np.ndarray) -> np.ndarray:
 
 
 def _descending_pairs(x: np.ndarray, m: int, first: int = 1) -> np.ndarray:
-    """Per row, the count of x_i > x_{i+d}, first <= d <= m; columns first from
-    ``_PAIRWISE_ROWS`` rows (desc:3 at 30 columns ties at 32 rows, wins from 64)."""
+    """Per row, the count of x_i > x_{i+d}, first <= d <= m."""
     n = x.shape[1]
-    last = min(m, n - 1)
-    if n <= _PAIRWISE_COLS and len(x) >= _PAIRWISE_ROWS and first <= last:
-        return _in_chunks(x, lambda y: _block_descents(y, n, first, last), n, 1)
     return sum((np.count_nonzero(x[:, :n - d] > x[:, d:], axis=1)
-                for d in range(first, last + 1)), np.zeros(len(x), dtype=np.int64))
+                for d in range(first, min(m, n - 1) + 1)), np.zeros(len(x), dtype=np.int64))
 
 
-def _descents_by_distance(x: np.ndarray, w: int, first: int = 1, last: int | None = None):
-    """(d, x_i > x_{i+d} in each block of w <= 256 columns), first <= d <= last
-    (w - 1), with the block positions leading: every compare reads rows."""
-    t = np.ascontiguousarray(np.moveaxis(x.reshape(len(x), -1, w), 2, 0))
-    for d in range(first, w if last is None else last + 1):
+def _descents_by_distance(x: np.ndarray, w: int):
+    """(d, x_i > x_{i+d} in each block of w <= 256 columns), 1 <= d < w, with
+    the block positions leading: every compare reads rows."""
+    t = np.ascontiguousarray(np.moveaxis(x.reshape(len(x), x.shape[1] // w, w), 2, 0))
+    for d in range(1, w):
         yield d, t[:w - d] > t[d:]
 
 
-def _block_descents(x: np.ndarray, w: int, first: int = 1, last: int | None = None) -> np.ndarray:
-    """Per row, the pairs x_i > x_{i+d}, first <= d <= last (w - 1), in each
-    block of w <= 256 columns: uint8 sums per distance, uint16 past w = 16."""
+def _block_descents(x: np.ndarray, w: int) -> np.ndarray:
+    """Per row, the pairs x_i > x_{i+d}, 1 <= d < w, in each block of w <= 256
+    columns: uint8 sums per distance, uint16 past w = 16."""
     count = np.zeros((len(x), x.shape[1] // w), dtype=np.uint8 if w <= 16 else np.uint16)
-    for _, gt in _descents_by_distance(x, w, first, last):
+    for _, gt in _descents_by_distance(x, w):
         count += np.add.reduce(gt, axis=0, dtype=np.uint8)
     return count.sum(axis=1, dtype=np.int64)
 
@@ -320,8 +309,8 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
 
     Any rows, ranks or scores.  Rows of kind b, i, u or f at most
     ``_PAIRWISE_COLS`` wide sum uint8 descending pairs per distance, on the
-    calling thread up to ``_MERGE_KEYS`` entries; wider rows gain only in
-    hundreds of rows, and lose at n = 128 (median us, merge / pairwise):
+    calling thread in chunks of ``_MERGE_KEYS`` entries; wider rows gain only
+    in hundreds of rows, and lose at n = 128 (median us, merge / pairwise):
         n  rows:    1        64       512      1024       4000
         17       121/67   146/74   328/103   549/138   2577/498
         32       114/118  147/139  380/240   791/383   3036/1042
@@ -344,13 +333,12 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
         40 x 10000     41    37    36    39    38    34
     """
     x = np.atleast_2d(np.asarray(x))
-    reps, n = x.shape
+    n = x.shape[1]
     threads, size = os.cpu_count() or 1, 1 << max(n - 1, 0).bit_length()
     if x.dtype.kind not in "biuf" or n > _PAIRWISE_COLS:
         return _in_chunks(x, _inversions_chunk, size, threads)
     nan = x.dtype.kind == "f" and x.size and np.isnan(x.min())  # faster than isnan(x).any()
-    out = _in_chunks(x, lambda y: _block_descents(y, max(n, 1)), max(n, 1),
-                     1 if reps * n <= _MERGE_KEYS else threads)
+    out = _in_chunks(x, lambda y: _block_descents(y, max(n, 1)), max(n, 1), 1)
     if nan:  # rows holding a NaN merge, so they count as their ranks
         rows = np.isnan(x).any(axis=1)
         out[rows] = _in_chunks(x[rows], _inversions_chunk, size, threads)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import permlab
-from permlab import cli
+from permlab import cli, stats
 
 
 def run_cli(args, capsys):
@@ -633,6 +633,19 @@ def test_records_are_strict_json(capsys):
     assert json.loads(capsys.readouterr().out) == {"a": None, "b": [None, 1.5], "c": {"d": None}}
 
 
+def test_one_replica_reports_no_spread(capsys):
+    # one value has no sample variance: clt records it as null, and ratio,
+    # whose standard error needs it, is refused with one line
+    code, out, _ = run_cli(["clt", "--stat", "inv", "--n", "20", "--reps", "1", "--seed", "1"],
+                           capsys)
+    rec = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+    assert code == 0 and rec["results"]["var"] is None
+    code, out, err = run_cli(["ratio", "--stat", "locmax", "--n", "20", "--reps", "1",
+                              "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: ratio needs reps >= 2: one value has no sample variance\n"
+
+
 def test_clt_at_n_1_is_one_error_line(capsys):
     # every statistic is constant on S_1: no scale to standardize by
     code, out, err = run_cli(["clt", "--stat", "inv", "--n", "1", "--reps", "10",
@@ -722,14 +735,14 @@ def test_console_script_installed():
     assert json.loads(out.stdout)["command"] == "moments"
 
 
-def test_enum_limit_env_respected(capsys, monkeypatch):
-    monkeypatch.setenv("PERMLAB_ENUM_LIMIT", "4")
-    code, out, err = run_cli(["pmf", "--model", "uniform", "--n", "5"], capsys)
-    assert code == 1
-    assert "error" in err
-    code, out, _ = run_cli(["tv", "--n", "5"], capsys)
+def test_enum_cap_is_fixed_at_8(capsys):
+    code, out, err = run_cli(["pmf", "--model", "uniform", "--n", "9"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: n=9 exceeds the enumeration cap 8\n"
+    code, out, _ = run_cli(["tv", "--n", "9"], capsys)
     rec = record_of(out)
-    assert rec["results"]["tv_exact"] is None  # 5 > cap, exact TV skipped
+    assert rec["results"]["tv_exact"] is None  # 9 > cap, exact TV skipped
+    assert rec["results"]["lower_bound"] is not None
 
 
 def test_moments_inv_large_n_matches_digamma_form(capsys):
@@ -833,26 +846,37 @@ _BASE_ARGV = {
 }
 
 
-def _int_option_argvs():
-    """Every integer option of every subcommand, read from the parser, over
-    -1, 0 and values that are not integers, on the subcommand's small run."""
+def _option_argvs():
+    """Read from the parser, on each subcommand's small run: every integer
+    option over -1, 0 and values that are not integers, every ``choices``
+    value, and ``--stat`` over every tag, with m = 1, 2 and 10^30 where the
+    tag takes one."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(_BASE_ARGV)
+    selectors = sorted(stats._TAGS_PLAIN) + [f"{tag}:{m}" for tag in sorted(stats._TAGS_WITH_M)
+                                              for m in (1, 2, 10 ** 30)]
     for command, sp in sub.choices.items():
         for action in sp._actions:
             if action.type is int:
-                for value in ("-1", "0", "1e3", "nan", ""):
-                    yield [*_BASE_ARGV[command], action.option_strings[0], value]
+                values = ("-1", "0", "1e3", "nan", "")
+            elif action.choices is not None:
+                values = action.choices
+            elif action.dest == "stat":
+                values = selectors
+            else:
+                continue
+            for value in values:
+                yield [*_BASE_ARGV[command], action.option_strings[0], value]
 
 
 def _edge_grid(tmp_path):
     """argv of every subcommand over edge values: every integer option at
-    -1, 0 and non-integers, n of 0, 1, 2 and 10^12, reps of 0, 1 and 10^12,
-    windows past n, a NaN threshold and transition, bad thread counts, the
-    JSON cap and every model, each refused before a large allocation or
-    small."""
-    yield from _int_option_argvs()
+    -1, 0 and non-integers, every choice, every statistic tag, n of 0, 1, 2
+    and 10^12, reps of 0, 1 and 10^12, windows past n, a NaN threshold and
+    transition, bad thread counts, the JSON cap and every model, each
+    refused before a large allocation or small."""
+    yield from _option_argvs()
     yield ["sample", "--n", "1", "--reps", str(cli._JSON_ENTRIES + 1), "--format", "json"]
     # parser refusals: no subcommand, a required option missing, an unknown one
     yield from ([], ["clt", "--n", "5", "--reps", "5"], ["tv", "--n", "3", "--nope"])

@@ -165,20 +165,10 @@ def test_argmax_argmin():
 # ---------------------------------------------------------------------------
 # enumeration and laws
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.delenv("PERMLAB_ENUM_LIMIT", raising=False)
-    assert exact.enumeration_limit() == 8
-    with pytest.raises(exact.EnumerationLimit):
+def test_enumeration_cap():
+    assert len(exact.enumerate_law(8, ModelKind.UNIFORM).outcomes) == 40320
+    with pytest.raises(exact.EnumerationLimit, match="cap 8"):
         exact.enumerate_law(9, ModelKind.UNIFORM)
-    monkeypatch.setenv("PERMLAB_ENUM_LIMIT", "5")
-    assert exact.enumeration_limit() == 5
-    with pytest.raises(exact.EnumerationLimit):
-        exact.enumerate_law(6, ModelKind.UNIFORM)
-    monkeypatch.setenv("PERMLAB_ENUM_LIMIT", "99")
-    assert exact.enumeration_limit() == 10  # hard cap
-    monkeypatch.setenv("PERMLAB_ENUM_LIMIT", "zzz")
-    with pytest.warns(UserWarning):
-        assert exact.enumeration_limit() == 8
 
 
 def test_phi_laws_match_the_named_models():

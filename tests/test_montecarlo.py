@@ -69,6 +69,19 @@ def test_unfair_inversions_read_score_rows(monkeypatch, stat):
     assert np.array_equal(montecarlo._values(kind, spec, n, reps, seed, 0, 1), want)
 
 
+def test_one_replica_has_no_sample_variance(monkeypatch):
+    # NaN, not 0: one value has no sample variance; the ratio, whose
+    # standard error needs one, is refused before anything is drawn
+    kind, spec = parse_statistic("inv"), ModelSpec.inverse_unfair()
+    rep = montecarlo.estimate(kind, spec, 20, 1, seed=1)
+    assert math.isfinite(rep.mean) and math.isnan(rep.variance) and math.isnan(rep.se_mean)
+    s = montecarlo.standardized_sample(kind, spec, 20, 1, seed=1)
+    assert math.isnan(s.sample_variance) and math.isnan(s.raw_variance())
+    monkeypatch.setattr(montecarlo, "_values", None)
+    with pytest.raises(ValueError, match="reps >= 2"):
+        montecarlo.moment_ratio_mc(parse_statistic("locmax"), 20, 1, seed=1)
+
+
 def test_budget_guard(monkeypatch):
     kind = parse_statistic("inv")
     with pytest.raises(montecarlo.BudgetExceeded):

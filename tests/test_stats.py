@@ -280,10 +280,10 @@ def _stable_ranks(x: np.ndarray) -> np.ndarray:
 def _edge_rows(n: int, rng) -> list:
     """(rows, pairwise) of every dtype ``ranks_matrix`` takes: float rows
     with exact ties, -0.0 against +0.0 and infinities, the same with NaN,
-    int64 past 2^53, uint64 past 2^63, bool and object rows;
-    ``_PAIRWISE_ROWS`` of each, so a float or integer block with no NaN is
-    ranked pair by pair where n <= 16."""
-    rows = stats._PAIRWISE_ROWS
+    int64 past 2^53, uint64 past 2^63, bool and object rows; 512 of each,
+    and pairwise is whether a float or integer block with no NaN is ranked
+    pair by pair, where n <= 16."""
+    rows = 512
     x = np.log(rng.random((rows, n)))
     x[:20] = np.floor(x[:20] * 2)  # exact ties
     if n:
@@ -309,25 +309,24 @@ def _edge_rows(n: int, rng) -> list:
 
 @pytest.mark.parametrize("n", range(18))
 def test_pairwise_ranks_equal_the_stable_argsort(monkeypatch, n):
-    # on both sides of the route rule: _PAIRWISE_ROWS rows of at most 16
-    # rank pair by pair, one row fewer sorts; a block holding a NaN sorts,
-    # NaN above every number and NaNs in column order
+    # rows of at most 16 rank pair by pair at any row count, one row
+    # included; a block holding a NaN sorts, NaN above every number and NaNs
+    # in column order
     pairwise = []
     real = stats._pairwise_ranks
     monkeypatch.setattr(stats, "_pairwise_ranks", lambda x: pairwise.append(x) or real(x))
     for rows, pair_route in _edge_rows(n, np.random.default_rng(n)):
-        for block in (rows, rows[1:]):
+        for block in (rows, rows[1:], rows[:1]):
             pairwise.clear()
             got = stats.ranks_matrix(block)
             assert got.dtype == np.int64 and got.flags.c_contiguous
             assert np.array_equal(got, _stable_ranks(block)), (n, block.dtype)
-            assert len(pairwise) == (pair_route and n > 0 and block is rows), (n, block.dtype)
+            assert len(pairwise) == (pair_route and n > 0), (n, block.dtype)
 
 
 def test_ranks_route_pairwise_on_many_short_rows(monkeypatch):
-    # the measured routes are pinned, so a change to the rule cannot move a
-    # shape to the slower route unseen: n = 4 fidelity rows pairwise, one
-    # row of sample_permutation and every row past 16 by the sort
+    # the routes are pinned: every row of at most 16 pairwise, from the n = 4
+    # fidelity rows to one row, and every row past 16 by the sort
     ran = []
     for name in ("_pairwise_ranks", "_order"):
         real = getattr(stats, name)
@@ -336,7 +335,8 @@ def test_ranks_route_pairwise_on_many_short_rows(monkeypatch):
         (8000, 4, "_pairwise_ranks"), (4096, 4, "_pairwise_ranks"),
         (20000, 16, "_pairwise_ranks"), (512, 16, "_pairwise_ranks"),
         (512, 1, "_pairwise_ranks"),
-        (511, 16, "_order"), (511, 2, "_order"), (1, 4, "_order"), (1, 16, "_order"),
+        (511, 16, "_pairwise_ranks"), (511, 2, "_pairwise_ranks"), (1, 4, "_pairwise_ranks"),
+        (1, 16, "_pairwise_ranks"),
         (8000, 17, "_order"), (20000, 100, "_order"), (400, 2000, "_order"), (8000, 0, "_order"),
     )
     for rows, n, route in cases:
@@ -569,7 +569,7 @@ def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
     # the size-bias checks count their inversions through the same kernel
     from permlab import sizebias
 
-    monkeypatch.setattr(stats, "_MERGE_KEYS", 32 * 30)  # 10-row chunks on 3 threads
+    monkeypatch.setattr(stats, "_MERGE_KEYS", 32 * 30)  # 32-row chunks, counted pair by pair
     got = {}
     for cpus in (1, 3):
         pools = _pool_spy(monkeypatch, cpus)
@@ -577,7 +577,7 @@ def test_sizebias_records_equal_for_any_thread_count(monkeypatch):
         bound = sizebias.stein_bound(30, 200, 16, 6)
         ident = sizebias.verify_size_bias_identity(30, "square", 50, 7)
         got[cpus] = ({k: v.tobytes() for k, v in draws.items()}, bound, ident)
-        assert bool(pools) == (cpus > 1)
+        assert pools == []  # rows of 30 count on the calling thread
     assert got[1] == got[3]
 
 
@@ -586,6 +586,25 @@ def test_batch_single_row_and_single_column():
     assert stats.inversions_batch(np.zeros((3, 0))).tolist() == [0, 0, 0]
     assert stats.local_maxima_batch(np.array([[1, 2]])).tolist() == [0]
     assert stats.longest_alternating_batch(np.array([[1]])).tolist() == [1]
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 4), (0, 16), (0, 17), (0, 40), (3, 0)])
+def test_empty_batches_keep_their_shape(shape):
+    # no rows, on each side of the 16- and 32-column rules, and rows of no
+    # entries: the block views take them, and every count is an int64 zero
+    reps, n = shape
+    x = np.random.default_rng(0).random(shape)
+    ranks = stats.ranks_matrix(x)
+    assert ranks.shape == shape and ranks.dtype == np.int64
+    zeros = np.zeros(reps, dtype=np.int64)
+    sels = ["inv", "ainv", "desc:1", "desc:3", "asc:1", "locmax"]
+    sels += ["las", "rising:1", "incsub:1"] if reps == 0 else []  # each needs n >= 1
+    for rows in (x, ranks):
+        assert np.array_equal(stats.inversions_batch(rows), zeros)
+        assert np.array_equal(stats.m_descents_batch(rows, 3), zeros)
+        for sel in sels:
+            got = stats.evaluate_batch(stats.parse_statistic(sel), rows)
+            assert got.dtype == np.int64 and np.array_equal(got, zeros), sel
 
 
 def test_evaluate_batch_incsub_matches_loop():
@@ -654,7 +673,7 @@ def test_inversions_batch_past_2_16_padded_columns():
 
 @pytest.mark.parametrize("n", [16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
 def test_inversions_at_the_route_edges(n):
-    # _PAIRWISE_ROWS rows and one fewer, on both sides of the width rule:
+    # 512 rows and one fewer, on both sides of the width rule:
     # exact ties, -0.0 against +0.0, infinities, NaN, int64 past 2^53,
     # uint64 past 2^63, bool and object rows count as the oracle on their
     # stable ranks, NaN last, and as their ranks_matrix rows; rows with no
@@ -676,7 +695,7 @@ def test_nan_counts_as_in_the_ranks_at_every_width():
         x[0, 0] = np.nan
         assert stats.inversions_batch(x).tolist() == [n - 1]
         assert stats.m_descents_batch(x, n - 1).tolist() == [n - 1]
-        many = np.repeat(x, stats._PAIRWISE_ROWS, axis=0)
+        many = np.repeat(x, 512, axis=0)
         assert stats.inversions_batch(many).tolist() == [n - 1] * len(many)
 
 
@@ -696,18 +715,18 @@ def test_wide_windows_count_a_nan_row_as_its_ranks(n):
 
 
 def test_pairwise_route_starts_no_pool(monkeypatch):
-    # the measured routes are pinned, on 3 CPUs: rows of at most
-    # _PAIRWISE_COLS count pair by pair with no merge chunk but for the rows
-    # holding a NaN, and with no pool while the batch is one block of
-    # _MERGE_KEYS entries; longer rows merge
+    # the routes are pinned, on 3 CPUs: rows of at most _PAIRWISE_COLS count
+    # pair by pair with no merge chunk but for the rows holding a NaN, and
+    # with no pool at any row count, past one block of _MERGE_KEYS entries
+    # too; longer rows merge
     merged = []
     real = stats._inversions_chunk
     monkeypatch.setattr(stats, "_inversions_chunk", lambda x: merged.append(len(x)) or real(x))
     block = stats._MERGE_KEYS
     cases = (
-        (4000, 30, "calling thread"), (1, 17, "calling thread"), (1, 32, "calling thread"),
-        (block // 32, 32, "calling thread"), (block // 32 + 1, 32, "thread chunks"),
-        (3 * block // 16, 16, "thread chunks"),
+        (4000, 30, "pairwise"), (1, 17, "pairwise"), (1, 32, "pairwise"),
+        (block // 32, 32, "pairwise"), (block // 32 + 1, 32, "pairwise"),
+        (3 * block // 16, 16, "pairwise"), (40_000, 30, "pairwise"),
         (1, 33, "merge"), (1500, 100, "merge"), (3, 2000, "merge"),
     )
     for reps, n, route in cases:
@@ -719,24 +738,29 @@ def test_pairwise_route_starts_no_pool(monkeypatch):
             pools = _pool_spy(monkeypatch, 3)
             got = stats.inversions_batch(rows)
             assert sum(merged) == (reps if route == "merge" else int(rows is one)), (reps, n)
-            if route != "merge":
-                assert pools == ([3] if route == "thread chunks" else []), (reps, n)
+            if route == "pairwise":
+                assert pools == [], (reps, n)
             assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(rows)))
 
 
 @pytest.mark.parametrize("n", [2, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
 def test_short_row_descents_count_in_blocks(monkeypatch, n):
-    # columns-first counts of _PAIRWISE_ROWS rows in blocks of three rows,
-    # and row by row counts of one row fewer or of rows past _PAIRWISE_COLS,
-    # give the oracle's m-descents, ties as given
+    # windows with 2m < n count row by row, with no block count, at any row
+    # count and width; wider windows subtract from the inversion count in
+    # blocks of three rows; all give the oracle's m-descents, ties as given
     monkeypatch.setattr(stats, "_MERGE_KEYS", 3 * n)
+    blocks = []
+    real = stats._block_descents
+    monkeypatch.setattr(stats, "_block_descents", lambda x, w: blocks.append(w) or real(x, w))
     rng = np.random.default_rng(n)
-    x = rng.random((stats._PAIRWISE_ROWS, n))
+    x = rng.random((512, n))
     x[:4] = np.floor(x[:4] * 3)
     for m in sorted({1, 3, max(1, (n - 1) // 2)}):
         want = [m_desc_oracle(r, m) for r in x.tolist()]
-        assert stats.m_descents_batch(x, m).tolist() == want, m
-        assert stats.m_descents_batch(x[1:], m).tolist() == want[1:], m
+        for rows in (x, x[1:]):
+            blocks.clear()
+            assert stats.m_descents_batch(rows, m).tolist() == want[-len(rows):], m
+            assert (blocks == []) == (2 * m < n), (m, blocks)
 
 
 def test_mean_inversions_exact_is_the_rounded_fraction_sum():
