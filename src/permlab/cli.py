@@ -8,13 +8,14 @@ with the command, every parsed argument as params (the seed drawn, the
 statistic normalized), the results, the package version and the runtime: on
 stdout for scalar commands, on stderr after the CSV rows of table commands,
 so data and diagnostics never mix.  A refused run, a bad argument included,
-prints one ``error:`` line, exits 1 and emits no record.
+prints one ``error:`` line, exits 1 and emits no record; the line names a
+number of more than 20 digits by its digit count.
 
-``sample`` and ``pmf`` write their table bodies by block of at most 2^20
-values, each block gathered as bytes from numpy tables and written as one
-str, byte for byte what the csv module writes: the joined permutation field
-is quoted, and bare at n = 1 where it holds no comma.  CSV ``sample`` draws
-each block just before writing it.
+``sample`` and ``pmf`` write their table bodies by the row blocks of
+``models._block_rows`` (at most 2^20 values), each block gathered as bytes
+from numpy tables and written as one str, byte for byte what the csv module
+writes: the joined permutation field is quoted, and bare at n = 1 where it
+holds no comma.  CSV ``sample`` draws each block just before writing it.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import exact, montecarlo, sizebias
 from .models import (
-    _BLOCK_ROWS,
+    _block_rows,
     ModelKind,
     ModelSpec,
     chain_from_config,
@@ -95,11 +97,6 @@ def _model_spec(args) -> ModelSpec:
     return ModelSpec(kind)
 
 
-def _rows_per_block(n: int) -> int:
-    """Rows of n values in one table block: at most 2^20 values, at least one row."""
-    return max(1, min(_BLOCK_ROWS, 2 ** 20 // n))
-
-
 def _row_writer(n: int, lead: str, close: str, cells):
     """A function write(block, ids) that writes row r of ``block`` (n values
     in 0..n) to stdout as the csv module would: a first field lead + the
@@ -126,10 +123,9 @@ def _row_writer(n: int, lead: str, close: str, cells):
 
 
 def _write_rows(mat, lead: str, close: str, cells, ids) -> None:
-    """Write the rows of ``mat`` by ``_row_writer``, in blocks of at most
-    2^20 values."""
+    """Write the rows of ``mat`` by ``_row_writer``, in row blocks."""
     n = mat.shape[1]
-    write, step = _row_writer(n, lead, close, cells), _rows_per_block(n)
+    write, step = _row_writer(n, lead, close, cells), _block_rows(n)
     for a in range(0, len(mat), step):
         write(mat[a:a + step], ids[a:a + step])
 
@@ -151,7 +147,7 @@ def cmd_sample(args) -> dict:
                              f"{_JSON_ENTRIES}; use --format csv")
         mat = sample_permutation_matrix(spec, n, reps, args.seed, workers=args.threads)
         return {"permutations": mat.tolist()}
-    write, step = _row_writer(n, "", "", ["\r\n"]), _rows_per_block(n)
+    write, step = _row_writer(n, "", "", ["\r\n"]), _block_rows(n)
     ids = np.zeros(step, dtype=np.intp)
     for a in range(0, reps, step):
         mat = sample_permutation_matrix(spec, n, min(step, reps - a), args.seed,
@@ -385,7 +381,9 @@ def main(argv: "list[str] | None" = None) -> int:
         table = args.command in ("pmf", "stats") or getattr(args, "format", None) == "csv"
         _emit_record(_record(args, results, t0), to_stderr=table)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        # a number of more than 20 digits is named by its digit count
+        text = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(exc) or "out of memory")
+        print(f"error: {text}", file=sys.stderr)
         return 1
     return 0
 

@@ -222,15 +222,19 @@ def _law_table(n: int, model: "ModelKind | str | ModelSpec") -> tuple[np.ndarray
 def statistic_law(
     n: int, model: "ModelKind | str | ModelSpec", kind: _stats.StatisticKind, exact: bool = False
 ) -> ExactDistribution:
-    """Exact pushforward law of a statistic under a model, by enumeration."""
-    law = enumerate_law(n, model, exact=exact)
-    acc: dict[int, object] = {}
-    zero = Fraction(0) if exact else 0.0
-    values = _stats.evaluate_batch(kind, permutation_matrix(n)).tolist()
-    for v, p in zip(values, law.probs):
-        acc[v] = acc.get(v, zero) + p
-    support = tuple(sorted(acc))
-    return ExactDistribution(support, tuple(acc[v] for v in support), ("int",))
+    """Exact pushforward law of a statistic under a model, by enumeration.
+
+    Each value's probability adds its rows' terms in row order."""
+    perms, num, den = _law_table(n, model)
+    support, inverse = np.unique(_stats.evaluate_batch(kind, perms), return_inverse=True)
+    probs = _probs(num, den, exact)
+    if exact:
+        acc = [Fraction(0)] * support.size
+        for v, p in zip(inverse.tolist(), probs):
+            acc[v] += p
+    else:
+        acc = np.bincount(inverse, weights=probs, minlength=support.size).tolist()
+    return ExactDistribution(tuple(support.tolist()), tuple(acc), ("int",))
 
 
 def tv_distance(d1: ExactDistribution, d2: ExactDistribution):

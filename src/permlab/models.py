@@ -292,43 +292,35 @@ def sample_permutation(spec: ModelSpec, n: int, rng: np.random.Generator) -> Per
 # batch sampling with per-replica streams
 #
 # Row r of a batch is drawn from stream first_stream + r, on the calling
-# thread.  _stream_blocks hands out the rows in blocks of at most
-# _BLOCK_ROWS, each with one source of uniforms holding one row per stream:
-# an rng.StreamBlock (which picks its own way to draw), or one generator per
-# row for streams at or past 2^64, the most a StreamBlock holds.  Both give
-# the same bits, so the markov walk and the log-score transform ln(u)/k run
-# over the whole block, and the size-bias completions read their blocks from
-# the same rule.
+# thread; streams lie below 2^64, the most an rng.StreamBlock holds.  Every
+# batch of rows of n values goes by blocks of _block_rows(n) rows: the
+# sampled scores, the Monte Carlo values, the CSV tables and the size-bias
+# completions and recounts.  _stream_blocks hands out one StreamBlock per
+# block, so the markov walk and the log-score transform ln(u)/k run over the
+# whole block.
 
 _BLOCK_ROWS = 4096  # temporaries of one block stay near 1 MB per column pass
+_BLOCK_VALUES = 2 ** 20  # a block of scores stays near 8 MB however wide its rows
 
 
-class _RowGenerators:
-    """One generator per stream, drawn from like an rng.StreamBlock: row r of
-    ``random(k)`` continues the generator of streams[r]."""
-
-    def __init__(self, seed: int, streams: range, substream: int | None = None) -> None:
-        self._gens = [make_generator(seed, s, substream) for s in streams]
-
-    def random(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty((len(self._gens), k))
-        for gen, row in zip(self._gens, out):
-            gen.random(k, out=row)
-        return out
+def _block_rows(n: int) -> int:
+    """Rows of n values in one block: at most _BLOCK_ROWS rows and
+    _BLOCK_VALUES values, at least one row."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // n))
 
 
-def _stream_blocks(seed: int, first_stream: int, rows: int, substream: int | None = None):
-    """(a, b, rng) for rows a..b-1 of a batch of ``rows``: rng has one row
-    per stream first_stream + a..b-1 (under ``substream``), a StreamBlock or
-    one generator per row by the rule above."""
-    for a in range(0, rows, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, rows)
-        if first_stream + b > 2 ** 64:
-            yield a, b, _RowGenerators(seed, range(first_stream + a, first_stream + b), substream)
-        else:
-            streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
-            yield a, b, make_generator(seed, streams, substream)
+def _stream_blocks(seed: int, first_stream: int, rows: int, n: int,
+                   substream: int | None = None):
+    """(a, b, rng) for rows a..b-1 of a batch of ``rows`` rows of n values:
+    rng is the StreamBlock of streams first_stream + a..b-1 (under
+    ``substream``)."""
+    if first_stream + rows > 2 ** 64:
+        raise ValueError("stream indices must lie below 2**64")
+    step = _block_rows(n)
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        streams = np.arange(first_stream + a, first_stream + b, dtype=np.uint64)
+        yield a, b, make_generator(seed, streams, substream)
 
 
 def sample_score_matrix(
@@ -339,7 +331,8 @@ def sample_score_matrix(
     first_stream: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
-    """(reps, n) log-score matrix; row r comes from stream first_stream + r.
+    """(reps, n) log-score matrix; row r comes from stream first_stream + r,
+    which must lie below 2^64.
 
     Rows are drawn on the calling thread (large inversion counts use up to
     one thread per CPU, ``stats``); ``workers`` is checked to be at least
@@ -350,7 +343,7 @@ def sample_score_matrix(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     mat = np.empty((reps, n), dtype=float)
-    for a, b, rng in _stream_blocks(seed, first_stream, reps):
+    for a, b, rng in _stream_blocks(seed, first_stream, reps, n):
         _scores(spec, n, rng, out=mat[a:b])
     return mat
 

@@ -2,9 +2,10 @@
 
 Replica r of every run draws from stream r of the root seed (disjoint blocks
 when a run needs two models), and reductions are numpy pairwise sums over the
-replica-indexed value array.  Replicas are sampled on the calling thread in
-row chunks of at most ``_CHUNK_ELEMENTS`` scores, so a run holds one chunk of
-scores plus one value per replica.  Large inversion counts use up to one
+replica-indexed value array.  Replicas are sampled and evaluated on the
+calling thread one row block at a time, by the one rule of ``models``
+(``_block_rows``: at most 2^20 scores), so a run holds one block of scores
+plus one value per replica.  Large inversion counts use up to one
 thread per CPU (``stats``); ``workers`` is checked but selects nothing.
 Empirical normality is measured against the standard normal with a
 Kolmogorov-Smirnov distance and an order-statistic Wasserstein-1 distance;
@@ -23,8 +24,8 @@ from scipy.special import ndtr, ndtri
 
 from . import exact
 from .exact import UnknownClosedForm
-from .models import (ModelKind, ModelSpec, _fixed_counts, sample_permutation_matrix,
-                     sample_score_matrix)
+from .models import (ModelKind, ModelSpec, _block_rows, _fixed_counts,
+                     sample_permutation_matrix, sample_score_matrix)
 from .stats import StatisticKind, evaluate_batch
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BUDGET = 500_000_000
-# Scores sampled and evaluated at once, bounding a run's memory.
-_CHUNK_ELEMENTS = 8_000_000
 
 
 class BudgetExceeded(ValueError):
@@ -72,14 +71,14 @@ def _check_budget(n: int, rows: int) -> None:
 def _values(kind: StatisticKind, spec: ModelSpec, n: int, reps: int, seed: int,
             first_stream: int, workers: int) -> np.ndarray:
     """Statistic values (float) of replicas from streams first_stream + r:
-    sample a chunk of at most ``_CHUNK_ELEMENTS`` scores, then evaluate it.
+    sample a block of ``_block_rows(n)`` rows, then evaluate it.
     Score rows compare as their rank sequences do; unfair rows are one-line
     permutations unless the statistic counts every pair (equal on g^-1).
     """
     ranks = spec.kind is ModelKind.UNFAIR and not kind.counts_every_pair(n)
     sample = sample_permutation_matrix if ranks else sample_score_matrix
     values = np.empty(reps)
-    step = max(1, _CHUNK_ELEMENTS // n)
+    step = _block_rows(n)
     for lo in range(0, reps, step):
         mat = sample(spec, n, min(step, reps - lo), seed, first_stream + lo, workers)
         values[lo:lo + len(mat)] = evaluate_batch(kind, mat)

@@ -15,12 +15,13 @@ bound of order n^(-1/2) on the normalized W via Stein's method:
         <= (mu/sigma^2) sqrt(2/pi) sqrt(Var E[W^s - W | W])
          + (mu/sigma^3) E[(W^s - W)^2].
 
-Streams: outer replica r reads stream r, as in every models batch
-(``models.sample_score_matrix`` of the inverse-unfair model), and completion
-c of that replica reads 4 uniforms from (stream r, substream 1 + c), all
-rows of the completion in the stream blocks of ``models``: 2 for the index
-pair, then 2 for the conditional pair, used or not.  Everything runs on the
-calling thread but large inversion counts (up to one thread per CPU, ``stats``).
+Streams: outer replica r reads stream r, below 2^64 as in every models
+batch (``models.sample_score_matrix`` of the inverse-unfair model), and
+completion c of that replica reads 4 uniforms from (stream r, substream
+1 + c): 2 for the index pair, then 2 for the conditional pair, used or not.
+Completions and recounts go by the row blocks of ``models._block_rows``, as
+every batch does.  Everything runs on the calling thread but large inversion
+counts (up to one thread per CPU, ``stats``).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import _pair_sums
-from .models import ModelSpec, ScoreVector, _log_scores, _stream_blocks
+from .models import ModelSpec, ScoreVector, _block_rows, _log_scores, _stream_blocks
 from .models import sample_score_matrix, sample_scores
 from .stats import inversions_batch
 
@@ -137,9 +138,6 @@ class CouplingDraw:
     scores_s: ScoreVector
 
 
-_RECOUNT_ELEMENTS = 1 << 20  # score elements compared per recount pass
-
-
 def _complete(z: np.ndarray, w: np.ndarray, idx: IndexDistribution, u: np.ndarray):
     """One completion of every row of ``z`` from its 4 uniforms ``u[r]``:
     (i, j, w_s, resampled, pair_s), ``pair_s`` the new scores at (i, j).
@@ -152,7 +150,7 @@ def _complete(z: np.ndarray, w: np.ndarray, idx: IndexDistribution, u: np.ndarra
     pair_s = np.where(resampled[:, None], _inverted_pair(u[:, 2:].copy(), i, j), pair)
     w_s = w.copy()
     hit = np.flatnonzero(resampled)
-    step = max(1, _RECOUNT_ELEMENTS // z.shape[1])
+    step = _block_rows(z.shape[1])
     for lo in range(0, hit.size, step):
         r = hit[lo:lo + step]
         w_s[r] += _pair_change(z[r], i[r] - 1, j[r] - 1, pair[r], pair_s[r])
@@ -190,9 +188,9 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
 
 def _completion_uniforms(seed: int, first_stream: int, reps: int, c: int) -> np.ndarray:
     """(reps, 4) uniforms of completion c: row r from (stream first_stream + r,
-    substream 1 + c), in the stream blocks of every models batch."""
+    substream 1 + c), in the stream blocks of every models batch of 4 values."""
     u = np.empty((reps, 4))
-    for a, b, rng in _stream_blocks(seed, first_stream, reps, substream=1 + c):
+    for a, b, rng in _stream_blocks(seed, first_stream, reps, 4, substream=1 + c):
         rng.random(4, out=u[a:b])
     return u
 

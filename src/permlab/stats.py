@@ -425,12 +425,13 @@ def local_maxima_batch(x: np.ndarray) -> np.ndarray:
 def longest_alternating_batch(x: np.ndarray) -> np.ndarray:
     """Longest alternating subsequence, descent first: a1 > a2 < a3 > ...
 
-    A single element alternates, so the identity scores 1.
+    A single element alternates, so the identity scores 1; a row of no
+    entries scores 0.
     """
     x = np.atleast_2d(np.asarray(x))
     reps, n = x.shape
-    if n == 1:
-        return np.ones(reps, dtype=np.int64)
+    if n <= 1:
+        return np.full(reps, n, dtype=np.int64)
     desc = x[:, :-1] > x[:, 1:]
     blocks = 1 + np.count_nonzero(desc[:, 1:] != desc[:, :-1], axis=1)
     return (blocks + desc[:, 0]).astype(np.int64)

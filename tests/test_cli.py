@@ -64,7 +64,7 @@ def test_pmf_rows_match_per_row_formatting(capsys, monkeypatch, model):
     # each distinct probability is formatted once and rows are written by
     # block; the bytes are still the per-row csv.writer table's (a bare first
     # field at n = 1), and the total is the exact sum
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(permlab.models, "_BLOCK_ROWS", 5)
     for n in range(1, 9):
         code, out, err = run_cli(["pmf", "--model", model, "--n", str(n)], capsys)
         want, total = _pmf_oracle(n, model)
@@ -272,7 +272,7 @@ def test_sample_csv_bytes(capsys, monkeypatch, tmp_path, n):
     # block from streams 0, 3 and 6 and formatted from tables built once; the
     # oracle is csv.writer on one joined field per row of the whole JSON
     # matrix, quoted, bare at n = 1 where the row holds no comma
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(permlab.models, "_BLOCK_ROWS", 3)
     sample, row_writer, drawn = cli.sample_permutation_matrix, cli._row_writer, []
 
     def spy(spec, n, reps, seed, first_stream=0, workers=1):
@@ -324,14 +324,14 @@ def test_csv_sample_memory_does_not_grow_with_reps(monkeypatch, tmp_path, model)
     import tracemalloc
     from types import SimpleNamespace
 
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 256)
+    monkeypatch.setattr(permlab.models, "_BLOCK_ROWS", 256)
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"states": [1, 3], "transitions": [[0.5, 0.5], [0.0, 1.0]]}))
     config = ["--chain", str(chain)] if model == "markov" else []
     null = SimpleNamespace(write=len)
     monkeypatch.setattr(sys, "stdout", null)
     monkeypatch.setattr(sys, "stderr", null)
-    step, peaks = cli._rows_per_block(1000), []
+    step, peaks = permlab.models._block_rows(1000), []
     for reps in (4 * step, 16 * step):
         tracemalloc.start()
         code = cli.main(["sample", "--model", model, *config, "--n", "1000",
@@ -926,6 +926,16 @@ def _edge_grid(tmp_path):
     # n past the moment table cap, inside the sampling budget
     yield ["moments", "--stat", "inv", "--n", str(10 ** 8)]
     yield ["moments", "--stat", "inv", "--n", str(10 ** 400)]  # past float64, refused as one line
+    # values of hundreds of digits past a cap: the refusal names their digit count
+    huge = str(10 ** 400)
+    yield ["pmf", "--n", huge]
+    yield ["sample", "--n", huge, *seed]
+    yield ["sample", "--n", "3", "--reps", huge, *seed]
+    for cmd in ("clt", "ratio"):
+        yield [cmd, "--stat", "inv", "--n", huge, "--reps", "2", *seed]
+    yield ["sizebias", "--n", huge, *seed]
+    yield ["sizebias", "--check", "identity", "--n", "5", "--reps", huge, *seed]
+    yield ["stats", "--stat", f"rising:{huge}", "--perm", "3,1,2"]
     yield ["clt", "--stat", "inv", "--n", str(10 ** 8), "--reps", "2", *seed]
     yield ["sizebias", "--check", "identity", "--n", str(10 ** 8), "--reps", "2", *seed]
     yield ["sizebias", "--check", "bound", "--n", str(10 ** 8), "--outer", "2", "--inner", "1",
@@ -934,7 +944,8 @@ def _edge_grid(tmp_path):
 
 def test_every_subcommand_over_edge_values(capsys, tmp_path):
     # exit 0 with one strict-JSON record (on stderr after a table), or exit 1
-    # with one error line and no output, in bounded time and traced memory
+    # with one error line of at most 200 characters and no output, in bounded
+    # time and traced memory
     import time
     import tracemalloc
 
@@ -954,10 +965,25 @@ def test_every_subcommand_over_edge_values(capsys, tmp_path):
             ok = len(text.splitlines()) == 1 and bool(
                 json.loads(text, parse_constant=no_constant))
         else:
-            ok = code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+            ok = (code == 1 and out == "" and err.startswith("error: ")
+                  and err.count("\n") == 1 and len(err.rstrip("\n")) <= 200)
         if not ok or seconds > 2.0 or peak > 64 * 2 ** 20:
             bad.append((argv, code, err, round(seconds, 3), peak))
     assert bad == []
+
+
+def test_refusals_name_huge_numbers_by_digit_count(capsys):
+    # up to 20 digits (2^64 has 20) a number is written out; past that, its
+    # digit count stands in for it, so the line stays short
+    huge, seed = str(10 ** 400), ["--seed", "1"]
+    assert run_cli(["moments", "--stat", "inv", "--n", huge], capsys) == (
+        1, "", "error: n = <401 digits> exceeds the moment table cap 10^6\n")
+    assert run_cli(["clt", "--stat", "inv", "--n", huge, "--reps", "2", *seed], capsys) == (
+        1, "", "error: 2 rows of n = <401 digits>: <401 digits> entries exceed budget "
+               "500000000\n")
+    assert run_cli(["sample", "--n", "3", "--reps", str(2 ** 64), *seed], capsys) == (
+        1, "", f"error: {2 ** 64} rows of n = 3: {3 * 2 ** 64} entries exceed budget "
+               "500000000\n")
 
 
 @pytest.mark.parametrize("argv, table", [

@@ -371,8 +371,9 @@ def test_worker_count_below_one_rejected():
 
 
 def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
-    # stepped, native and per-row blocks must all give the bits of one
-    # make_generator per row; the spies check that each path really ran
+    # stepped and native blocks must both give the bits of one make_generator
+    # per row, up to stream 2^64 - 1; the spies check that each path really
+    # ran.  A batch reaching stream 2^64 is refused in one line
     ran = set()
 
     def spy(path, call):
@@ -384,7 +385,6 @@ def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
 
     monkeypatch.setattr(models, "make_generator", spy("block", make_generator))
     monkeypatch.setattr(StreamBlock, "random_rows", spy("native", StreamBlock.random_rows))
-    monkeypatch.setattr(models, "_RowGenerators", spy("per-row", models._RowGenerators))
     wide = rng._STEPPED_MAX_WIDTH + 1
     cases = (
         # 150 rows step the n = 8 draws (markov draws n - 1, then n)
@@ -392,7 +392,6 @@ def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
         (wide, 3, 7, {"block", "native"}),
         (8, 12, 2 ** 32 - 6, {"block", "native"}),  # one- and two-word spawn keys
         (9, 40, 2 ** 64 - 40, {"block", "native"}),  # ends at stream 2^64 - 1
-        (8, 5, 2 ** 64 - 2, {"per-row"}),  # streams 2^64 and past
     )
     for spec in _ALL_MODELS:
         for n, reps, first, paths in cases:
@@ -407,6 +406,10 @@ def test_score_rows_match_per_row_streams_on_every_path(monkeypatch):
                 )
                 assert np.array_equal(got, want)
                 assert ran == paths
+        for n, reps, first in ((4, 5, 2 ** 64 - 2), (8, 1, 2 ** 64)):
+            with pytest.raises(ValueError) as refused:
+                models.sample_score_matrix(spec, n, reps, seed=5, first_stream=first)
+            assert str(refused.value) == "stream indices must lie below 2**64"
 
 
 def test_score_matrices_equal_on_the_dict_route(monkeypatch):

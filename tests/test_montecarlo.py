@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from permlab import exact, montecarlo, stats
+from permlab import exact, models, montecarlo, stats
 from permlab.models import ModelSpec, sample_permutation_matrix, sample_score_matrix
 from permlab.stats import evaluate_batch, parse_statistic
 
@@ -254,10 +254,10 @@ def test_standardized_sample_takes_only_models_its_closed_forms_describe():
 
 
 def test_values_stream_in_row_chunks(monkeypatch):
-    # chunks of 40 rows (stepped blocks) end in a 10-row tail (per-row
-    # generators); the values equal the statistic of the full matrices
+    # blocks of 40 rows end in a 10-row tail; the values equal the
+    # statistic of the full matrices
     n, reps, seed = 12, 130, 4
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 40 * n)
+    monkeypatch.setattr(models, "_BLOCK_VALUES", 40 * n)
     rank, unfair = ModelSpec.inverse_unfair(), ModelSpec.unfair()
     desc, inv = parse_statistic("desc:2"), parse_statistic("inv")
     scores = sample_score_matrix(rank, n, reps, seed)
@@ -277,14 +277,28 @@ def test_values_stream_in_row_chunks(monkeypatch):
 
 
 def test_standardized_sample_memory_does_not_grow_with_reps(monkeypatch):
-    # one chunk of 100,000 scores is live at a time; 4x the replicas adds
+    # one block of 100,000 scores is live at a time; 4x the replicas adds
     # only their values (240 KB), not 24 MB of scores
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 100_000)
+    monkeypatch.setattr(models, "_BLOCK_VALUES", 100_000)
     kind, spec = parse_statistic("desc:1"), ModelSpec.inverse_unfair()
     peaks = []
     for reps in (10_000, 40_000):
         tracemalloc.start()
         montecarlo.standardized_sample(kind, spec, 100, reps, seed=5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2 ** 20, peaks
+
+
+def test_moment_ratio_memory_does_not_grow_with_reps(monkeypatch):
+    # each model's scores are live one block of 100,000 at a time; 4x the
+    # replicas adds only their values (about 240 KB), not 12 MB of scores
+    monkeypatch.setattr(models, "_BLOCK_VALUES", 100_000)
+    kind = parse_statistic("desc:1")
+    peaks = []
+    for reps in (5_000, 20_000):
+        tracemalloc.start()
+        montecarlo.moment_ratio_mc(kind, 100, reps, seed=5, k=2)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4 * 2 ** 20, peaks
@@ -301,7 +315,7 @@ def test_values_equal_bits_for_any_worker_count(monkeypatch, stat, unfair, chunk
     real = stats.ThreadPoolExecutor
     monkeypatch.setattr(stats, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
     if chunk:
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(models, "_BLOCK_VALUES", chunk)
     kind = parse_statistic(stat)
     spec = ModelSpec.unfair() if unfair else ModelSpec.inverse_unfair()
     n, reps, seed = 300, 600, 6

@@ -8,12 +8,14 @@ import permlab
 # (module, sibling, name)
 ALLOWED = {
     ("cli", "exact", "_law_table"),
-    ("cli", "models", "_BLOCK_ROWS"),
+    ("cli", "models", "_block_rows"),
     ("cli", "montecarlo", "_check_budget"),
     ("exact", "models", "_fixed_counts"),
     ("models", "stats", "_inverse_rows"),
+    ("montecarlo", "models", "_block_rows"),
     ("montecarlo", "models", "_fixed_counts"),
     ("sizebias", "exact", "_pair_sums"),
+    ("sizebias", "models", "_block_rows"),
     ("sizebias", "models", "_log_scores"),
     ("sizebias", "models", "_stream_blocks"),
 }

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlab import exact, rng, sizebias
+from permlab import exact, models, rng, sizebias
 from permlab.models import ModelSpec, sample_score_matrix, sample_scores
 from permlab.rng import StreamBlock, make_generator
 from permlab.stats import inversions_batch
@@ -212,8 +212,7 @@ def test_couple_full_vs_incremental():
 @pytest.mark.parametrize("n", [2, 10, 1000])
 def test_recount_matches_full_count(n, monkeypatch):
     # the O(n) recount equals a full count of every completed row, also with
-    # tied scores (rounded rows), -inf entries and recount passes of few rows
-    monkeypatch.setattr(sizebias, "_RECOUNT_ELEMENTS", 7 * n)
+    # tied scores (rounded rows), -inf entries and recount passes of 7 rows
     reps = 400 if n == 1000 else 3000
     z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 31)
     z[::3] = np.round(z[::3], 1)
@@ -222,6 +221,7 @@ def test_recount_matches_full_count(n, monkeypatch):
     w = inversions_batch(z)
     u = sizebias._completion_uniforms(31, 0, reps, 2)
     u[::11, 2] = 0.0  # S_i = -inf: the resampled pair stays tied
+    monkeypatch.setattr(models, "_BLOCK_VALUES", 7 * n)
     i, j, w_s, resampled, pair_s = sizebias._complete(z, w, sizebias.index_distribution(n), u)
     assert resampled.any()
     assert np.array_equal(w_s, inversions_batch(_completed_rows(z, i, j, pair_s)))
@@ -257,11 +257,9 @@ def test_recount_counts_ties_with_the_pair_values():
 def test_completion_streams_cross_blocks():
     # a 4097-row completion spans two stream blocks; row r holds the bits of
     # the generator (seed, first_stream + r, substream 1 + c), also where the
-    # streams pass 2^64
-    from permlab.models import _BLOCK_ROWS
-
-    reps, seed, c = _BLOCK_ROWS + 1, 42, 1
-    for first in (5, 2 ** 64 - 2):
+    # last stream is 2^64 - 1; a batch reaching stream 2^64 is refused
+    reps, seed, c = models._BLOCK_ROWS + 1, 42, 1
+    for first in (5, 2 ** 64 - reps):
         u = sizebias._completion_uniforms(seed, first, reps, c)
         want = np.stack([make_generator(seed, first + r, substream=1 + c).random(4)
                          for r in range(reps)])
@@ -271,6 +269,10 @@ def test_completion_streams_cross_blocks():
             np.stack([make_generator(seed, first + r, substream=1).random(4)
                       for r in range(reps)]))
         assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
+    for call in (lambda: sizebias._completion_uniforms(seed, 2 ** 64 - 2, reps, c),
+                 lambda: sizebias.couple_batch(6, reps, seed, first_stream=2 ** 64 - 2)):
+        with pytest.raises(ValueError, match=r"^stream indices must lie below 2\*\*64$"):
+            call()
 
 
 def test_completion_uniforms_on_native_rows(monkeypatch):
