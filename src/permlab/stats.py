@@ -6,8 +6,8 @@ matrix, one permutation (or score vector) per row; ``evaluate`` runs it on a
 batch of one, for every tag.  ``incsub``'s batch form ranks each row and
 counts it with an exact Python-integer Fenwick tree.  Every other statistic
 reads one relation, x_i > x_j for i < j (a descending pair; any other pair
-ascends), so the batch forms read any rows, integer ranks or raw scores,
-with no flag saying which, and exact ties count as in the stable ranks, the
+ascends), so the batch forms read integer ranks or raw scores alike, with
+no flag saying which, and exact ties count as in the stable ranks, the
 earlier entry the smaller:
 
 >>> x = np.array([[-1, -1, -2, -0.5, -0.5, -3]])
@@ -25,14 +25,13 @@ n = 30 (4,000 rows), 2.2 at 100 (20,000) and 60 at 2000 (400) (2-core
 x86_64).  Its O(n^2) oracle is in the tests.  Merges run on up to one thread
 per CPU, with the same counts for any thread count; pair counts run on the
 calling thread.  Ranks of rows of at most 16 count the same pairs per
-entry, with no sort: 0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.  A
-NaN ranks above every number, so ``ranks_matrix`` and the inversion count
-(``inv``, ``ainv``, ``desc:m`` and ``asc:m`` with 2m >= n) read a row
-holding one as ranked; ``desc:m`` and ``asc:m`` with 2m < n, ``locmax``,
-``las`` and ``rising`` read ``>``, false on every pair holding a NaN.
+entry, with no sort: 0.15 ms for 8,000 rows of 4 against 0.6 ms sorted.
+Every batch kernel reads bool, integer or float rows with no NaN, and
+refuses any other block with one ``ValueError`` line.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,8 +65,6 @@ _ORDER_KEYS = 1 << 16  # int64 keys per block of the stable order
 _SCATTER_KEYS = 1 << 15  # entries per block of an inverse scatter
 _PAIRWISE_COLS = 32  # inversions of rows of at most this many count pair by pair
 _LOW63 = 0x7FFF_FFFF_FFFF_FFFF
-_NEG_INF_KEY = -0x7FF0_0000_0000_0001  # order key of -inf; a NaN's is below or above
-_POS_INF_KEY = 0x7FF0_0000_0000_0000
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +87,7 @@ class StatisticKind:
 
     def __post_init__(self) -> None:
         if self.tag in _TAGS_WITH_M:
-            if self.m is None or self.m < 1:
+            if not _is_count(self.m):
                 raise ValueError(f"statistic {self.tag!r} needs a parameter m >= 1")
         elif self.tag in _TAGS_PLAIN:
             if self.m is not None:
@@ -104,6 +101,11 @@ class StatisticKind:
     def counts_every_pair(self, n: int) -> bool:
         """Whether it counts every pair of n positions, so is equal on g and g^-1."""
         return self.tag in ("inv", "ainv") or self.tag in ("desc", "asc") and self.m >= n - 1
+
+
+def _is_count(m) -> bool:
+    """Whether m is an integer (numpy's too) >= 1; a bool, float or text is not."""
+    return isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1
 
 
 def parse_statistic(text: str) -> StatisticKind:
@@ -196,17 +198,25 @@ def evaluate(kind: StatisticKind, p) -> int:
 # ---------------------------------------------------------------------------
 # batch statistics on (reps, n) matrices
 
-def ranks_matrix(x: np.ndarray) -> np.ndarray:
-    """Row-wise ranks (1 = smallest) with ties broken by column index.
-
-    A NaN ranks above every number, NaNs in column order, as in the stable
-    argsort.  In rows of at most 16 numbers (kinds f, i, u) with no NaN in
-    the block, each rank counts the entries below it pair by pair; other
-    rows scatter the inverse of ``_order``.
-    """
+def _rows(x) -> np.ndarray:
+    """x as a (reps, n) block, refused unless it holds bool, integer or float
+    numbers with no NaN: the one input rule of every batch kernel."""
     x = np.atleast_2d(np.asarray(x))
+    kind = x.dtype.kind
+    if kind not in "biuf" or kind == "f" and x.size and np.isnan(x.min()):  # min keeps a NaN
+        raise ValueError(f"statistics read real numbers with no NaN; got a {x.dtype} block")
+    return x
+
+
+def ranks_matrix(x: np.ndarray) -> np.ndarray:
+    """Row-wise ranks (1 = smallest) with ties broken by column index, as in
+    the stable argsort.  In rows of at most 16 entries each rank counts the
+    entries below it pair by pair; other rows scatter the inverse of
+    ``_order``.
+    """
+    x = _rows(x)
     n = x.shape[1]
-    if 0 < n <= 16 and x.dtype.kind in "fiu" and not np.isnan(x).any():
+    if 0 < n <= 16:
         return _pairwise_ranks(x)
     return _inverse_rows(_order(x))
 
@@ -242,14 +252,14 @@ def _order(x: np.ndarray) -> np.ndarray:
     ``_ORDER_KEYS``: the float's order-preserving bits (-0.0 made +0.0) with
     the low ceil(log2 n) bits replaced by the column.  Rows where two of
     those truncated keys are equal (exact ties, two -inf, near neighbours,
-    integers past 2^53) or that hold a NaN take the stable argsort.  Median
-    ms on 2 M log-score entries, stable / this (2-core x86_64, one thread):
+    integers past 2^53) take the stable argsort.  Median ms on 2 M log-score
+    entries, stable / this (2-core x86_64, one thread):
     45 / 27 at n = 17, 69 / 21 at 100, 137 / 25 at 2000, 183 / 26 at 10000.
     Unblocked, 20,000 x 100 took 36 ms, against 23 to 25 in blocks of 2^15
     to 2^17 keys.
     """
     reps, n = x.shape
-    if n <= 16 or x.dtype.kind not in "fiu":
+    if n <= 16:
         return _stable_order(x)
     bits = (n - 1).bit_length()
     low = (1 << bits) - 1
@@ -265,12 +275,7 @@ def _order(x: np.ndarray) -> np.ndarray:
         keys.sort(axis=1)
         np.bitwise_and(keys, low, out=order[a:a + step])
         keys >>= bits
-        block = tied[a:a + step]
-        np.any(keys[:, 1:] == keys[:, :-1], axis=1, out=block)
-        # a NaN sorts past an infinity; look for one only in rows ending there
-        ends = (keys[:, 0] <= _NEG_INF_KEY >> bits) | (keys[:, -1] >= _POS_INF_KEY >> bits)
-        ends = np.flatnonzero(ends & ~block)
-        block[ends] = np.isnan(x[a + ends]).any(axis=1)
+        np.any(keys[:, 1:] == keys[:, :-1], axis=1, out=tied[a:a + step])
     redo = np.flatnonzero(tied)
     order[redo] = _stable_order(x[redo])
     return order
@@ -307,21 +312,21 @@ def _block_descents(x: np.ndarray, w: int) -> np.ndarray:
 def inversions_batch(x: np.ndarray) -> np.ndarray:
     """Row-wise inversion counts of a (reps, n) matrix.
 
-    Any rows, ranks or scores.  Rows of kind b, i, u or f at most
-    ``_PAIRWISE_COLS`` wide sum uint8 descending pairs per distance, on the
-    calling thread in chunks of ``_MERGE_KEYS`` entries; wider rows gain only
-    in hundreds of rows, and lose at n = 128 (median us, merge / pairwise):
+    Any rows, ranks or scores.  Rows at most ``_PAIRWISE_COLS`` wide sum uint8
+    descending pairs per distance, on the calling thread in chunks of
+    ``_MERGE_KEYS`` entries; wider rows gain only in hundreds of rows, and
+    lose at n = 128 (median us, merge / pairwise):
         n  rows:    1        64       512      1024       4000
         17       121/67   146/74   328/103   549/138   2577/498
         32       114/118  147/139  380/240   791/383   3036/1042
         48       152/176  210/225  725/443  1325/674   4007/2304
         100      162/381  293/565 1414/1367 2728/2164  9323/9717
         128      157/455  324/810 1589/2131 2748/3337  8523/17864
-    Other rows, and rows holding a NaN, merge-sort their stable argsort, NaN
-    last, as ``ranks_matrix`` ranks: bottom-up merge sort of each row, padded
-    to size = n rounded up to a power of two: at each block width every
-    inverted pair is counted exactly once, at the level where its positions
-    first share a block.  Keys are int32 up to size 2^30.  Chunks of
+    Wider rows merge-sort their stable argsort, as ``ranks_matrix`` ranks:
+    bottom-up merge sort of each row, padded to size = n rounded up to a
+    power of two: at each block width every inverted pair is counted exactly
+    once, at the level where its positions first share a block.  Keys are
+    int32 up to size 2^30.  Chunks of
     ``_MERGE_KEYS // CPUs`` padded keys together stay near the 4 MB L2 cache,
     on up to one thread per CPU, each writing its own rows.
     Median ms on score rows by keys per chunk, one thread (2 cores, AVX-512),
@@ -332,17 +337,11 @@ def inversions_batch(x: np.ndarray) -> np.ndarray:
         8000 x 100     25    24    30    29    30    30
         40 x 10000     41    37    36    39    38    34
     """
-    x = np.atleast_2d(np.asarray(x))
+    x = _rows(x)
     n = x.shape[1]
-    threads, size = os.cpu_count() or 1, 1 << max(n - 1, 0).bit_length()
-    if x.dtype.kind not in "biuf" or n > _PAIRWISE_COLS:
-        return _in_chunks(x, _inversions_chunk, size, threads)
-    nan = x.dtype.kind == "f" and x.size and np.isnan(x.min())  # faster than isnan(x).any()
-    out = _in_chunks(x, lambda y: _block_descents(y, max(n, 1)), max(n, 1), 1)
-    if nan:  # rows holding a NaN merge, so they count as their ranks
-        rows = np.isnan(x).any(axis=1)
-        out[rows] = _in_chunks(x[rows], _inversions_chunk, size, threads)
-    return out
+    if n > _PAIRWISE_COLS:  # padded to a power of two
+        return _in_chunks(x, _inversions_chunk, 1 << (n - 1).bit_length(), os.cpu_count() or 1)
+    return _in_chunks(x, lambda y: _block_descents(y, max(n, 1)), max(n, 1), 1)
 
 
 def _in_chunks(x: np.ndarray, kernel, keys: int, threads: int) -> np.ndarray:
@@ -394,27 +393,24 @@ def anti_inversions_batch(x: np.ndarray) -> np.ndarray:
 
 
 def m_descents_batch(x: np.ndarray, m: int) -> np.ndarray:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = np.atleast_2d(np.asarray(x))
+    if not _is_count(m):
+        raise ValueError("m must be an integer >= 1")
+    x = _rows(x)
     n = x.shape[1]
     if 2 * m < n:
         return _descending_pairs(x, m)
-    out = inversions_batch(x) - _descending_pairs(x, n, m + 1)  # less those past m
-    if m < n - 1 and x.dtype.kind == "f" and x.size and np.isnan(x.min()):
-        rows = np.isnan(x).any(axis=1)  # the count is ranked, so the pairs past m must be too
-        out[rows] = m_descents_batch(ranks_matrix(x[rows]), m)
-    return out
+    return inversions_batch(x) - _descending_pairs(x, n, m + 1)  # less those past m
 
 
 def m_ascents_batch(x: np.ndarray, m: int) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x))
+    x = _rows(x)
+    desc = m_descents_batch(x, m)
     k = min(m, x.shape[1] - 1)
-    return k * x.shape[1] - k * (k + 1) // 2 - m_descents_batch(x, m)
+    return k * x.shape[1] - k * (k + 1) // 2 - desc
 
 
 def local_maxima_batch(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x))
+    x = _rows(x)
     reps, n = x.shape
     if n < 3:
         return np.zeros(reps, dtype=np.int64)
@@ -428,7 +424,7 @@ def longest_alternating_batch(x: np.ndarray) -> np.ndarray:
     A single element alternates, so the identity scores 1; a row of no
     entries scores 0.
     """
-    x = np.atleast_2d(np.asarray(x))
+    x = _rows(x)
     reps, n = x.shape
     if n <= 1:
         return np.full(reps, n, dtype=np.int64)
@@ -438,9 +434,9 @@ def longest_alternating_batch(x: np.ndarray) -> np.ndarray:
 
 
 def rising_sequences_batch(x: np.ndarray, m: int) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x))
+    x = _rows(x)
     n = x.shape[1]
-    if not 1 <= m <= n:
+    if not _is_count(m) or m > n:
         raise ValueError(f"m={m} out of range 1..{n}")
     win = sliding_window_view(~(x[:, :-1] > x[:, 1:]), m - 1, axis=1).all(axis=-1)
     return np.count_nonzero(win, axis=1).astype(np.int64)

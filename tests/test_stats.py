@@ -51,6 +51,17 @@ def test_parse_statistic():
         stats.parse_statistic("nope")
     with pytest.raises(ValueError):
         stats.StatisticKind("desc", 0)
+    # m is an integer: a bool, a float or text is refused in one line, by
+    # the selector and by every kernel taking a window
+    assert stats.StatisticKind("desc", np.int64(3)) == stats.StatisticKind("desc", 3)
+    x = np.array([[3, 1, 2]])
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="needs a parameter m >= 1"):
+            stats.StatisticKind("desc", bad)
+        for kernel in (stats.m_descents_batch, stats.m_ascents_batch,
+                       stats.rising_sequences_batch):
+            with pytest.raises(ValueError):
+                kernel(x, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +290,9 @@ def _stable_ranks(x: np.ndarray) -> np.ndarray:
 
 def _edge_rows(n: int, rng) -> list:
     """(rows, pairwise) of every dtype ``ranks_matrix`` takes: float rows
-    with exact ties, -0.0 against +0.0 and infinities, the same with NaN,
-    int64 past 2^53, uint64 past 2^63, bool and object rows; 512 of each,
-    and pairwise is whether a float or integer block with no NaN is ranked
-    pair by pair, where n <= 16."""
+    with exact ties, -0.0 against +0.0 and infinities, int64 past 2^53,
+    uint64 past 2^63 and bool rows; 512 of each, and pairwise is whether
+    the block is ranked pair by pair, where n <= 16."""
     rows = 512
     x = np.log(rng.random((rows, n)))
     x[:20] = np.floor(x[:20] * 2)  # exact ties
@@ -292,10 +302,6 @@ def _edge_rows(n: int, rng) -> list:
         x[23, ::3], x[24, -1] = -np.inf, np.inf
         x[25] = -np.inf
         x[26, 0], x[27, -1] = np.inf, -np.inf
-    nan = x.copy()
-    if n:
-        nan[:4, 0], nan[4:8, -1], nan[8, :], nan[9, ::2] = np.nan, np.nan, np.nan, np.nan
-        nan[10, [0, -1]] = -np.nan, -np.inf
     perms = np.argsort(rng.random((rows, n)), axis=1)
     ints = (1 << 53) + perms  # one apart past 2^53: ties as float64
     ints[:rows // 2] = (1 << 62) - 3 * perms[:rows // 2]
@@ -303,15 +309,13 @@ def _edge_rows(n: int, rng) -> list:
     uints = np.uint64(2 ** 64 - 1) - perms.astype(np.uint64)
     uints[:5] = 2 ** 63
     small = n <= 16
-    return [(x, small), (nan, False), (ints, small), (uints, small),
-            (rng.random((rows, n)) < 0.5, False), (ints.astype(object), False)]
+    return [(x, small), (ints, small), (uints, small), (rng.random((rows, n)) < 0.5, small)]
 
 
 @pytest.mark.parametrize("n", range(18))
 def test_pairwise_ranks_equal_the_stable_argsort(monkeypatch, n):
-    # rows of at most 16 rank pair by pair at any row count, one row
-    # included; a block holding a NaN sorts, NaN above every number and NaNs
-    # in column order
+    # rows of at most 16 rank pair by pair at any row count, one row and
+    # bool rows included
     pairwise = []
     real = stats._pairwise_ranks
     monkeypatch.setattr(stats, "_pairwise_ranks", lambda x: pairwise.append(x) or real(x))
@@ -418,9 +422,9 @@ def _inv_quadratic(row: np.ndarray) -> int:
     return int(np.count_nonzero(np.triu(row[:, None] > row[None, :], 1)))
 
 
-def _near_key_rows(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float rows, NaN rows and int64 rows whose order a key truncated by
-    ceil(log2 n) bits can get wrong, each at least 16 wide."""
+def _near_key_rows(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Float rows and int64 rows whose order a key truncated by ceil(log2 n)
+    bits can get wrong, each at least 16 wide."""
     x = np.log(rng.random((10, n))) / np.arange(1, n + 1)
     up = lambda v: np.nextafter(v, np.inf)  # noqa: E731
     x[1, 1], x[1, 2] = up(x[1, 0]), up(up(x[1, 0]))  # adjacent neighbours
@@ -432,31 +436,25 @@ def _near_key_rows(n: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x[7, [2, 9]] = -np.inf
     x[8, ::3] = np.round(x[8, ::3], 1)  # many exact ties
     x[9] = -0.0
-    nan = np.log(rng.random((4, n)))
-    nan[0, 5] = np.nan
-    nan[1, [0, n - 1]] = -np.nan, np.nan
-    nan[2, [1, 7]] = np.nan, -np.inf
-    nan[3, ::2] = np.nan
     perms = np.argsort(rng.random((3, n)), axis=1).astype(np.int64)
     ints = np.vstack([perms + 1, (1 << 53) + perms, (1 << 62) - 3 * perms,
                       -(1 << 62) + (perms << 8), np.full((1, n), 1 << 60)])
-    return x, nan, ints
+    return x, ints
 
 
 @pytest.mark.parametrize("n", [16, 17, 31, 33, 2047, 2049, 4097])
 def test_order_and_inversions_past_the_truncated_key(monkeypatch, n):
-    # nextafter neighbours, -0.0 against +0.0, int64 past 2^53, rank rows and
-    # NaN rows: ranks are the stable argsort's and counts the oracle's, on
-    # 1 to 3 CPUs, one-row chunks and order blocks of three rows; a NaN row
-    # counts the inversions of its stable order, NaN last, at every n
+    # nextafter neighbours, -0.0 against +0.0, int64 past 2^53 and rank rows:
+    # ranks are the stable argsort's and counts the oracle's, on 1 to 3 CPUs,
+    # one-row chunks and order blocks of three rows
     monkeypatch.setattr(stats, "_MERGE_KEYS", 1)
     monkeypatch.setattr(stats, "_ORDER_KEYS", 3 * n)
-    x, nan, ints = _near_key_rows(n, np.random.default_rng(n))
+    x, ints = _near_key_rows(n, np.random.default_rng(n))
     ranks = stats.ranks_matrix(x)
-    for rows in (x, ints, ranks, nan):
+    for rows in (x, ints, ranks):
         stable = np.argsort(rows, axis=1, kind="stable")
         want_ranks = np.argsort(stable, axis=1) + 1
-        want = [_inv_quadratic(r) for r in (want_ranks if rows is nan else rows)]
+        want = [_inv_quadratic(r) for r in rows]
         for cpus in (1, 2, 3):
             _pool_spy(monkeypatch, cpus)
             assert np.array_equal(stats.ranks_matrix(rows), want_ranks)
@@ -674,51 +672,55 @@ def test_inversions_batch_past_2_16_padded_columns():
 @pytest.mark.parametrize("n", [16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
 def test_inversions_at_the_route_edges(n):
     # 512 rows and one fewer, on both sides of the width rule:
-    # exact ties, -0.0 against +0.0, infinities, NaN, int64 past 2^53,
-    # uint64 past 2^63, bool and object rows count as the oracle on their
-    # stable ranks, NaN last, and as their ranks_matrix rows; rows with no
-    # NaN count as the oracle on the row itself
+    # exact ties, -0.0 against +0.0, infinities, int64 past 2^53, uint64
+    # past 2^63 and bool rows count as the oracle on the row itself and as
+    # their ranks_matrix rows
     for rows, _ in _edge_rows(n, np.random.default_rng(n)):
-        nan = rows.dtype.kind == "f" and bool(np.isnan(rows).any())
-        want = [inv_oracle(r) for r in (_stable_ranks(rows) if nan else rows).tolist()]
+        want = [inv_oracle(r) for r in rows.tolist()]
         for block, w in ((rows, want), (rows[1:], want[1:])):
             assert stats.inversions_batch(block).tolist() == w, (n, rows.dtype, len(block))
             assert stats.inversions_batch(stats.ranks_matrix(block)).tolist() == w
 
 
-def test_nan_counts_as_in_the_ranks_at_every_width():
-    # a NaN ranks above every number, so a leading NaN is n - 1 inversions
-    # and the widest window counts them too, pairwise or merged
-    assert stats.inversions_batch(np.array([[np.nan, 1.0, 2.0]])).tolist() == [2]
-    for n in (3, 16, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1):
-        x = np.arange(n, dtype=float)[None, :]
-        x[0, 0] = np.nan
-        assert stats.inversions_batch(x).tolist() == [n - 1]
-        assert stats.m_descents_batch(x, n - 1).tolist() == [n - 1]
-        many = np.repeat(x, 512, axis=0)
-        assert stats.inversions_batch(many).tolist() == [n - 1] * len(many)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 33])
-def test_wide_windows_count_a_nan_row_as_its_ranks(n):
-    # desc:m and asc:m with 2m >= n subtract pairs past m from the ranked
-    # inversion count, so a row holding a NaN counts every pair as its ranks
-    # do; rows with no NaN in the same batch keep their own count
+def _refused_rows(n: int) -> list:
+    """Blocks every batch kernel refuses: a NaN first, last, everywhere, as
+    -nan, and in one row of 512; object and complex rows."""
     rng = np.random.default_rng(n)
-    x = rng.random((8, n))
-    x[0, 0], x[1, -1], x[2, n // 2], x[3, ::2] = np.nan, np.nan, np.nan, np.nan
-    for m in range((n + 1) // 2, n + 1):
-        ranks = stats.ranks_matrix(x)
-        assert stats.m_descents_batch(x, m).tolist() == stats.m_descents_batch(ranks, m).tolist()
-        assert stats.m_ascents_batch(x, m).tolist() == stats.m_ascents_batch(ranks, m).tolist()
-    assert stats.m_descents_batch(np.array([[np.nan, 1, 2, 3]]), 2).tolist() == [2]
+    x = np.log(rng.random((3, n)))
+    nans = [x.copy() for _ in range(4)] + [np.log(rng.random((512, n)))]
+    nans[0][:, 0] = np.nan
+    nans[1][1, -1] = np.nan
+    nans[2][:] = np.nan
+    nans[3][2, n // 2] = -np.nan
+    nans[4][300, n // 3] = np.nan
+    return nans + [x.astype(object), x.astype(complex)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 33, 2049])
+def test_batch_kernels_refuse_nan_and_non_number_rows(n):
+    # one input rule: every public batch kernel, and evaluate_batch for every
+    # tag and desc:m on both sides of 2m < n, refuses a block holding a NaN
+    # or of a dtype that is not bool, integer or float, in one line
+    kernels = [stats.ranks_matrix, stats.inversions_batch, stats.anti_inversions_batch,
+               stats.local_maxima_batch, stats.longest_alternating_batch]
+    for m in sorted({1, n - 1}):
+        kernels += [lambda x, m=m: stats.m_descents_batch(x, m),
+                    lambda x, m=m: stats.m_ascents_batch(x, m),
+                    lambda x, m=m: stats.rising_sequences_batch(x, m)]
+    for sel in ("inv", "ainv", "desc:1", f"desc:{n - 1}", "asc:1", f"asc:{n}", "locmax",
+                "las", "rising:2", "incsub:2"):
+        kernels.append(lambda x, kind=stats.parse_statistic(sel): stats.evaluate_batch(kind, x))
+    for x in _refused_rows(n):
+        for kernel in kernels:
+            with pytest.raises(ValueError) as err:
+                kernel(x)
+            assert "\n" not in str(err.value), (n, x.dtype)
 
 
 def test_pairwise_route_starts_no_pool(monkeypatch):
     # the routes are pinned, on 3 CPUs: rows of at most _PAIRWISE_COLS count
-    # pair by pair with no merge chunk but for the rows holding a NaN, and
-    # with no pool at any row count, past one block of _MERGE_KEYS entries
-    # too; longer rows merge
+    # pair by pair with no merge chunk and no pool at any row count, past one
+    # block of _MERGE_KEYS entries too; longer rows merge
     merged = []
     real = stats._inversions_chunk
     monkeypatch.setattr(stats, "_inversions_chunk", lambda x: merged.append(len(x)) or real(x))
@@ -731,16 +733,13 @@ def test_pairwise_route_starts_no_pool(monkeypatch):
     )
     for reps, n, route in cases:
         x = np.random.default_rng(reps).random((reps, n))
-        one = x.copy()
-        one[-1, 0] = np.nan
-        for rows in (x, one):
-            merged.clear()
-            pools = _pool_spy(monkeypatch, 3)
-            got = stats.inversions_batch(rows)
-            assert sum(merged) == (reps if route == "merge" else int(rows is one)), (reps, n)
-            if route == "pairwise":
-                assert pools == [], (reps, n)
-            assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(rows)))
+        merged.clear()
+        pools = _pool_spy(monkeypatch, 3)
+        got = stats.inversions_batch(x)
+        assert sum(merged) == (reps if route == "merge" else 0), (reps, n)
+        if route == "pairwise":
+            assert pools == [], (reps, n)
+        assert np.array_equal(got, stats.inversions_batch(stats.ranks_matrix(x)))
 
 
 @pytest.mark.parametrize("n", [2, 17, stats._PAIRWISE_COLS, stats._PAIRWISE_COLS + 1])
