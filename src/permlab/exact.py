@@ -224,16 +224,20 @@ def statistic_law(
 ) -> ExactDistribution:
     """Exact pushforward law of a statistic under a model, by enumeration.
 
-    Each value's probability adds its rows' terms in row order."""
+    Each value's float adds its rows' terms in row order; its Fraction adds
+    num * count / den once per distinct den of its rows, over their lcm."""
     perms, num, den = _law_table(n, model)
     support, inverse = np.unique(_stats.evaluate_batch(kind, perms), return_inverse=True)
-    probs = _probs(num, den, exact)
-    if exact:
-        acc = [Fraction(0)] * support.size
-        for v, p in zip(inverse.tolist(), probs):
-            acc[v] += p
-    else:
-        acc = np.bincount(inverse, weights=probs, minlength=support.size).tolist()
+    if not exact:
+        acc = np.bincount(inverse, weights=_probs(num, den, False), minlength=support.size).tolist()
+    else:  # one cell per distinct (value, den), sorted by value; lcms as Python ints
+        dens, rows = np.unique(den, return_inverse=True)
+        cells, counts = np.unique(inverse * dens.size + rows, return_counts=True)
+        value, y = np.divmod(cells, dens.size)
+        y, first = dens.astype(object)[y], np.searchsorted(value, np.arange(support.size))
+        lcm = np.lcm.reduceat(y, first)
+        tops = np.add.reduceat(counts.astype(object) * (lcm[value] // y), first)
+        acc = [Fraction(num * t, m) for t, m in zip(tops.tolist(), lcm.tolist())]
     return ExactDistribution(tuple(support.tolist()), tuple(acc), ("int",))
 
 

@@ -15,13 +15,15 @@ bound of order n^(-1/2) on the normalized W via Stein's method:
         <= (mu/sigma^2) sqrt(2/pi) sqrt(Var E[W^s - W | W])
          + (mu/sigma^3) E[(W^s - W)^2].
 
-Streams: outer replica r reads stream r, below 2^64 as in every models
-batch (``models.sample_score_matrix`` of the inverse-unfair model), and
-completion c of that replica reads 4 uniforms from (stream r, substream
-1 + c): 2 for the index pair, then 2 for the conditional pair, used or not.
-Completions and recounts go by the row blocks of ``models._block_rows``, as
-every batch does.  Everything runs on the calling thread but large inversion
-counts (up to one thread per CPU, ``stats``).
+Streams: outer replica r = 0, 1, ... reads stream r (the inverse-unfair
+``models.sample_score_matrix``), and its completion c reads 4 uniforms from
+(stream r, substream 1 + c): 2 for the index pair, then 2 for the
+conditional pair, used or not, in the row blocks of ``models._block_rows``,
+as are the recounts.  ``verify_size_bias_identity``, ``stein_bound`` and
+``estimate_var_conditional`` count every row they draw, and refuse a run
+past the budget of ``montecarlo`` before drawing.  Everything runs on the
+calling thread but large inversion counts (up to one thread per CPU,
+``stats``).
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 from .exact import _pair_sums
 from .models import ModelSpec, ScoreVector, _block_rows, _log_scores, _stream_blocks
 from .models import sample_score_matrix, sample_scores
+from .montecarlo import _check_budget
 from .stats import inversions_batch
 
 __all__ = [
@@ -73,6 +76,8 @@ class IndexDistribution:
     cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("need n >= 2 for at least one pair")
         s, _, _, c = table = _pair_sums(self.n, self.n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "cum", np.cumsum(c / s))
@@ -93,8 +98,6 @@ class IndexDistribution:
 
 
 def index_distribution(n: int) -> IndexDistribution:
-    if n < 2:
-        raise ValueError("need n >= 2 for at least one pair")
     return IndexDistribution(n)
 
 
@@ -186,11 +189,11 @@ def _pair_change(z, a, b, old, new) -> np.ndarray:
     return change
 
 
-def _completion_uniforms(seed: int, first_stream: int, reps: int, c: int) -> np.ndarray:
-    """(reps, 4) uniforms of completion c: row r from (stream first_stream + r,
-    substream 1 + c), in the stream blocks of every models batch of 4 values."""
+def _completion_uniforms(seed: int, reps: int, c: int) -> np.ndarray:
+    """(reps, 4) uniforms of completion c: row r from (stream r, substream
+    1 + c), in the stream blocks of every models batch of 4 values."""
     u = np.empty((reps, 4))
-    for a, b, rng in _stream_blocks(seed, first_stream, reps, 4, substream=1 + c):
+    for a, b, rng in _stream_blocks(seed, 0, reps, 4, substream=1 + c):
         rng.random(4, out=u[a:b])
     return u
 
@@ -213,21 +216,17 @@ def couple(n: int, rng: np.random.Generator) -> CouplingDraw:
                         bool(resampled[0]), sv_s)
 
 
-def couple_batch(
-    n: int, reps: int, seed: int, first_stream: int = 0
-) -> dict[str, np.ndarray]:
-    """Vectorized coupled draws; replica r uses stream first_stream + r.
+def couple_batch(n: int, reps: int, seed: int) -> dict[str, np.ndarray]:
+    """Vectorized coupled draws; replica r uses stream r.
 
     Returns arrays ``w``, ``w_s``, ``i``, ``j``, ``resampled``.
     """
     if n < 2 or reps < 1:
         raise ValueError("need n >= 2 and reps >= 1")
     idx = index_distribution(n)
-    z = sample_score_matrix(_SCORES, n, reps, seed, first_stream)
+    z = sample_score_matrix(_SCORES, n, reps, seed)
     w = inversions_batch(z)
-    i_arr, j_arr, w_s, resampled, _ = _complete(
-        z, w, idx, _completion_uniforms(seed, first_stream, reps, 0)
-    )
+    i_arr, j_arr, w_s, resampled, _ = _complete(z, w, idx, _completion_uniforms(seed, reps, 0))
     return {"w": w, "w_s": w_s, "i": i_arr, "j": j_arr, "resampled": resampled}
 
 
@@ -264,10 +263,11 @@ def verify_size_bias_identity(
     error combines the left sample with a delta-method error for the product
     of the two coupled means (their covariance included).
     """
+    _check_budget(n, 2 * reps)  # reps coupled rows and reps independent ones
     if reps < 2:
         raise InsufficientReplicas("need reps >= 2")
     func = _parse_f(f)
-    draws = couple_batch(n, reps, seed, first_stream=0)
+    draws = couple_batch(n, reps, seed)
     w_ind = inversions_batch(sample_score_matrix(_SCORES, n, reps, seed, first_stream=reps))
     a = w_ind.astype(float) * func(w_ind)
     lhs = float(np.mean(a))
@@ -288,6 +288,7 @@ def _differences(
     n: int, outer_reps: int, inner_pairs: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w, D): D[r, c] = W^s - W of completion c of outer draw r."""
+    _check_budget(n, outer_reps * (1 + inner_pairs))  # each outer row and its completions
     if outer_reps < 2:
         raise InsufficientReplicas("need outer_reps >= 2 (a single outer draw "
                                    "cannot see between-draw variance)")
@@ -298,45 +299,36 @@ def _differences(
     w = inversions_batch(z)
     d = np.empty((outer_reps, inner_pairs), dtype=float)
     for c in range(inner_pairs):
-        _, _, w_s, _, _ = _complete(z, w, idx, _completion_uniforms(seed, 0, outer_reps, c))
+        _, _, w_s, _, _ = _complete(z, w, idx, _completion_uniforms(seed, outer_reps, c))
         d[:, c] = w_s - w
     return w, d
 
 
-def _var_cond(d: np.ndarray, n: int) -> tuple[float, float]:
-    """(raw, clamped) paired-replicate estimate of Var(E[D | S]) from D.
+def _var_cond(d: np.ndarray) -> float:
+    """Paired-replicate estimate of Var(E[D | S]) from D, unclamped.
 
     Per outer score draw, the columns of D are independent completions
     sharing the same S; products over distinct completions estimate
     (E[D|S])^2 unbiasedly, and subtracting the squared grand mean leaves the
-    variance of the conditional expectation.  A negative raw estimate
-    (undersampling noise) clamps to 0 with a warning.
+    variance of the conditional expectation.  Undersampling noise can make
+    it negative.
     """
     c = d.shape[1]
     row_sum = d.sum(axis=1)
     row_sq = (d ** 2).sum(axis=1)
     pair_products = (row_sum ** 2 - row_sq) / (c * (c - 1))
-    raw = float(np.mean(pair_products)) - float(np.mean(d)) ** 2
-    if raw < 0.0:
-        warnings.warn(
-            f"conditional-variance estimate {raw:.3g} < 0 at n={n}; clamping to 0 "
-            "(increase outer_reps/inner_pairs)"
-        )
-    return raw, max(raw, 0.0)
+    return float(np.mean(pair_products)) - float(np.mean(d)) ** 2
 
 
-def estimate_var_conditional(
-    n: int, outer_reps: int, inner_pairs: int, seed: int, clamp: bool = True
-) -> float:
-    """Paired-replicate estimate of Var(E[W^s - W | S]), clamped at 0 unless
-    ``clamp`` is false.
+def estimate_var_conditional(n: int, outer_reps: int, inner_pairs: int, seed: int) -> float:
+    """Paired-replicate estimate of Var(E[W^s - W | S]), unclamped: it can
+    be negative where the draws undersample it.
 
     ``inner_pairs`` independent completions per outer score draw; the same
-    draws and estimate as ``stein_bound(...).var_cond`` (``.var_cond_raw``
-    unclamped), with no sigma^2 to estimate, so equal outer counts are fine.
+    draws and estimate as ``stein_bound(...).var_cond_raw``, with no sigma^2
+    to estimate, so equal outer counts are fine.
     """
-    raw, clamped = _var_cond(_differences(n, outer_reps, inner_pairs, seed)[1], n)
-    return clamped if clamp else raw
+    return _var_cond(_differences(n, outer_reps, inner_pairs, seed)[1])
 
 
 @dataclass(frozen=True)
@@ -360,14 +352,21 @@ def stein_bound(
 
     every ingredient estimated from the coupled draws (the conditional
     variance given S upper-bounds the one given W, so the bound is
-    conservative up to MC noise).
+    conservative up to MC noise).  A negative conditional-variance estimate
+    (undersampling noise) clamps to 0 with a warning.
     """
     w, d = _differences(n, outer_reps, inner_pairs, seed)
     mu = float(np.mean(w))
     sigma2 = float(np.var(w.astype(float), ddof=1))
     if sigma2 <= 0.0:
         raise InsufficientReplicas("degenerate variance estimate; increase outer_reps")
-    var_cond_raw, var_cond = _var_cond(d, n)
+    var_cond_raw = _var_cond(d)
+    if var_cond_raw < 0.0:
+        warnings.warn(
+            f"conditional-variance estimate {var_cond_raw:.3g} < 0 at n={n}; clamping to 0 "
+            "(increase outer_reps/inner_pairs)"
+        )
+    var_cond = max(var_cond_raw, 0.0)
     second = float(np.mean(d ** 2))
     bound = (mu / sigma2) * math.sqrt(2.0 / math.pi) * math.sqrt(var_cond) + (
         mu / sigma2 ** 1.5

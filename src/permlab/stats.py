@@ -216,7 +216,9 @@ def ranks_matrix(x: np.ndarray) -> np.ndarray:
     """
     x = _rows(x)
     n = x.shape[1]
-    if 0 < n <= 16:
+    if n == 0:
+        return np.empty((len(x), 0), dtype=np.int64)
+    if n <= 16:
         return _pairwise_ranks(x)
     return _inverse_rows(_order(x))
 
@@ -246,21 +248,19 @@ def _inverse_rows(order: np.ndarray, base: int = 0, out: "np.ndarray | None" = N
 
 
 def _order(x: np.ndarray) -> np.ndarray:
-    """Row-wise stable argsort of a (reps, n) matrix: ties in column order.
+    """Row-wise stable argsort of a (reps, n >= 1) matrix: ties in column order.
 
-    Rows longer than 16 sort one int64 key per entry, in blocks of
-    ``_ORDER_KEYS``: the float's order-preserving bits (-0.0 made +0.0) with
-    the low ceil(log2 n) bits replaced by the column.  Rows where two of
-    those truncated keys are equal (exact ties, two -inf, near neighbours,
-    integers past 2^53) take the stable argsort.  Median ms on 2 M log-score
-    entries, stable / this (2-core x86_64, one thread):
+    Rows sort one int64 key per entry, in blocks of ``_ORDER_KEYS``: the
+    float's order-preserving bits (-0.0 made +0.0) with the low ceil(log2 n)
+    bits replaced by the column.  Rows where two of those truncated keys are
+    equal (exact ties, two -inf, near neighbours, integers past 2^53) take
+    the stable argsort.  Median ms on 2 M log-score entries, stable / this
+    (2-core x86_64, one thread):
     45 / 27 at n = 17, 69 / 21 at 100, 137 / 25 at 2000, 183 / 26 at 10000.
     Unblocked, 20,000 x 100 took 36 ms, against 23 to 25 in blocks of 2^15
     to 2^17 keys.
     """
     reps, n = x.shape
-    if n <= 16:
-        return _stable_order(x)
     bits = (n - 1).bit_length()
     low = (1 << bits) - 1
     order = np.empty((reps, n), dtype=np.int64)
@@ -389,7 +389,8 @@ def _inversions_chunk(x: np.ndarray) -> np.ndarray:
 
 
 def anti_inversions_batch(x: np.ndarray) -> np.ndarray:
-    return m_ascents_batch(x, np.shape(x)[-1] + 1)  # a window past the row: every pair
+    x = _rows(x)
+    return m_ascents_batch(x, x.shape[1] + 1)  # a window past the row: every pair
 
 
 def m_descents_batch(x: np.ndarray, m: int) -> np.ndarray:

@@ -775,8 +775,7 @@ def test_sizebias_budget_rejected_before_allocation(capsys, monkeypatch, check, 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled past the budget check")
 
-    for name in ("verify_size_bias_identity", "_differences", "stein_bound"):
-        monkeypatch.setattr(cli.sizebias, name, no_sampling)
+    monkeypatch.setattr(cli.sizebias, "sample_score_matrix", no_sampling)  # every run's first draw
     code, _, err = run_cli(["sizebias", "--n", "2000", "--check", check, *rows], capsys)
     assert code == 1
     assert err.startswith("error: ") and "budget" in err

@@ -227,6 +227,26 @@ def test_statistic_law_mean_variance():
     assert law.variance() == want_second - want_mean ** 2
 
 
+@pytest.mark.parametrize("model", [
+    ModelKind.UNIFORM, ModelKind.UNFAIR, ModelKind.INVERSE_UNFAIR,
+    ModelSpec.phi_draw(PhiSpec.from_table({2: 5}, default=10 ** 17)),  # object dens
+], ids=["uniform", "unfair", "inverse-unfair", "phi"])
+def test_statistic_law_is_the_sum_of_row_pmfs(model):
+    # each value's Fraction, summed once per distinct denominator, equals the
+    # pmfs of its rows added one by one
+    for n in range(1, 7):
+        rows = [(p, exact.pmf(p, model, exact=True)) for p in all_permutations(n)]
+        for sel in ("inv", "desc:1", "locmax", "las", "incsub:2")[:5 if n > 1 else 4]:
+            kind = stats.parse_statistic(sel)
+            want = {}
+            for p, prob in rows:
+                value = stats.evaluate(kind, p)
+                want[value] = want.get(value, Fraction(0)) + prob
+            law = exact.statistic_law(n, model, kind, exact=True)
+            assert dict(zip(law.outcomes, law.probs)) == want, (n, sel)
+            assert all(type(p) is Fraction for p in law.probs)
+
+
 def m_desc(t, m):
     n = len(t)
     return sum(

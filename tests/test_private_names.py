@@ -18,6 +18,7 @@ ALLOWED = {
     ("sizebias", "models", "_block_rows"),
     ("sizebias", "models", "_log_scores"),
     ("sizebias", "models", "_stream_blocks"),
+    ("sizebias", "montecarlo", "_check_budget"),
 }
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlab import exact, models, rng, sizebias
+from permlab import exact, models, montecarlo, rng, sizebias
 from permlab.models import ModelSpec, sample_score_matrix, sample_scores
+from permlab.montecarlo import BudgetExceeded
 from permlab.rng import StreamBlock, make_generator
 from permlab.stats import inversions_batch
 
@@ -73,8 +74,10 @@ def test_index_total_weight_is_mean_inversions():
             assert float(total) == pytest.approx(exact.mean_inversions_exact(n), rel=1e-12)
         if n <= 5:
             assert _grid_law(n) == _pair_law(n)
-    with pytest.raises(ValueError):
-        sizebias.index_distribution(1)
+    for make in (sizebias.index_distribution, sizebias.IndexDistribution):
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="^need n >= 2 for at least one pair$"):
+                make(n)
 
 
 def test_index_draw_frequencies():
@@ -200,7 +203,7 @@ def test_couple_full_vs_incremental():
     n, reps = 10, 300
     z = sample_score_matrix(ModelSpec.inverse_unfair(), n, reps, 4)
     w = inversions_batch(z)
-    u = sizebias._completion_uniforms(4, 0, reps, 0)
+    u = sizebias._completion_uniforms(4, reps, 0)
     i, j, w_s, resampled, pair_s = sizebias._complete(z, w, sizebias.index_distribution(n), u)
     assert 0 < resampled.sum() < reps
     z_s = _completed_rows(z, i, j, pair_s)
@@ -219,7 +222,7 @@ def test_recount_matches_full_count(n, monkeypatch):
     z[::5, : max(1, n // 4)] = -np.inf
     z[1::5, -1] = -np.inf
     w = inversions_batch(z)
-    u = sizebias._completion_uniforms(31, 0, reps, 2)
+    u = sizebias._completion_uniforms(31, reps, 2)
     u[::11, 2] = 0.0  # S_i = -inf: the resampled pair stays tied
     monkeypatch.setattr(models, "_BLOCK_VALUES", 7 * n)
     i, j, w_s, resampled, pair_s = sizebias._complete(z, w, sizebias.index_distribution(n), u)
@@ -256,34 +259,26 @@ def test_recount_counts_ties_with_the_pair_values():
 
 def test_completion_streams_cross_blocks():
     # a 4097-row completion spans two stream blocks; row r holds the bits of
-    # the generator (seed, first_stream + r, substream 1 + c), also where the
-    # last stream is 2^64 - 1; a batch reaching stream 2^64 is refused
+    # the generator (seed, r, substream 1 + c)
     reps, seed, c = models._BLOCK_ROWS + 1, 42, 1
-    for first in (5, 2 ** 64 - reps):
-        u = sizebias._completion_uniforms(seed, first, reps, c)
-        want = np.stack([make_generator(seed, first + r, substream=1 + c).random(4)
-                         for r in range(reps)])
-        assert np.array_equal(u, want)
-        out = sizebias.couple_batch(6, reps, seed, first_stream=first)
-        i, j = sizebias.index_distribution(6).draw_pairs(
-            np.stack([make_generator(seed, first + r, substream=1).random(4)
-                      for r in range(reps)]))
-        assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
-    for call in (lambda: sizebias._completion_uniforms(seed, 2 ** 64 - 2, reps, c),
-                 lambda: sizebias.couple_batch(6, reps, seed, first_stream=2 ** 64 - 2)):
-        with pytest.raises(ValueError, match=r"^stream indices must lie below 2\*\*64$"):
-            call()
+    u = sizebias._completion_uniforms(seed, reps, c)
+    want = np.stack([make_generator(seed, r, substream=1 + c).random(4) for r in range(reps)])
+    assert np.array_equal(u, want)
+    out = sizebias.couple_batch(6, reps, seed)
+    i, j = sizebias.index_distribution(6).draw_pairs(
+        np.stack([make_generator(seed, r, substream=1).random(4) for r in range(reps)]))
+    assert np.array_equal(out["i"], i) and np.array_equal(out["j"], j)
 
 
 def test_completion_uniforms_on_native_rows(monkeypatch):
-    # 20 rows of 4 draws are drawn natively; 2^32 - 10 straddles two-word keys
+    # 20 rows of 4 draws are drawn natively (two-word spawn keys and streams
+    # up to 2^64 - 1 are checked in test_rng)
     native = []
     real = StreamBlock.random_rows
     monkeypatch.setattr(StreamBlock, "random_rows", lambda *a, **kw: native.append(a) or real(*a, **kw))
     for c in (0, 2):
-        u = sizebias._completion_uniforms(7, 2 ** 32 - 10, 20, c)
-        want = np.stack([make_generator(7, 2 ** 32 - 10 + r, substream=1 + c).random(4)
-                         for r in range(20)])
+        u = sizebias._completion_uniforms(7, 20, c)
+        want = np.stack([make_generator(7, r, substream=1 + c).random(4) for r in range(20)])
         assert np.array_equal(u, want)
     assert len(native) == 2
 
@@ -292,11 +287,11 @@ def test_coupling_equal_on_the_dict_route(monkeypatch):
     # couple_batch and stein_bound keep their bits when row draws set the
     # stream states through the PCG64.state dict instead of the state view:
     # outer rows drawn row by row (n = 40, 100) and stepped (n = 6), with
-    # completions stepped, and streams ending at 2^64 - 1
+    # completions stepped (streams up to 2^64 - 1 take the dict route in
+    # test_models and test_rng)
     calls = (
         lambda: sizebias.couple_batch(40, 300, 11),
         lambda: sizebias.couple_batch(6, 200, 11),
-        lambda: sizebias.couple_batch(30, 60, 11, first_stream=2 ** 64 - 60),
         lambda: sizebias.stein_bound(100, 1500, 2, 12),
     )
     viewed = [call() for call in calls]
@@ -365,8 +360,8 @@ def test_outer_scores_are_models_rows(monkeypatch):
     monkeypatch.setattr(sizebias, "inversions_batch", spy)
     for n in (7, 650):
         seen.clear()
-        sizebias.couple_batch(n, 40, seed=5, first_stream=3)
-        assert np.array_equal(seen[0], sample_score_matrix(spec, n, 40, 5, 3))
+        sizebias.couple_batch(n, 40, seed=5)
+        assert np.array_equal(seen[0], sample_score_matrix(spec, n, 40, 5))
     seen.clear()
     sizebias.stein_bound(9, 50, 2, seed=6)
     assert np.array_equal(seen[0], sample_score_matrix(spec, 9, 50, 6))
@@ -452,11 +447,34 @@ def test_estimate_var_conditional_nonnegative():
     assert est >= 0.0
 
 
-def test_var_cond_reports_negative_estimate():
+def test_var_cond_reports_negative_estimate(monkeypatch):
     # the paired products are 0 and the grand mean is 1: the raw estimate is -1
-    with pytest.warns(UserWarning, match="clamping"):
-        raw, clamped = sizebias._var_cond(np.array([[0.0, 2.0], [2.0, 0.0]]), n=2)
-    assert (raw, clamped) == (-1.0, 0.0)
+    assert sizebias._var_cond(np.array([[0.0, 2.0], [2.0, 0.0]])) == -1.0
+    # stein_bound alone clamps it, with a warning
+    monkeypatch.setattr(sizebias, "_var_cond", lambda d: -1.0)
+    with pytest.warns(UserWarning, match="^conditional-variance estimate -1 < 0 at n=5; clamping"):
+        rep = sizebias.stein_bound(5, 100, 2, seed=1)
+    assert (rep.var_cond_raw, rep.var_cond, rep.clamped) == (-1.0, 0.0, True)
+    assert sizebias.estimate_var_conditional(5, 100, 2, seed=1) == -1.0
+
+
+@pytest.mark.parametrize("run, rows", [
+    (lambda: sizebias.stein_bound(10, 60, 2, seed=1), 180),
+    (lambda: sizebias.estimate_var_conditional(10, 60, 2, seed=1), 180),
+    (lambda: sizebias.verify_size_bias_identity(10, "square", 60, seed=1), 120),
+], ids=["stein_bound", "estimate_var_conditional", "verify_size_bias_identity"])
+def test_runs_refuse_draws_past_the_budget(monkeypatch, run, rows):
+    # each run counts every row it draws (outer rows and their completions,
+    # or coupled and independent rows) and refuses before drawing any
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled past the budget check")
+
+    monkeypatch.setattr(sizebias, "sample_score_matrix", no_sampling)
+    monkeypatch.setattr(montecarlo, "DEFAULT_MAX_BUDGET", 10 * rows - 1)
+    with pytest.raises(BudgetExceeded) as refused:
+        run()
+    assert str(refused.value) == (f"{rows} rows of n = 10: {10 * rows} entries exceed "
+                                  f"budget {10 * rows - 1}")
 
 
 def test_stein_bound_report():

@@ -341,12 +341,15 @@ def test_ranks_route_pairwise_on_many_short_rows(monkeypatch):
         (512, 1, "_pairwise_ranks"),
         (511, 16, "_pairwise_ranks"), (511, 2, "_pairwise_ranks"), (1, 4, "_pairwise_ranks"),
         (1, 16, "_pairwise_ranks"),
-        (8000, 17, "_order"), (20000, 100, "_order"), (400, 2000, "_order"), (8000, 0, "_order"),
+        (8000, 17, "_order"), (20000, 100, "_order"), (400, 2000, "_order"),
     )
     for rows, n, route in cases:
         ran.clear()
         stats.ranks_matrix(np.random.default_rng(rows).random((rows, n)))
         assert ran == [route], (rows, n)
+    ran.clear()
+    stats.ranks_matrix(np.zeros((8000, 0)))  # rows of no entries take neither route
+    assert ran == []
 
 
 def test_inverse_scatter_blocks(monkeypatch):
@@ -584,6 +587,9 @@ def test_batch_single_row_and_single_column():
     assert stats.inversions_batch(np.zeros((3, 0))).tolist() == [0, 0, 0]
     assert stats.local_maxima_batch(np.array([[1, 2]])).tolist() == [0]
     assert stats.longest_alternating_batch(np.array([[1]])).tolist() == [1]
+    # a scalar is one row of one entry
+    for kernel in (stats.inversions_batch, stats.anti_inversions_batch, stats.local_maxima_batch):
+        assert kernel(3.0).tolist() == [0], kernel
 
 
 @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (0, 16), (0, 17), (0, 40), (3, 0)])
